@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidNegation, SizeLimitExceeded
-from .lattice import Lattice, join, meet
 from .transforms import SetFunction, mobius_transform
 
 DEFAULT_TOL = 1e-9
@@ -77,15 +76,28 @@ def check_belief(f: SetFunction, tol: float = DEFAULT_TOL) -> CheckResult:
     return CheckResult(True)
 
 
-def _family_stats(f: SetFunction, family, tol: float):
+def _first_failing_family(f: SetFunction, k: int, fails, op: str) -> CheckResult:
+    """First k-family (in input order) whose f(join) and alternating sum of f
+    over the meets of its subfamilies satisfy ``fails``."""
     l = f.lattice
-    lhs = f[join(l, family)]
-    rhs = 0.0
-    for r in range(1, len(family) + 1):
-        sign = 1.0 if r % 2 else -1.0
-        for sub in itertools.combinations(family, r):
-            rhs += sign * f[meet(l, sub)]
-    return lhs, rhs
+    fv = list(f.values.values())
+    join_t, meet_t = l._join, l._meet
+    for family in itertools.combinations(range(len(l)), k):
+        top = family[0]
+        for i in family[1:]:
+            top = join_t[top][i]
+        lhs, rhs = fv[top], 0.0
+        for r in range(1, k + 1):
+            sign = 1.0 if r % 2 else -1.0
+            for sub in itertools.combinations(family, r):
+                low = sub[0]
+                for i in sub[1:]:
+                    low = meet_t[low][i]
+                rhs += sign * fv[low]
+        if fails(lhs, rhs):
+            names = tuple(l.elements[i] for i in family)
+            return CheckResult(False, names, f"f(join) = {lhs!r} {op} {rhs!r}")
+    return CheckResult(True)
 
 
 def check_k_monotone(f: SetFunction, k: int, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -97,22 +109,14 @@ def check_k_monotone(f: SetFunction, k: int, tol: float = DEFAULT_TOL) -> CheckR
     """
     if k < 2:
         raise ValueError("k-monotonicity is defined for k >= 2")
-    for family in itertools.combinations(f.lattice.elements, k):
-        lhs, rhs = _family_stats(f, family, tol)
-        if lhs < rhs - tol:
-            return CheckResult(False, family, f"f(join) = {lhs!r} < {rhs!r}")
-    return CheckResult(True)
+    return _first_failing_family(f, k, lambda lhs, rhs: lhs < rhs - tol, "<")
 
 
 def check_k_valuation(f: SetFunction, k: int, tol: float = DEFAULT_TOL) -> CheckResult:
     """The k-monotonicity inequality degenerates into an equality everywhere."""
     if k < 2:
         raise ValueError("k-valuations are defined for k >= 2")
-    for family in itertools.combinations(f.lattice.elements, k):
-        lhs, rhs = _family_stats(f, family, tol)
-        if abs(lhs - rhs) > tol:
-            return CheckResult(False, family, f"f(join) = {lhs!r} != {rhs!r}")
-    return CheckResult(True)
+    return _first_failing_family(f, k, lambda lhs, rhs: abs(lhs - rhs) > tol, "!=")
 
 
 def _total_family_count(n: int) -> int:
@@ -149,38 +153,40 @@ def conjugate(f: SetFunction, n, variant: str) -> SetFunction:
     return SetFunction(f.lattice, {x: 1.0 - f[send[x]] for x in f.lattice.elements})
 
 
+def max_k_monotone(
+    f: SetFunction,
+    tol: float = DEFAULT_TOL,
+    max_families: int = DEFAULT_MAX_FAMILIES,
+):
+    """The largest k for which f is k-monotone: "total" when every k up to
+    |L|-2 passes, 1 when none does, None when the family cap prevents the
+    sweep."""
+    n = len(f.lattice)
+    if _total_family_count(n) > max_families:
+        return None
+    passing = [k for k in range(2, max(2, n - 2) + 1) if check_k_monotone(f, k, tol)]
+    if len(passing) == max(2, n - 2) - 1:
+        return "total"
+    return max(passing, default=1)
+
+
 def capacity_report(
     f: SetFunction,
     tol: float = DEFAULT_TOL,
     max_families: int = DEFAULT_MAX_FAMILIES,
 ) -> CapacityCheckReport:
-    """Assemble the one-shot report used by the command line front end."""
+    """Assemble the one-shot report: capacity, belief and necessity checks
+    plus the k-monotonicity sweep."""
     from .possibilistic import check_necessity
 
     cap = check_capacity(f, tol)
     bel = check_belief(f, tol)
     nec = check_necessity(f, tol)
-    n = len(f.lattice)
-
-    max_k: object
-    if _total_family_count(n) > max_families:
-        max_k = None
-    else:
-        passing = [k for k in range(2, max(2, n - 2) + 1) if check_k_monotone(f, k, tol)]
-        if len(passing) == max(2, n - 2) - 1:
-            max_k = "total"
-        else:
-            max_k = max(passing, default=1)
-
-    witness = None
-    for res in (cap, bel, nec):
-        if not res.ok and res.witness is not None:
-            witness = res.witness
-            break
+    witness = next((r.witness for r in (cap, bel, nec) if not r.ok and r.witness is not None), None)
     return CapacityCheckReport(
         is_capacity=cap.ok,
         is_belief=bel.ok,
         is_necessity_hint=nec.ok,
-        max_k_monotone=max_k,
+        max_k_monotone=max_k_monotone(f, tol, max_families),
         failure_witness=witness,
     )

@@ -54,8 +54,7 @@ def main(argv=None) -> int:
         limits.tolerance = args.tolerance
         if args.limit is not None:
             limits.max_downsets = limits.max_chains = limits.max_families = args.limit
-        ws = io.Workspace(limits=limits)
-        return args.handler(args, ws)
+        return args.handler(args, limits)
     except _PROPERTY_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -159,11 +158,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = bel_parser("necessity", "meet-min identity check")
     p.add_argument("function")
-    p.set_defaults(handler=_cmd_bel_necessity)
+    p.set_defaults(handler=_cmd_bel_min_max, check=possibilistic.check_necessity)
 
     p = bel_parser("possibility", "join-max identity check")
     p.add_argument("function")
-    p.set_defaults(handler=_cmd_bel_possibility)
+    p.set_defaults(handler=_cmd_bel_min_max, check=possibilistic.check_possibility)
 
     p = bel_parser("reconstruct", "focal chain from a possibility distribution")
     p.add_argument("--negation", help="negation file; searched for when omitted")
@@ -176,6 +175,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(doc: dict) -> None:
     print(json.dumps(doc, ensure_ascii=False, indent=2))
+
+
+def _lattice(args, limits):
+    return io.load_lattice(args.lattice, max_elements=limits.max_elements)
+
+
+def _function(args, limits):
+    return io.load_function(args.function, _lattice(args, limits))
 
 
 def _write_function(args, f) -> None:
@@ -196,8 +203,15 @@ def _check_json(res) -> dict:
             "detail": res.detail}
 
 
-def _cmd_check(args, ws) -> int:
-    p = io.load_poset(args.lattice, max_elements=ws.limits.max_elements)
+def _report(args, label: str, res) -> int:
+    if args.json:
+        _emit({"v": 1, "property": label, **_check_json(res)})
+        return 0 if res.ok else 1
+    return _print_check(label, res)
+
+
+def _cmd_check(args, limits) -> int:
+    p = io.load_poset(args.lattice, max_elements=limits.max_elements)
     try:
         l = lat.lattice_from_poset(p)
     except NotALattice as exc:
@@ -222,9 +236,9 @@ def _cmd_check(args, ws) -> int:
     return 0
 
 
-def _cmd_birkhoff(args, ws) -> int:
-    p = io.load_poset(args.poset, max_elements=ws.limits.max_elements)
-    result = lat.downset_lattice(p, max_downsets=ws.limits.max_downsets)
+def _cmd_birkhoff(args, limits) -> int:
+    p = io.load_poset(args.poset, max_elements=limits.max_elements)
+    result = lat.downset_lattice(p, max_downsets=limits.max_downsets)
     doc = io.poset_to_dict(result.lattice.poset)
     if args.out:
         io.save(args.out, doc)
@@ -234,14 +248,13 @@ def _cmd_birkhoff(args, ws) -> int:
     return 0
 
 
-def _cmd_mobius(args, ws) -> int:
-    l = ws.lattice(args.lattice)
+def _cmd_mobius(args, limits) -> int:
+    l = _lattice(args, limits)
     mat = transforms.mobius_function(l)
     if args.json:
         doc = {"v": 1, "mu": {}}
         for x in l.elements:
-            row = {y: mat.mu(x, y) for y in l.elements if l.leq(x, y)}
-            doc["mu"][x] = row
+            doc["mu"][x] = {y: mat.mu(x, y) for y in l.elements if l.leq(x, y)}
         _emit(doc)
     else:
         for x in l.elements:
@@ -251,27 +264,28 @@ def _cmd_mobius(args, ws) -> int:
     return 0
 
 
-def _cmd_transform(args, ws) -> int:
-    l = ws.lattice(args.lattice)
-    f = ws.function(args.function, l)
+def _emit_function(args, f) -> int:
+    if args.json:
+        _emit(io.function_to_dict(f))
+    else:
+        for x, v in f.items():
+            print(f"{x}\t{v!r}")
+    _write_function(args, f)
+    return 0
+
+
+def _cmd_transform(args, limits) -> int:
     op = {
         "mobius": transforms.mobius_transform,
         "zeta": transforms.zeta_transform,
         "comobius": transforms.comobius_transform,
         "inverse-comobius": transforms.mass_from_comobius,
     }[args.direction]
-    result = op(f)
-    if args.json:
-        _emit(io.function_to_dict(result))
-    else:
-        for x, v in result.items():
-            print(f"{x}\t{v!r}")
-    _write_function(args, result)
-    return 0
+    return _emit_function(args, op(_function(args, limits)))
 
 
-def _cmd_negations(args, ws) -> int:
-    l = ws.lattice(args.lattice)
+def _cmd_negations(args, limits) -> int:
+    l = _lattice(args, limits)
     limit = None if args.all else (args.limit if args.limit is not None else 1)
     found = duality.find_negations(l, limit=limit)
     if args.json:
@@ -282,9 +296,8 @@ def _cmd_negations(args, ws) -> int:
     return 0 if found else 1
 
 
-def _cmd_chains(args, ws) -> int:
-    l = ws.lattice(args.lattice)
-    chains = lat.maximal_chains(l, max_chains=ws.limits.max_chains)
+def _cmd_chains(args, limits) -> int:
+    chains = lat.maximal_chains(_lattice(args, limits), max_chains=limits.max_chains)
     if args.json:
         _emit({"v": 1, "chains": [list(c) for c in chains]})
     else:
@@ -293,23 +306,18 @@ def _cmd_chains(args, ws) -> int:
     return 0
 
 
-def _cmd_dot(args, ws) -> int:
-    l = ws.lattice(args.lattice)
-    sys.stdout.write(io.dot_export(l))
+def _cmd_dot(args, limits) -> int:
+    sys.stdout.write(io.dot_export(_lattice(args, limits)))
     return 0
 
 
-def _cmd_bel_check(args, ws) -> int:
-    l = ws.lattice(args.lattice)
-    f = ws.function(args.function, l)
-    tol = ws.limits.tolerance
+def _cmd_bel_check(args, limits) -> int:
+    f = _function(args, limits)
+    tol = limits.tolerance
     cap = capacity.check_capacity(f, tol)
     bel = capacity.check_belief(f, tol)
     nec = possibilistic.check_necessity(f, tol)
-    max_k = None
-    if args.max_k:
-        report = capacity.capacity_report(f, tol, ws.limits.max_families)
-        max_k = report.max_k_monotone
+    max_k = capacity.max_k_monotone(f, tol, limits.max_families) if args.max_k else None
     if args.json:
         doc = {"v": 1, "is_capacity": _check_json(cap), "is_belief": _check_json(bel),
                "is_necessity": _check_json(nec)}
@@ -325,68 +333,46 @@ def _cmd_bel_check(args, ws) -> int:
     return 0 if bel.ok else 1
 
 
-def _cmd_bel_kmono(args, ws) -> int:
-    l = ws.lattice(args.lattice)
-    f = ws.function(args.function, l)
+def _cmd_bel_kmono(args, limits) -> int:
+    f = _function(args, limits)
     if args.k == "total":
-        res = capacity.check_total_monotone(f, ws.limits.tolerance, ws.limits.max_families)
-        label = "totally-monotone"
+        res = capacity.check_total_monotone(f, limits.tolerance, limits.max_families)
+        return _report(args, "totally-monotone", res)
+    return _report(args, f"{args.k}-monotone",
+                   capacity.check_k_monotone(f, int(args.k), limits.tolerance))
+
+
+def _cmd_bel_valuation(args, limits) -> int:
+    res = capacity.check_k_valuation(_function(args, limits), args.k, limits.tolerance)
+    return _report(args, f"{args.k}-valuation", res)
+
+
+def _cmd_bel_conjugate(args, limits) -> int:
+    f = _function(args, limits)
+    n = io.load_negation(args.negation, f.lattice)
+    return _emit_function(args, capacity.conjugate(f, n, args.variant))
+
+
+def _emit_mass(args, m) -> int:
+    if args.json:
+        _emit(io.function_to_dict(m))
     else:
-        res = capacity.check_k_monotone(f, int(args.k), ws.limits.tolerance)
-        label = f"{args.k}-monotone"
-    if args.json:
-        _emit({"v": 1, "property": label, **_check_json(res)})
-        return 0 if res.ok else 1
-    return _print_check(label, res)
-
-
-def _cmd_bel_valuation(args, ws) -> int:
-    l = ws.lattice(args.lattice)
-    f = ws.function(args.function, l)
-    res = capacity.check_k_valuation(f, args.k, ws.limits.tolerance)
-    if args.json:
-        _emit({"v": 1, "property": f"{args.k}-valuation", **_check_json(res)})
-        return 0 if res.ok else 1
-    return _print_check(f"{args.k}-valuation", res)
-
-
-def _cmd_bel_conjugate(args, ws) -> int:
-    l = ws.lattice(args.lattice)
-    f = ws.function(args.function, l)
-    n = ws.negation(args.negation, l)
-    result = capacity.conjugate(f, n, args.variant)
-    if args.json:
-        _emit(io.function_to_dict(result))
-    else:
-        for x, v in result.items():
-            print(f"{x}\t{v!r}")
-    _write_function(args, result)
+        print("focal element\tmass")
+        for x in m.focal_elements():
+            print(f"{x}\t{m[x]!r}")
+    _write_function(args, m)
     return 0
 
 
-def _focal_table(m) -> None:
-    print("focal element\tmass")
-    for x in m.focal_elements():
-        print(f"{x}\t{m[x]!r}")
+def _cmd_bel_combine(args, limits) -> int:
+    l = _lattice(args, limits)
+    m1 = io.load_mass(args.mass1, l, tol=limits.tolerance)
+    m2 = io.load_mass(args.mass2, l, tol=limits.tolerance)
+    return _emit_mass(args, evidence.combine(m1, m2, args.policy, tol=limits.tolerance))
 
 
-def _cmd_bel_combine(args, ws) -> int:
-    l = ws.lattice(args.lattice)
-    m1 = io.load_mass(args.mass1, l, tol=ws.limits.tolerance)
-    m2 = io.load_mass(args.mass2, l, tol=ws.limits.tolerance)
-    result = evidence.combine(m1, m2, args.policy, tol=ws.limits.tolerance)
-    if args.json:
-        _emit(io.function_to_dict(result))
-    else:
-        _focal_table(result)
-    _write_function(args, result)
-    return 0
-
-
-def _cmd_bel_decompose(args, ws) -> int:
-    l = ws.lattice(args.lattice)
-    f = ws.function(args.function, l)
-    weights = evidence.decompose(f, tol=ws.limits.tolerance)
+def _cmd_bel_decompose(args, limits) -> int:
+    weights = evidence.decompose(_function(args, limits), tol=limits.tolerance)
     if args.json:
         _emit(io.weights_to_dict(weights))
     else:
@@ -398,49 +384,27 @@ def _cmd_bel_decompose(args, ws) -> int:
     return 0
 
 
-def _cmd_bel_recombine(args, ws) -> int:
-    l = ws.lattice(args.lattice)
-    weights = io.load_weights(args.weights, l)
-    result = evidence.recombine(weights, tol=ws.limits.tolerance)
-    if args.json:
-        _emit(io.function_to_dict(result))
-    else:
-        _focal_table(result)
-    _write_function(args, result)
-    return 0
+def _cmd_bel_recombine(args, limits) -> int:
+    weights = io.load_weights(args.weights, _lattice(args, limits))
+    return _emit_mass(args, evidence.recombine(weights, tol=limits.tolerance))
 
 
-def _cmd_bel_necessity(args, ws) -> int:
-    l = ws.lattice(args.lattice)
-    f = ws.function(args.function, l)
-    res = possibilistic.check_necessity(f, ws.limits.tolerance)
-    if args.json:
-        _emit({"v": 1, "property": "necessity", **_check_json(res)})
-        return 0 if res.ok else 1
-    return _print_check("necessity", res)
+def _cmd_bel_min_max(args, limits) -> int:
+    res = args.check(_function(args, limits), limits.tolerance)
+    return _report(args, args.bel_command, res)
 
 
-def _cmd_bel_possibility(args, ws) -> int:
-    l = ws.lattice(args.lattice)
-    f = ws.function(args.function, l)
-    res = possibilistic.check_possibility(f, ws.limits.tolerance)
-    if args.json:
-        _emit({"v": 1, "property": "possibility", **_check_json(res)})
-        return 0 if res.ok else 1
-    return _print_check("possibility", res)
-
-
-def _cmd_bel_reconstruct(args, ws) -> int:
-    l = ws.lattice(args.lattice)
+def _cmd_bel_reconstruct(args, limits) -> int:
+    l = _lattice(args, limits)
     if args.negation:
-        n = ws.negation(args.negation, l)
+        n = io.load_negation(args.negation, l)
     else:
         found = duality.find_negations(l, limit=1)
         if not found:
             raise NotAutodual("the lattice admits no negation; supply --negation")
         n = found[0]
-    pi = ws.distribution(args.pi, "pi")
-    result = possibilistic.reconstruct_chain(l, n, pi, tol=ws.limits.tolerance)
+    pi = io.load_distribution(args.pi, "pi")
+    result = possibilistic.reconstruct_chain(l, n, pi, tol=limits.tolerance)
     if args.json:
         doc = {
             "v": 1,

@@ -20,7 +20,7 @@ from .errors import (
     NotDistributive,
     UnknownElement,
 )
-from .lattice import Lattice, eta, is_distributive, meet
+from .lattice import Lattice, _indices, eta, is_distributive, meet
 
 
 class Negation:
@@ -94,10 +94,13 @@ def verify_vee_negation(l: Lattice, mapping) -> CheckResult:
         seen[img] = x
     if mapping[l.top] != l.bottom:
         return CheckResult(False, (l.top,), f"n(top) = {mapping[l.top]!r}, expected bottom")
-    for x, y in itertools.combinations_with_replacement(l.elements, 2):
-        lhs = mapping[l.join(x, y)]
-        rhs = l.meet(mapping[x], mapping[y])
+    names, index = l.elements, l.poset._index
+    image = [index[mapping[x]] for x in names]
+    join_t, meet_t = l._join, l._meet
+    for i, j in itertools.combinations_with_replacement(range(len(names)), 2):
+        lhs, rhs = image[join_t[i][j]], meet_t[image[i]][image[j]]
         if lhs != rhs:
+            x, y, lhs, rhs = names[i], names[j], names[lhs], names[rhs]
             return CheckResult(False, (x, y), f"n({x} v {y}) = {lhs!r} but n({x}) ^ n({y}) = {rhs!r}")
     return CheckResult(True)
 
@@ -112,54 +115,53 @@ def find_negations(l: Lattice, limit: int | None = 1) -> list[Negation]:
 
     A negation is exactly an anti-automorphism, so candidate images must
     swap height with coheight and up-degree with down-degree; those pruning
-    invariants only shrink the search, correctness rests on the pairwise
-    order checks.  Returns up to ``limit`` negations (all of them when limit
-    is None); the empty list means the lattice is not autodual.
+    invariants only shrink the search.  Elements are assigned in input
+    order, and image c fits element i iff the assigned images above c are
+    exactly the images of the assigned elements below i, and likewise with
+    above and below swapped.  Returns up to ``limit`` negations (all of them
+    when limit is None); the empty list means the lattice is not autodual.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be at least 1")
     p = l.poset
     n = len(p)
-    down = p._down
-    updeg = [len(p._cov_up[i]) for i in range(n)]
-    downdeg = [len(p._cov_down[i]) for i in range(n)]
-    want = [(l._coh[i], l._h[i], downdeg[i], updeg[i]) for i in range(n)]
-    have = [(l._h[i], l._coh[i], updeg[i], downdeg[i]) for i in range(n)]
+    names, down, up = p.elements, p._down, p._up
+    candidates: dict[tuple, list[int]] = {}
+    for c in range(n):
+        key = (l._h[c], l._coh[c], len(p._cov_up[c]), len(p._cov_down[c]))
+        candidates.setdefault(key, []).append(c)
+    image_bit = [0] * n  # 1 << the image of each assigned element, 0 otherwise
+    images = 0  # bitset of all assigned images
 
-    assignment = [-1] * n
-    used = [False] * n
+    def fits(i):
+        key = (l._coh[i], l._h[i], len(p._cov_down[i]), len(p._cov_up[i]))
+        assigned = (1 << i) - 1
+        above = sum(map(image_bit.__getitem__, _indices(down[i] & assigned)))
+        below = sum(map(image_bit.__getitem__, _indices(up[i] & assigned)))
+        for c in candidates.get(key, ()):
+            # an image already taken fails one of the two tests
+            if up[c] & images == above and down[c] & images == below:
+                yield c
+
     results: list[Negation] = []
-
-    def extend(i: int) -> bool:
-        if i == n:
-            names = p.elements
-            results.append(
-                Negation(l, {names[x]: names[assignment[x]] for x in range(n)},
-                         "vee", _verified=True)
-            )
-            return limit is not None and len(results) >= limit
-        for c in range(n):
-            if used[c] or have[c] != want[i]:
-                continue
-            ok = True
-            for j in range(i):
-                a = assignment[j]
-                # x <= y must hold exactly when n(y) <= n(x)
-                if (j in down[i]) != (c in down[a]) or (i in down[j]) != (a in down[c]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assignment[i] = c
-            used[c] = True
-            stop = extend(i + 1)
-            used[c] = False
-            assignment[i] = -1
-            if stop:
-                return True
-        return False
-
-    extend(0)
+    stack = [fits(0)]  # stack[i] yields the images that fit element i
+    while stack:
+        i = len(stack) - 1
+        images ^= image_bit[i]  # release element i's image before its next try
+        image_bit[i] = 0
+        c = next(stack[i], None)
+        if c is None:
+            stack.pop()
+            continue
+        image_bit[i] = 1 << c
+        images |= image_bit[i]
+        if i + 1 < n:
+            stack.append(fits(i + 1))
+            continue
+        mapping = {names[x]: names[image_bit[x].bit_length() - 1] for x in range(n)}
+        results.append(Negation(l, mapping, "vee", _verified=True))
+        if limit is not None and len(results) >= limit:
+            break
     return results
 
 

@@ -152,17 +152,14 @@ def decompose(bel: SetFunction, *, tol: float = DEFAULT_TOL) -> SupportWeights:
     m = mobius_transform(bel)
     if m[l.top] <= tol:
         raise TopMassZero(f"mass at top is {m[l.top]!r}; decomposition needs it positive")
-    q = comobius_transform(m)
-    mat = mobius_function(l)
+    qv = list(comobius_transform(m).values.values())
     weights = {}
-    for y in l.elements:
+    for y, row in zip(l.elements, mobius_function(l)._rows):
         if y == l.top:
             continue
         w = 1.0
-        for x in sorted(l.poset.above(y), key=l.poset.index_of):
-            e = -mat.mu(y, x)
-            if e:
-                w *= q[x] ** e
+        for x, c in row.items():
+            w *= qv[x] ** -c
         if abs(w - 1.0) > 1e-12:
             weights[y] = w
     return SupportWeights(l, weights)

@@ -1,4 +1,4 @@
-"""File formats, the workspace cache, and DOT export.
+"""File formats, command line limits, and DOT export.
 
 One canonical JSON document per artifact kind, each carrying a format
 version field "v": 1.
@@ -17,8 +17,9 @@ written files are byte-stable across platforms.
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .duality import Negation, negation_from_map
 from .errors import FormatError
@@ -60,9 +61,12 @@ class Limits:
 
 
 def _load_document(path) -> dict:
+    def refuse(name):
+        raise FormatError(f"{path}: non-finite number {name} is not allowed")
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=refuse)
     except OSError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -100,15 +104,22 @@ def load_lattice(path, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Lattice:
     return lattice_from_poset(load_poset(path, max_elements=max_elements))
 
 
-def load_values(path) -> dict:
-    doc = _load_document(path)
-    values = _field(doc, path, "values", dict)
+def _numbers(doc, path, key) -> dict:
     out = {}
-    for name, v in values.items():
+    for name, v in _field(doc, path, key, dict).items():
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise FormatError(f"{path}: value of {name!r} is not a number")
-        out[name] = float(v)
+        try:
+            out[name] = float(v)
+        except OverflowError:  # an integer beyond the float range
+            out[name] = math.inf
+        if not math.isfinite(out[name]):
+            raise FormatError(f"{path}: value of {name!r} is not finite")
     return out
+
+
+def load_values(path) -> dict:
+    return _numbers(_load_document(path), path, "values")
 
 
 def load_function(path, lattice: Lattice) -> SetFunction:
@@ -130,9 +141,7 @@ def load_negation(path, lattice: Lattice) -> Negation:
 
 
 def load_distribution(path, key: str) -> dict:
-    doc = _load_document(path)
-    values = _field(doc, path, key, dict)
-    return {name: float(v) for name, v in values.items()}
+    return _numbers(_load_document(path), path, key)
 
 
 def poset_to_dict(p: Poset) -> dict:
@@ -146,10 +155,6 @@ def function_to_dict(f) -> dict:
 
 def weights_to_dict(w: SupportWeights) -> dict:
     return {"v": FORMAT_VERSION, "values": {y: v for y, v in w.items()}}
-
-
-def negation_to_dict(n: Negation) -> dict:
-    return {"v": FORMAT_VERSION, "map": dict(n.map)}
 
 
 def dumps(doc: dict) -> str:
@@ -182,41 +187,3 @@ def dot_export(l: Lattice) -> str:
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-@dataclass
-class Workspace:
-    """Loaded artifacts keyed by file path, plus the active limits.
-
-    Functions, negations and distributions are only handed out against a
-    lattice that was itself loaded and validated here.
-    """
-
-    limits: Limits = field(default_factory=Limits)
-    lattices: dict = field(default_factory=dict)
-    functions: dict = field(default_factory=dict)
-    negations: dict = field(default_factory=dict)
-    distributions: dict = field(default_factory=dict)
-
-    def lattice(self, path) -> Lattice:
-        key = os.path.abspath(path)
-        if key not in self.lattices:
-            self.lattices[key] = load_lattice(path, max_elements=self.limits.max_elements)
-        return self.lattices[key]
-
-    def function(self, path, lattice: Lattice) -> SetFunction:
-        key = (os.path.abspath(path), id(lattice))
-        if key not in self.functions:
-            self.functions[key] = load_function(path, lattice)
-        return self.functions[key]
-
-    def negation(self, path, lattice: Lattice) -> Negation:
-        key = (os.path.abspath(path), id(lattice))
-        if key not in self.negations:
-            self.negations[key] = load_negation(path, lattice)
-        return self.negations[key]
-
-    def distribution(self, path, key_name: str) -> dict:
-        key = (os.path.abspath(path), key_name)
-        if key not in self.distributions:
-            self.distributions[key] = load_distribution(path, key_name)
-        return self.distributions[key]

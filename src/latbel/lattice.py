@@ -5,17 +5,23 @@ enumeration in this package follows) and its covering relation: ``(x, y)``
 means y covers x, exactly the edges of a Hasse diagram.  The order itself is
 the reflexive-transitive closure of the covers.
 
-Poset and Lattice are immutable once built and every operation on them is a
-pure read, so instances can be shared freely between threads.  Construction
-is single-threaded.
+Internally an element is its input index and a set of elements is a Python
+int used as a bitset, bit i standing for element i (the encoding of
+Ait-Kaci, Boyer, Lincoln & Nasr, "Efficient implementation of lattice
+operations", TOPLAS 1989).  Element names appear only at the API edge.
+
+Poset and Lattice are immutable once built, except that ``Lattice._cache``
+is filled lazily with derived results such as the structural profile and
+the Moebius coefficients.  Instances can be shared between threads: a
+concurrent first call may compute such a result twice, and the second store
+only replaces it with an equal value.  Construction is single-threaded.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import (
     CycleDetected,
@@ -33,12 +39,22 @@ DEFAULT_MAX_DOWNSETS = 1 << 20
 DEFAULT_MAX_CHAINS = 10**6
 
 
+_BYTE_OF_DIGIT = bytes.maketrans(b"01", b"\0\1")
+
+
+def _indices(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    selectors = bin(mask)[:1:-1].encode().translate(_BYTE_OF_DIGIT)  # lowest bit first
+    return list(itertools.compress(itertools.count(), selectors))
+
+
 class Poset:
     """A finite partially ordered set built from its covering relation.
 
     Redundant input pairs (duplicates and transitive edges) are dropped with
     a :class:`RedundantCovers` warning; the stored ``covers`` are always the
-    irredundant covering relation of the closure.
+    irredundant covering relation of the closure.  ``_down[i]`` and
+    ``_up[i]`` are the bitsets of the elements below and above element i.
     """
 
     __slots__ = ("elements", "covers", "_index", "_down", "_up", "_cov_down", "_cov_up")
@@ -63,41 +79,48 @@ class Poset:
         edges: set[tuple[int, int]] = set()
         for lo, up in covers:
             for name in (lo, up):
+                if not isinstance(name, str):
+                    raise InvalidElementName(f"bad element name: {name!r}")
                 if name not in index:
                     raise UnknownElement(name)
             if lo == up:
                 raise CycleDetected((lo,))
             edges.add((index[lo], index[up]))
+        edges = sorted(edges)
 
         succ = [[] for _ in range(n)]
         pred = [[] for _ in range(n)]
-        for a, b in sorted(edges):
+        for a, b in edges:
             succ[a].append(b)
             pred[b].append(a)
 
         topo = _topological_order(n, succ, pred, names)
 
-        down = [set() for _ in range(n)]
+        down = [0] * n
         for i in topo:
-            acc = {i}
+            acc = 1 << i
             for p in pred[i]:
                 acc |= down[p]
             down[i] = acc
-        up = [set() for _ in range(n)]
+        up = [0] * n
         for i in reversed(topo):
-            acc = {i}
+            acc = 1 << i
             for s in succ[i]:
                 acc |= up[s]
             up[i] = acc
 
-        # True covers of the closure: maximal strict lower bounds.
-        cov: set[tuple[int, int]] = set()
-        for b in range(n):
-            strict = down[b] - {b}
-            for a in strict:
-                if not any(z != a and a in down[z] for z in strict):
-                    cov.add((a, b))
-        dropped = sorted(edges - cov)
+        # Every cover of the closure is an input edge, and an edge a -> b is
+        # a cover iff nothing lies strictly between: up[a] & down[b] = {a, b}.
+        cov, dropped = [], []
+        cov_down = [[] for _ in range(n)]
+        cov_up = [[] for _ in range(n)]
+        for a, b in edges:
+            if up[a] & down[b] == (1 << a) | (1 << b):
+                cov.append((a, b))
+                cov_down[b].append(a)
+                cov_up[a].append(b)
+            else:
+                dropped.append((a, b))
         if dropped:
             listing = ", ".join(f"({names[a]}, {names[b]})" for a, b in dropped)
             warnings.warn(f"dropped redundant cover pairs: {listing}", RedundantCovers)
@@ -106,17 +129,15 @@ class Poset:
         self._index = index
         self._down = down
         self._up = up
-        self.covers: tuple[tuple[str, str], ...] = tuple(
-            (names[a], names[b]) for a, b in sorted(cov)
-        )
-        self._cov_down = [sorted(a for a, b in cov if b == i) for i in range(n)]
-        self._cov_up = [sorted(b for a, b in cov if a == i) for i in range(n)]
+        self.covers: tuple[tuple[str, str], ...] = tuple((names[a], names[b]) for a, b in cov)
+        self._cov_down = cov_down
+        self._cov_up = cov_up
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def __contains__(self, name) -> bool:
-        return name in self._index
+        return isinstance(name, str) and name in self._index
 
     def __repr__(self) -> str:
         return f"Poset({len(self)} elements, {len(self.covers)} covers)"
@@ -124,22 +145,23 @@ class Poset:
     def index_of(self, x: str) -> int:
         try:
             return self._index[x]
-        except KeyError:
+        except (KeyError, TypeError):
             raise UnknownElement(x) from None
 
     def leq(self, x: str, y: str) -> bool:
         """x <= y in the closure of the covers."""
-        return self.index_of(x) in self._down[self.index_of(y)]
+        i = self.index_of(x)
+        return bool(self._down[self.index_of(y)] >> i & 1)
 
     def lt(self, x: str, y: str) -> bool:
         return x != y and self.leq(x, y)
 
     def below(self, x: str) -> frozenset[str]:
         """All elements <= x, including x."""
-        return frozenset(self.elements[i] for i in self._down[self.index_of(x)])
+        return frozenset(self.elements[i] for i in _indices(self._down[self.index_of(x)]))
 
     def above(self, x: str) -> frozenset[str]:
-        return frozenset(self.elements[i] for i in self._up[self.index_of(x)])
+        return frozenset(self.elements[i] for i in _indices(self._up[self.index_of(x)]))
 
     def covers_of(self, x: str) -> tuple[str, ...]:
         """Elements covered by x, in input order."""
@@ -161,36 +183,33 @@ class Poset:
 
     def restrict(self, keep) -> "Poset":
         """Induced subposet on ``keep`` (ordered as in the parent)."""
-        subset = set(keep)
-        for x in subset:
-            self.index_of(x)
-        sub = [x for x in self.elements if x in subset]
-        cov = []
-        for a, b in itertools.permutations(sub, 2):
-            if self.lt(a, b) and not any(
-                self.lt(a, z) and self.lt(z, b) for z in sub
-            ):
-                cov.append((a, b))
-        return Poset(sub, cov)
+        mask = 0
+        for x in set(keep):
+            mask |= 1 << self.index_of(x)
+        sub = _indices(mask)
+        # a -> b is a cover iff no kept element lies strictly between them
+        cov = [(self.elements[a], self.elements[b]) for a in sub for b in sub
+               if a != b and self._up[a] & self._down[b] & mask == (1 << a) | (1 << b)]
+        return Poset([self.elements[i] for i in sub], cov)
+
+    def _linear_order(self) -> list[int]:
+        """Indices sorted so that x <= y implies x comes first (stable)."""
+        down = self._down
+        return sorted(range(len(down)), key=lambda i: (down[i].bit_count(), i))
 
     def linear_extension(self) -> tuple[str, ...]:
         """Elements sorted so that x <= y implies x comes first (stable)."""
-        order = sorted(range(len(self)), key=lambda i: (len(self._down[i]), i))
-        return tuple(self.elements[i] for i in order)
+        return tuple(self.elements[i] for i in self._linear_order())
 
 
 def _topological_order(n, succ, pred, names):
     indeg = [len(pred[i]) for i in range(n)]
-    ready = [i for i in range(n) if indeg[i] == 0]
-    heapq.heapify(ready)
-    topo = []
-    while ready:
-        i = heapq.heappop(ready)
-        topo.append(i)
+    topo = [i for i in range(n) if indeg[i] == 0]
+    for i in topo:  # the loop also visits the nodes appended while it runs
         for s in succ[i]:
             indeg[s] -= 1
             if indeg[s] == 0:
-                heapq.heappush(ready, s)
+                topo.append(s)
     if len(topo) < n:
         remaining = set(range(n)) - set(topo)
         # Every remaining node keeps a remaining predecessor; walk until a repeat.
@@ -214,6 +233,7 @@ class Lattice:
     """A finite lattice: a poset whose binary join and meet are total.
 
     Raises :class:`NotALattice` naming the first offending pair otherwise.
+    ``_join`` and ``_meet`` are the index tables of the two operations.
     """
 
     __slots__ = ("poset", "bottom", "top", "joinirr", "meetirr", "heights",
@@ -225,25 +245,29 @@ class Lattice:
         names = poset.elements
         up, down = poset._up, poset._down
 
+        # The join of i and j is the element whose up-set is up[i] & up[j];
+        # if no element has that up-set, the pair has no least upper bound.
+        by_up = {u: i for i, u in enumerate(up)}
+        by_down = {d: i for i, d in enumerate(down)}
         join_t = [[0] * n for _ in range(n)]
         meet_t = [[0] * n for _ in range(n)]
         for i in range(n):
-            join_t[i][i] = meet_t[i][i] = i
+            up_i, down_i = up[i], down[i]
+            join_i, meet_i = join_t[i], meet_t[i]
+            join_i[i] = meet_i[i] = i
             for j in range(i + 1, n):
-                ub = up[i] & up[j]
-                if not ub:
-                    raise NotALattice(names[i], names[j], "no-upper-bound")
-                least = next((u for u in ub if ub <= up[u]), None)
+                ub = up_i & up[j]
+                least = by_up.get(ub)
                 if least is None:
-                    raise NotALattice(names[i], names[j], "no-least-upper-bound")
-                join_t[i][j] = join_t[j][i] = least
-                lb = down[i] & down[j]
-                if not lb:
-                    raise NotALattice(names[i], names[j], "no-lower-bound")
-                greatest = next((u for u in lb if lb <= down[u]), None)
+                    reason = "no-least-upper-bound" if ub else "no-upper-bound"
+                    raise NotALattice(names[i], names[j], reason)
+                lb = down_i & down[j]
+                greatest = by_down.get(lb)
                 if greatest is None:
-                    raise NotALattice(names[i], names[j], "no-greatest-lower-bound")
-                meet_t[i][j] = meet_t[j][i] = greatest
+                    reason = "no-greatest-lower-bound" if lb else "no-lower-bound"
+                    raise NotALattice(names[i], names[j], reason)
+                join_i[j] = join_t[j][i] = least
+                meet_i[j] = meet_t[j][i] = greatest
         self._join = join_t
         self._meet = meet_t
 
@@ -252,17 +276,16 @@ class Lattice:
         self.joinirr = tuple(x for i, x in enumerate(names) if len(poset._cov_down[i]) == 1)
         self.meetirr = tuple(x for i, x in enumerate(names) if len(poset._cov_up[i]) == 1)
 
+        order = poset._linear_order()
         h = [0] * n
-        for x in poset.linear_extension():
-            i = poset._index[x]
+        for i in order:
             h[i] = 1 + max((h[p] for p in poset._cov_down[i]), default=-1)
         coh = [0] * n
-        for x in reversed(poset.linear_extension()):
-            i = poset._index[x]
+        for i in reversed(order):
             coh[i] = 1 + max((coh[s] for s in poset._cov_up[i]), default=-1)
         self._h = h
         self._coh = coh
-        self.heights = {x: h[poset._index[x]] for x in names}
+        self.heights = dict(zip(names, h))
         self._cache: dict = {}
 
     # -- delegation ---------------------------------------------------------
@@ -285,7 +308,9 @@ class Lattice:
         return f"Lattice({len(self)} elements, bottom={self.bottom!r}, top={self.top!r})"
 
     def leq(self, x: str, y: str) -> bool:
-        return self.poset.leq(x, y)
+        p = self.poset
+        i, j = p.index_of(x), p.index_of(y)
+        return self._join[i][j] == j
 
     def join(self, x: str, y: str) -> str:
         p = self.poset
@@ -336,12 +361,16 @@ def _fold(l, xs, op):
 
 def eta(l: Lattice, x: str) -> frozenset[str]:
     """Normal decomposition: all join-irreducibles <= x."""
-    return frozenset(j for j in l.joinirr if l.leq(j, x))
+    p = l.poset
+    below = p._down[p.index_of(x)]
+    return frozenset(j for j in l.joinirr if below >> p._index[j] & 1)
 
 
 def mu_set(l: Lattice, x: str) -> frozenset[str]:
     """All meet-irreducibles >= x."""
-    return frozenset(m for m in l.meetirr if l.leq(x, m))
+    p = l.poset
+    above = p._up[p.index_of(x)]
+    return frozenset(m for m in l.meetirr if above >> p._index[m] & 1)
 
 
 def eta_star(l: Lattice, x: str) -> frozenset[str]:
@@ -354,17 +383,8 @@ def eta_star(l: Lattice, x: str) -> frozenset[str]:
         raise DecompositionNotUnique(
             "minimal join decomposition requires a lower locally distributive lattice"
         )
-    keep = [j for j in l.joinirr if l.leq(j, x)]
-    changed = True
-    while changed:
-        changed = False
-        for j in list(keep):
-            rest = [o for o in keep if o != j]
-            if _join_or_bottom(l, rest) == x:
-                keep = rest
-                changed = True
-                break
-    return frozenset(keep)
+    return _irredundant([j for j in l.joinirr if l.leq(j, x)], x,
+                        lambda xs: join(l, xs) if xs else l.bottom)
 
 
 def mu_star(l: Lattice, x: str) -> frozenset[str]:
@@ -374,28 +394,27 @@ def mu_star(l: Lattice, x: str) -> frozenset[str]:
         raise DecompositionNotUnique(
             "minimal meet decomposition requires an upper locally distributive lattice"
         )
-    keep = [m for m in l.meetirr if l.leq(x, m)]
-    changed = True
-    while changed:
-        changed = False
-        for m in list(keep):
-            rest = [o for o in keep if o != m]
-            if _meet_or_top(l, rest) == x:
+    return _irredundant([m for m in l.meetirr if l.leq(x, m)], x,
+                        lambda xs: meet(l, xs) if xs else l.top)
+
+
+def _irredundant(keep, x, combine) -> frozenset[str]:
+    """Drop members, earliest first, while combine(rest) stays x."""
+    while True:
+        for j in keep:
+            rest = [o for o in keep if o != j]
+            if combine(rest) == x:
                 keep = rest
-                changed = True
                 break
-    return frozenset(keep)
-
-
-def _join_or_bottom(l, xs):
-    return join(l, xs) if xs else l.bottom
-
-
-def _meet_or_top(l, xs):
-    return meet(l, xs) if xs else l.top
+        else:
+            return frozenset(keep)
 
 
 # -- structural predicates ----------------------------------------------------
+#
+# A witness is None when its property holds and otherwise the first
+# counterexample in input order.  The cheapest criterion decides the property;
+# the canonical search for the first witness runs only when it fails.
 
 @dataclass(frozen=True)
 class StructureProfile:
@@ -417,15 +436,8 @@ class StructureProfile:
     witnesses: dict
 
     def flags(self) -> dict[str, bool]:
-        return {
-            name: getattr(self, name)
-            for name in (
-                "is_lattice", "is_linear", "is_ranked", "is_modular",
-                "is_lower_semimodular", "is_upper_semimodular", "is_distributive",
-                "is_lower_locally_distributive", "is_upper_locally_distributive",
-                "is_complemented", "is_atomistic", "is_autodual",
-            )
-        }
+        """Every flag, in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "witnesses"}
 
 
 def _cached(l: Lattice, key: str, compute):
@@ -434,85 +446,104 @@ def _cached(l: Lattice, key: str, compute):
     return l._cache[key]
 
 
-def _cover_pairs(l: Lattice) -> set[tuple[str, str]]:
-    return _cached(l, "cover_pairs", lambda: set(l.covers))
-
-
-def _covers(l, a, b) -> bool:
-    """b covers a."""
-    return (a, b) in _cover_pairs(l)
+def _names(l: Lattice, *idx) -> tuple[str, ...]:
+    return tuple(l.poset.elements[i] for i in idx)
 
 
 def _semimodular_witness(l: Lattice, upper: bool):
-    for x, y in itertools.combinations(l.elements, 2):
-        j, m = l.join(x, y), l.meet(x, y)
-        low = _covers(l, m, x) and _covers(l, m, y)
-        high = _covers(l, x, j) and _covers(l, y, j)
-        if upper and low and not high:
-            return (x, y)
-        if not upper and high and not low:
-            return (x, y)
-    return None
+    """Upper: if x and y both cover x ^ y, x v y covers both; lower is the
+    dual.  Distinct upper covers of m meet in m, so only pairs of covers of
+    one element can fail; the first witness is the smallest failing pair."""
+    p = l.poset
+    above = [set(c) for c in p._cov_up]
+    fails = []
+    if upper:
+        join_t = l._join
+        for covs in p._cov_up:
+            for x, y in itertools.combinations(covs, 2):
+                j = join_t[x][y]
+                if j not in above[x] or j not in above[y]:
+                    fails.append((x, y))
+    else:
+        meet_t = l._meet
+        for covs in p._cov_down:
+            for x, y in itertools.combinations(covs, 2):
+                m = meet_t[x][y]
+                if x not in above[m] or y not in above[m]:
+                    fails.append((x, y))
+    return _names(l, *min(fails)) if fails else None
 
 
 def is_upper_semimodular(l: Lattice) -> bool:
-    return _cached(l, "usm", lambda: _semimodular_witness(l, True)) is None
+    return _witness(l, "usm") is None
 
 
 def is_lower_semimodular(l: Lattice) -> bool:
-    return _cached(l, "lsm", lambda: _semimodular_witness(l, False)) is None
+    return _witness(l, "lsm") is None
 
 
 def _distributive_witness(l: Lattice):
-    for x, y, z in itertools.product(l.elements, repeat=3):
-        if l.meet(l.join(x, y), z) != l.join(l.meet(x, z), l.meet(y, z)):
-            return (x, y, z)
-    return None
+    """Birkhoff: L is distributive iff eta(x v y) = eta(x) | eta(y) for every
+    pair, eta(x) being the bitset of join-irreducibles below x.  On failure,
+    the first triple breaking (x v y) ^ z = (x ^ z) v (y ^ z)."""
+    p = l.poset
+    n = len(p)
+    join_t, meet_t = l._join, l._meet
+    irr = sum(1 << i for i in range(n) if len(p._cov_down[i]) == 1)
+    eta_mask = [d & irr for d in p._down]
+    if all(eta_mask[join_x[y]] == eta_mask[x] | eta_mask[y]
+           for x, join_x in enumerate(join_t) for y in range(x + 1, n)):
+        return None
+    for x in range(n):
+        join_x, meet_x = join_t[x], meet_t[x]
+        for y in range(n):
+            meet_xy, meet_y = meet_t[join_x[y]], meet_t[y]
+            for z in range(n):
+                if meet_xy[z] != join_t[meet_x[z]][meet_y[z]]:
+                    return _names(l, x, y, z)
+    raise AssertionError("join-prime test and triple search disagree")
 
 
 def is_distributive(l: Lattice) -> bool:
-    return _cached(l, "distr", lambda: _distributive_witness(l)) is None
+    return _witness(l, "distr") is None
 
 
 def _diamond_witness(l: Lattice):
     """A triple of incomparable elements with equal pairwise meets and joins,
-    i.e. an embedded five-element diamond sublattice."""
-    for u, v, w in itertools.combinations(l.elements, 3):
-        p = l.meet(u, v)
-        if l.meet(u, w) != p or l.meet(v, w) != p:
-            continue
-        q = l.join(u, v)
-        if l.join(u, w) != q or l.join(v, w) != q:
-            continue
-        if p != q and p not in (u, v, w) and q not in (u, v, w):
-            return (u, v, w)
+    i.e. an embedded five-element diamond sublattice.  Distributive lattices
+    have none."""
+    if is_distributive(l):
+        return None
+    n = len(l)
+    join_t, meet_t = l._join, l._meet
+    for u in range(n):
+        join_u, meet_u = join_t[u], meet_t[u]
+        for v in range(u + 1, n):
+            p, q = meet_u[v], join_u[v]
+            if p == u or p == v:  # comparable pair
+                continue
+            join_v, meet_v = join_t[v], meet_t[v]
+            for w in range(v + 1, n):
+                if (meet_u[w] == p and meet_v[w] == p and join_u[w] == q
+                        and join_v[w] == q and w != p and w != q):
+                    return _names(l, u, v, w)
     return None
 
 
 def is_lower_locally_distributive(l: Lattice) -> bool:
-    def compute():
-        w = _cached(l, "lsm", lambda: _semimodular_witness(l, False))
-        if w is not None:
-            return w
-        return _cached(l, "diamond", lambda: _diamond_witness(l))
-    return _cached(l, "lld", compute) is None
+    return _witness(l, "lld") is None
 
 
 def is_upper_locally_distributive(l: Lattice) -> bool:
-    def compute():
-        w = _cached(l, "usm", lambda: _semimodular_witness(l, True))
-        if w is not None:
-            return w
-        return _cached(l, "diamond", lambda: _diamond_witness(l))
-    return _cached(l, "uld", compute) is None
+    return _witness(l, "uld") is None
 
 
 def _complement_witness(l: Lattice):
-    for x in l.elements:
-        if not any(
-            l.meet(x, c) == l.bottom and l.join(x, c) == l.top for c in l.elements
-        ):
-            return (x,)
+    p = l.poset
+    bottom, top = p.index_of(l.bottom), p.index_of(l.top)
+    for x, (meet_x, join_x) in enumerate(zip(l._meet, l._join)):
+        if not any(m == bottom and j == top for m, j in zip(meet_x, join_x)):
+            return _names(l, x)
     return None
 
 
@@ -524,17 +555,35 @@ def _atomistic_witness(l: Lattice):
 
 
 def _linear_witness(l: Lattice):
-    for x, y in itertools.combinations(l.elements, 2):
-        if not l.leq(x, y) and not l.leq(y, x):
-            return (x, y)
+    for x, join_x in enumerate(l._join):
+        for y in range(x + 1, len(join_x)):
+            if join_x[y] != x and join_x[y] != y:
+                return _names(l, x, y)
     return None
 
 
 def _ranked_witness(l: Lattice):
-    for a, b in l.covers:
-        if l.heights[b] != l.heights[a] + 1:
-            return (a, b)
+    h = l._h
+    for a, ups in enumerate(l.poset._cov_up):
+        for b in ups:
+            if h[b] != h[a] + 1:
+                return _names(l, a, b)
     return None
+
+
+_WITNESSES = {
+    "usm": lambda l: _semimodular_witness(l, True),
+    "lsm": lambda l: _semimodular_witness(l, False),
+    "distr": _distributive_witness,
+    "diamond": _diamond_witness,
+    "lld": lambda l: _witness(l, "lsm") or _witness(l, "diamond"),
+    "uld": lambda l: _witness(l, "usm") or _witness(l, "diamond"),
+}
+
+
+def _witness(l: Lattice, key: str):
+    """The witness of one structural property, cached on the lattice."""
+    return _cached(l, key, lambda: _WITNESSES[key](l))
 
 
 def profile(l: Lattice) -> StructureProfile:
@@ -551,14 +600,15 @@ def profile(l: Lattice) -> StructureProfile:
 
         linear = flag("is_linear", _linear_witness(l))
         ranked = flag("is_ranked", _ranked_witness(l))
-        lsm = flag("is_lower_semimodular", _cached(l, "lsm", lambda: _semimodular_witness(l, False)))
-        usm = flag("is_upper_semimodular", _cached(l, "usm", lambda: _semimodular_witness(l, True)))
+        lsm = flag("is_lower_semimodular", _witness(l, "lsm"))
+        usm = flag("is_upper_semimodular", _witness(l, "usm"))
         if not lsm:
             witnesses["is_modular"] = witnesses["is_lower_semimodular"]
         elif not usm:
             witnesses["is_modular"] = witnesses["is_upper_semimodular"]
-        distr = flag("is_distributive", _cached(l, "distr", lambda: _distributive_witness(l)))
-        diamond = _cached(l, "diamond", lambda: _diamond_witness(l))
+        distr = flag("is_distributive", _witness(l, "distr"))
+        # The diamond decides local distributivity only under semimodularity.
+        diamond = _witness(l, "diamond") if lsm or usm else None
         lld = lsm and diamond is None
         if not lld:
             witnesses["is_lower_locally_distributive"] = (
@@ -613,36 +663,34 @@ def downset_lattice(p: Poset, *, max_downsets: int = DEFAULT_MAX_DOWNSETS) -> Do
     """All downsets of ``p`` ordered by inclusion; join is union, meet is
     intersection.  Elements are named by their member sets, e.g. ``{a,b}``."""
     n = len(p)
-    seen = {frozenset()}
-    frontier = [frozenset()]
+    strict = [d ^ (1 << i) for i, d in enumerate(p._down)]
+
+    def addable(d):
+        """Elements outside the downset d whose strict lower set lies inside."""
+        return [i for i in range(n) if not d >> i & 1 and strict[i] & d == strict[i]]
+
+    seen = {0}
+    frontier = [0]
     while frontier:
         d = frontier.pop()
-        for i in range(n):
-            if i not in d and p._down[i] - {i} <= d:
-                nd = d | {i}
-                if nd not in seen:
-                    seen.add(nd)
-                    if len(seen) > max_downsets:
-                        raise SizeLimitExceeded(
-                            f"more than {max_downsets} downsets; raise the cap to proceed"
-                        )
-                    frontier.append(nd)
+        for i in addable(d):
+            nd = d | 1 << i
+            if nd not in seen:
+                seen.add(nd)
+                if len(seen) > max_downsets:
+                    raise SizeLimitExceeded(
+                        f"more than {max_downsets} downsets; raise the cap to proceed"
+                    )
+                frontier.append(nd)
 
-    downsets = sorted(seen, key=lambda d: (len(d), sorted(d)))
-
-    def name_of(d):
-        return "{" + ",".join(p.elements[i] for i in sorted(d)) + "}"
-
-    names = [name_of(d) for d in downsets]
-    covers = []
-    for d in downsets:
-        dn = name_of(d)
-        for i in range(n):
-            if i not in d and p._down[i] - {i} <= d:
-                covers.append((dn, name_of(d | {i})))
+    members = {d: _indices(d) for d in seen}
+    downsets = sorted(seen, key=lambda d: (len(members[d]), members[d]))
+    name = {d: "{" + ",".join(p.elements[i] for i in members[d]) + "}" for d in downsets}
+    names = [name[d] for d in downsets]
+    covers = [(name[d], name[d | 1 << i]) for d in downsets for i in addable(d)]
     lat = Lattice(Poset(names, covers, max_elements=max(len(names), DEFAULT_MAX_ELEMENTS)))
-    back = {name_of(d): frozenset(p.elements[i] for i in d) for d in downsets}
-    principal = {x: name_of(frozenset(p._down[p.index_of(x)])) for x in p.elements}
+    back = {name[d]: frozenset(p.elements[i] for i in members[d]) for d in downsets}
+    principal = {x: name[p._down[i]] for i, x in enumerate(p.elements)}
     return DownsetLattice(lattice=lat, downset=back, principal=principal)
 
 

@@ -78,7 +78,7 @@ def _checked_distribution(lattice, values, domain, label, tol):
     out = {}
     for x in domain:
         v = float(values[x])
-        if v < -tol or v > 1.0 + tol:
+        if not -tol <= v <= 1.0 + tol:  # also refuses NaN
             raise InvalidDistribution(f"{label}({x}) = {v!r} outside [0, 1]")
         out[x] = v
     return out
@@ -122,13 +122,13 @@ def _min_max_check(f, tol, want_min):
         return CheckResult(False, (l.bottom,), f"f(bottom) = {f[l.bottom]!r}, expected 0")
     if abs(f[l.top] - 1.0) > tol:
         return CheckResult(False, (l.top,), f"f(top) = {f[l.top]!r}, expected 1")
-    for x, y in itertools.combinations(l.elements, 2):
-        if want_min:
-            lhs, rhs = f[l.meet(x, y)], min(f[x], f[y])
-        else:
-            lhs, rhs = f[l.join(x, y)], max(f[x], f[y])
+    table, pick = (l._meet, min) if want_min else (l._join, max)
+    fv = list(f.values.values())
+    for i, j in itertools.combinations(range(len(l)), 2):
+        lhs, rhs = fv[table[i][j]], pick(fv[i], fv[j])
         if abs(lhs - rhs) > tol:
-            op = "min" if want_min else "max"
+            x, y = l.elements[i], l.elements[j]
+            op = pick.__name__
             return CheckResult(False, (x, y), f"{lhs!r} != {op}(f({x}), f({y})) = {rhs!r}")
     return CheckResult(True)
 
@@ -172,14 +172,15 @@ def reconstruct_chain(
     """Recover the unique focal chain and masses behind a possibility
     distribution.
 
-    Sorting the join-irreducibles j_1 < ... < j_n by strictly increasing pi
-    (ties are refused), the procedure walks k = n down to 1 and selects the
-    one join-irreducible outside eta(n(j_k)) that lies inside every
-    eta(n(j_l)) for l < k.  Prefix joins of the selections form the chain;
-    the element added at step k carries mass pi(j_k) - pi(j_(k-1)).  The
-    equivalent greedy rule (smallest element of eta(n(j_(k-1))) minus
-    eta(n(j_k))) is evaluated too and any disagreement is reported as a
-    failed selection.
+    pi must be isotone on the join-irreducibles (InvalidDistribution
+    otherwise).  Sorting the join-irreducibles j_1 < ... < j_n by strictly
+    increasing pi (ties are refused), the procedure walks k = n down to 1
+    and selects the one join-irreducible outside eta(n(j_k)) that lies
+    inside every eta(n(j_l)) for l < k.  Prefix joins of the selections
+    form the chain; the element added at step k carries mass
+    pi(j_k) - pi(j_(k-1)).  The equivalent greedy rule (smallest element of
+    eta(n(j_(k-1))) minus eta(n(j_k))) is evaluated too and any
+    disagreement is reported as a failed selection.
     """
     _require_distributive(l)
     if n.lattice is not l:
@@ -202,6 +203,10 @@ def reconstruct_chain(
             raise TiesInDistribution(a, b, values[a])
     if abs(values[ordered[-1]] - 1.0) > tol:
         raise TopValueNotOne(f"largest pi value is {values[ordered[-1]]!r}, expected 1")
+    for a, b in itertools.permutations(l.joinirr, 2):
+        if values[a] > values[b] and l.leq(a, b):
+            raise InvalidDistribution(f"pi is not isotone: {a} <= {b} but "
+                                      f"pi({a}) = {values[a]!r} > pi({b}) = {values[b]!r}")
 
     all_ji = frozenset(l.joinirr)
     etas = {j: eta(l, n(j)) for j in ordered}

@@ -361,3 +361,50 @@ def test_check_json_output_is_deterministic(diamond_bundle, capsys):
     assert capsys.readouterr().out == first
     doc = json.loads(first)
     assert doc["is_distributive"] is True
+
+
+B2_BEL = '{"{}": 0, "{1}": 0.3, "{2}": 0.2, "{1,2}": %s}'
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "null", "\"1\""])
+def test_bel_check_refuses_malformed_numbers(b2, tmp_path, capsys, literal):
+    path = tmp_path / "f.json"
+    path.write_text('{"v": 1, "values": ' + B2_BEL % literal + "}", encoding="utf-8")
+    assert main(["bel", "check", "--lattice", b2, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("FormatError") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("literal", ["null", "NaN", "1e400"])
+def test_bel_reconstruct_refuses_malformed_pi(b2, tmp_path, capsys, literal):
+    path = tmp_path / "pi.json"
+    path.write_text('{"v": 1, "pi": {"{1}": %s, "{2}": 1}}' % literal, encoding="utf-8")
+    assert main(["bel", "reconstruct", "--lattice", b2, "--pi", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("FormatError") and "Traceback" not in err
+
+
+def test_bel_reconstruct_refuses_non_isotone_pi(diamond_bundle, tmp_path, capsys):
+    lattice, _, _ = diamond_bundle
+    pr = chain_diamond().principal
+    pi = write(tmp_path / "pi.json", {"v": 1, "pi": {
+        pr["c"]: 0.1, pr["d"]: 0.2, pr["e"]: 0.4, pr["b"]: 0.6, pr["f"]: 0.9, pr["a"]: 1,
+    }})
+    assert main(["bel", "reconstruct", "--lattice", lattice, "--pi", pi]) == 2
+    assert capsys.readouterr().err.startswith("InvalidDistribution")
+
+
+def test_check_refuses_a_dict_cover_endpoint(tmp_path, capsys):
+    path = write(tmp_path / "bad.json",
+                 {"v": 1, "elements": ["a", "b"], "covers": [["a", {"b": 1}]]})
+    assert main(["check", path]) == 2
+    assert capsys.readouterr().err.startswith("InvalidElementName")
+
+
+def test_bel_conjugate_refuses_a_list_image(b2, tmp_path, capsys):
+    neg = write(tmp_path / "neg.json", {"v": 1, "map": {
+        "{}": "{1,2}", "{1}": ["{2}"], "{2}": "{1}", "{1,2}": "{}"}})
+    bel = write(tmp_path / "bel.json",
+                {"v": 1, "values": {"{}": 0, "{1}": 0.3, "{2}": 0.2, "{1,2}": 1}})
+    assert main(["bel", "conjugate", "--lattice", b2, "--negation", neg, bel]) == 2
+    assert capsys.readouterr().err.startswith("NotABijection")

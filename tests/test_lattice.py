@@ -1,7 +1,9 @@
 """Poset/lattice construction, irreducibles, profiles, downsets and chains."""
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -10,6 +12,7 @@ from latbel.errors import (
     CycleDetected,
     DecompositionNotUnique,
     DuplicateElement,
+    InvalidElementName,
     NotALattice,
     RedundantCovers,
     SizeLimitExceeded,
@@ -407,3 +410,31 @@ def test_maximal_chain_length_in_locally_distributive_lattices():
 def test_maximal_chains_cap():
     with pytest.raises(SizeLimitExceeded):
         lb.maximal_chains(bool_lattice(3), max_chains=3)
+
+
+def test_cover_endpoint_must_be_a_name():
+    with pytest.raises(InvalidElementName):
+        lb.build_poset(["a", "b"], [("a", {"b": 1})])
+    with pytest.raises(InvalidElementName):
+        lb.build_poset(["a", "b"], [(0, "b")])
+
+
+def test_lattice_is_freed_by_reference_counting():
+    """No reference cycle keeps a lattice alive once its caches are filled."""
+    class Probe:
+        pass
+
+    gc.collect()
+    gc.disable()
+    try:
+        l = lb.downset_lattice(lb.build_poset(list("abcd"), [("a", "b"), ("c", "d")])).lattice
+        lb.mobius_function(l)
+        assert len(lb.find_negations(l, limit=None)) == 2
+        lb.profile(l)
+        probe = Probe()
+        l._cache["probe"] = probe
+        alive = weakref.ref(probe)
+        del probe, l
+        assert alive() is None
+    finally:
+        gc.enable()

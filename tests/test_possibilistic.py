@@ -296,3 +296,14 @@ def test_reconstruct_chain_is_maximal():
     assert full in lb.maximal_chains(dl.lattice)
     assert sum(fc.mass[x] for x in fc.chain) == pytest.approx(1.0, abs=TOL)
     assert fc.mass.is_nonnegative()
+
+
+def test_reconstruct_rejects_non_isotone_pi():
+    """Strictly increasing, but pi(a) > pi(b) although a < b: refused as an
+    invalid distribution instead of failing inside the selection."""
+    dl = chain_diamond()
+    pr = dl.principal
+    pi = {pr["c"]: 0.1, pr["d"]: 0.2, pr["e"]: 0.4, pr["b"]: 0.6, pr["f"]: 0.9, pr["a"]: 1.0}
+    (n,) = lb.find_negations(dl.lattice, limit=1)
+    with pytest.raises(InvalidDistribution, match="not isotone"):
+        lb.reconstruct_chain(dl.lattice, n, pi)

@@ -167,3 +167,11 @@ def test_set_function_totality():
     assert set(err.value.missing) == set(l.elements) - {l.bottom}
     with pytest.raises(lb.errors.UnknownElement):
         lb.SetFunction(l, {**{x: 0.0 for x in l.elements}, "ghost": 1.0})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), None, 10**400],
+                         ids=["nan", "inf", "-inf", "None", "huge-int"])
+def test_set_function_refuses_non_finite_values(bad):
+    l = bool_lattice(1)
+    with pytest.raises(ValueError):
+        lb.SetFunction(l, {"{}": 0.0, "{1}": bad})

@@ -57,9 +57,12 @@ def check_capacity(f: SetFunction, tol: float = DEFAULT_TOL) -> CheckResult:
     if bad is not None:
         return bad
     l = f.lattice
-    for x, y in itertools.combinations(l.elements, 2):
-        lo, hi = (x, y) if l.leq(x, y) else (y, x) if l.leq(y, x) else (None, None)
-        if lo is not None and f[lo] > f[hi] + tol:
+    down = l.poset._down
+    fv = list(f.values.values())
+    for x, y in itertools.combinations(range(len(l)), 2):
+        lo, hi = (x, y) if down[y] >> x & 1 else (y, x) if down[x] >> y & 1 else (None, None)
+        if lo is not None and fv[lo] > fv[hi] + tol:
+            lo, hi = l.elements[lo], l.elements[hi]
             return CheckResult(False, (lo, hi), f"f({lo}) = {f[lo]!r} > f({hi}) = {f[hi]!r}")
     return CheckResult(True)
 

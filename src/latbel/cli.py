@@ -53,7 +53,7 @@ def main(argv=None) -> int:
         limits = io.Limits.from_env()
         limits.tolerance = args.tolerance
         if args.limit is not None:
-            limits.max_downsets = limits.max_chains = limits.max_families = args.limit
+            limits.max_chains = limits.max_families = args.limit
         return args.handler(args, limits)
     except _PROPERTY_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
@@ -68,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--tolerance", type=float, default=1e-9, metavar="EPS")
     common.add_argument("--limit", type=int, default=None, metavar="N",
-                        help="override enumeration caps (downsets, chains, families)")
+                        help="override enumeration caps (chains, families)")
 
     parser = argparse.ArgumentParser(prog="latbel",
                                      description="belief-function calculus on finite lattices")
@@ -238,7 +238,7 @@ def _cmd_check(args, limits) -> int:
 
 def _cmd_birkhoff(args, limits) -> int:
     p = io.load_poset(args.poset, max_elements=limits.max_elements)
-    result = lat.downset_lattice(p, max_downsets=limits.max_downsets)
+    result = lat.downset_lattice(p, max_elements=limits.max_elements)
     doc = io.poset_to_dict(result.lattice.poset)
     if args.out:
         io.save(args.out, doc)

@@ -8,6 +8,8 @@ honest (nonnegative) one is a query, not a type constraint.
 
 from __future__ import annotations
 
+import math
+
 from .errors import (
     FocusIsBottom,
     LatticeMismatch,
@@ -21,7 +23,6 @@ from .transforms import (
     SetFunction,
     comobius_transform,
     mass_from_comobius,
-    mobius_function,
     mobius_transform,
 )
 
@@ -100,15 +101,13 @@ def combine(
     if m1.lattice is not m2.lattice:
         raise LatticeMismatch("mass allocations live on different lattices")
     l = m1.lattice
-    out = {x: 0.0 for x in l.elements}
-    for y1 in l.elements:
-        v1 = m1.values[y1]
-        if v1 == 0.0:
-            continue
-        for y2 in l.elements:
-            v2 = m2.values[y2]
-            if v2 != 0.0:
-                out[l.meet(y1, y2)] += v1 * v2
+    out = [0.0] * len(l)
+    second = [(j, v2) for j, v2 in enumerate(m2.values.values()) if v2 != 0.0]
+    for meet_i, v1 in zip(l._meet, m1.values.values()):
+        if v1 != 0.0:
+            for j, v2 in second:
+                out[meet_i[j]] += v1 * v2
+    out = dict(zip(l.elements, out))
     if policy == "zero-bottom":
         out[l.bottom] = 0.0
     elif policy == "normalize":
@@ -140,8 +139,9 @@ def decompose(bel: SetFunction, *, tol: float = DEFAULT_TOL) -> SupportWeights:
 
     w(y) is the product over x >= y of q(x) to the power -mu(y, x), with q
     the commonality of bel; requires positive mass at top so that every q(x)
-    is positive.  The vacuous weight at top is omitted, as are weights equal
-    to 1 up to 1e-12.
+    is positive.  In log space that product is the inverse co-Moebius
+    transform, so log w = -mass_from_comobius(log q).  The vacuous weight at
+    top is omitted, as are weights equal to 1 up to 1e-12.
     """
     from .capacity import check_belief
 
@@ -152,15 +152,15 @@ def decompose(bel: SetFunction, *, tol: float = DEFAULT_TOL) -> SupportWeights:
     m = mobius_transform(bel)
     if m[l.top] <= tol:
         raise TopMassZero(f"mass at top is {m[l.top]!r}; decomposition needs it positive")
-    qv = list(comobius_transform(m).values.values())
+    q = comobius_transform(m)
+    low = min(q.values.values())
+    if low <= 0.0:  # reachable only through masses negative within the tolerance
+        raise TopMassZero(f"commonality {low!r} is not positive; decomposition needs it positive")
+    log_w = mass_from_comobius(SetFunction(l, {x: math.log(v) for x, v in q.items()}))
     weights = {}
-    for y, row in zip(l.elements, mobius_function(l)._rows):
-        if y == l.top:
-            continue
-        w = 1.0
-        for x, c in row.items():
-            w *= qv[x] ** -c
-        if abs(w - 1.0) > 1e-12:
+    for y, lw in log_w.items():
+        w = math.exp(-lw)
+        if y != l.top and abs(w - 1.0) > 1e-12:
             weights[y] = w
     return SupportWeights(l, weights)
 
@@ -169,19 +169,17 @@ def recombine(weights: SupportWeights, *, tol: float = DEFAULT_TOL) -> MassAlloc
     """Dempster-combine (raw) the simple supports described by the weights.
 
     Computed multiplicatively on the commonality side: q(x) is the product
-    of w(y) over the foci y not above x, then inverted back to a mass.
-    Missing foci count as weight 1.
+    of w(y) over the foci y not above x, then inverted back to a mass.  In
+    log space, log q(x) is the sum of every log w(y) minus the co-Moebius
+    transform of log w at x (the foci above x).  Missing foci count as
+    weight 1.
     """
     l = weights.lattice
     for y, w in weights.items():
         if w <= 0.0:
             raise NonPositiveWeight(f"weight {w!r} at {y!r}")
-    qvals = {}
-    for x in l.elements:
-        q = 1.0
-        for y, w in weights.items():
-            if not l.leq(x, y):
-                q *= w
-        qvals[x] = q
-    mass = mass_from_comobius(SetFunction(l, qvals))
-    return MassAllocation(l, mass.values, check=False)
+    log_w = SetFunction(l, {x: math.log(weights[x]) for x in l.elements})
+    total = sum(log_w.values.values())
+    above = comobius_transform(log_w)
+    q = SetFunction(l, {x: math.exp(total - v) for x, v in above.items()})
+    return MassAllocation(l, mass_from_comobius(q).values, check=False)

@@ -26,7 +26,6 @@ from .errors import FormatError
 from .evidence import MassAllocation, SupportWeights
 from .lattice import (
     DEFAULT_MAX_CHAINS,
-    DEFAULT_MAX_DOWNSETS,
     DEFAULT_MAX_ELEMENTS,
     Lattice,
     Poset,
@@ -42,7 +41,6 @@ class Limits:
     """Tolerances and enumeration caps used by the command line front end."""
 
     max_elements: int = DEFAULT_MAX_ELEMENTS
-    max_downsets: int = DEFAULT_MAX_DOWNSETS
     max_chains: int = DEFAULT_MAX_CHAINS
     max_families: int = 10**6
     tolerance: float = 1e-9

@@ -35,7 +35,6 @@ from .errors import (
 )
 
 DEFAULT_MAX_ELEMENTS = 4096
-DEFAULT_MAX_DOWNSETS = 1 << 20
 DEFAULT_MAX_CHAINS = 10**6
 
 
@@ -485,23 +484,24 @@ def is_lower_semimodular(l: Lattice) -> bool:
 def _distributive_witness(l: Lattice):
     """Birkhoff: L is distributive iff eta(x v y) = eta(x) | eta(y) for every
     pair, eta(x) being the bitset of join-irreducibles below x.  On failure,
-    the first triple breaking (x v y) ^ z = (x ^ z) v (y ^ z)."""
+    the first triple (x, y, z) in input order breaking
+    (x v y) ^ z = (x ^ z) v (y ^ z).
+
+    A pair (x, y) has such a z exactly when it fails Birkhoff's test (a
+    join-irreducible in the difference is one), and the first failing pair
+    over all ordered pairs has x < y, so the scan below finds it."""
     p = l.poset
     n = len(p)
     join_t, meet_t = l._join, l._meet
     irr = sum(1 << i for i in range(n) if len(p._cov_down[i]) == 1)
     eta_mask = [d & irr for d in p._down]
-    if all(eta_mask[join_x[y]] == eta_mask[x] | eta_mask[y]
-           for x, join_x in enumerate(join_t) for y in range(x + 1, n)):
-        return None
-    for x in range(n):
-        join_x, meet_x = join_t[x], meet_t[x]
-        for y in range(n):
-            meet_xy, meet_y = meet_t[join_x[y]], meet_t[y]
-            for z in range(n):
-                if meet_xy[z] != join_t[meet_x[z]][meet_y[z]]:
-                    return _names(l, x, y, z)
-    raise AssertionError("join-prime test and triple search disagree")
+    for x, join_x in enumerate(join_t):
+        for y in range(x + 1, n):
+            if eta_mask[join_x[y]] != eta_mask[x] | eta_mask[y]:
+                meet_xy, meet_x, meet_y = meet_t[join_x[y]], meet_t[x], meet_t[y]
+                z = next(z for z in range(n) if meet_xy[z] != join_t[meet_x[z]][meet_y[z]])
+                return _names(l, x, y, z)
+    return None
 
 
 def is_distributive(l: Lattice) -> bool:
@@ -607,18 +607,8 @@ def profile(l: Lattice) -> StructureProfile:
         elif not usm:
             witnesses["is_modular"] = witnesses["is_upper_semimodular"]
         distr = flag("is_distributive", _witness(l, "distr"))
-        # The diamond decides local distributivity only under semimodularity.
-        diamond = _witness(l, "diamond") if lsm or usm else None
-        lld = lsm and diamond is None
-        if not lld:
-            witnesses["is_lower_locally_distributive"] = (
-                witnesses.get("is_lower_semimodular") or diamond
-            )
-        uld = usm and diamond is None
-        if not uld:
-            witnesses["is_upper_locally_distributive"] = (
-                witnesses.get("is_upper_semimodular") or diamond
-            )
+        lld = flag("is_lower_locally_distributive", _witness(l, "lld"))
+        uld = flag("is_upper_locally_distributive", _witness(l, "uld"))
         compl = flag("is_complemented", _complement_witness(l))
         atomistic = flag("is_atomistic", _atomistic_witness(l))
         autodual = bool(find_negations(l, limit=1))
@@ -659,9 +649,11 @@ class DownsetLattice:
     principal: dict
 
 
-def downset_lattice(p: Poset, *, max_downsets: int = DEFAULT_MAX_DOWNSETS) -> DownsetLattice:
+def downset_lattice(p: Poset, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> DownsetLattice:
     """All downsets of ``p`` ordered by inclusion; join is union, meet is
-    intersection.  Elements are named by their member sets, e.g. ``{a,b}``."""
+    intersection.  Elements are named by their member sets, e.g. ``{a,b}``.
+    Raises SizeLimitExceeded as soon as there are more than ``max_elements``
+    downsets, the element cap of any lattice."""
     n = len(p)
     strict = [d ^ (1 << i) for i, d in enumerate(p._down)]
 
@@ -677,9 +669,10 @@ def downset_lattice(p: Poset, *, max_downsets: int = DEFAULT_MAX_DOWNSETS) -> Do
             nd = d | 1 << i
             if nd not in seen:
                 seen.add(nd)
-                if len(seen) > max_downsets:
+                if len(seen) > max_elements:
                     raise SizeLimitExceeded(
-                        f"more than {max_downsets} downsets; raise the cap to proceed"
+                        f"more than {max_elements} downsets exceed the configured cap "
+                        f"of {max_elements} elements"
                     )
                 frontier.append(nd)
 
@@ -688,7 +681,7 @@ def downset_lattice(p: Poset, *, max_downsets: int = DEFAULT_MAX_DOWNSETS) -> Do
     name = {d: "{" + ",".join(p.elements[i] for i in members[d]) + "}" for d in downsets}
     names = [name[d] for d in downsets]
     covers = [(name[d], name[d | 1 << i]) for d in downsets for i in addable(d)]
-    lat = Lattice(Poset(names, covers, max_elements=max(len(names), DEFAULT_MAX_ELEMENTS)))
+    lat = Lattice(Poset(names, covers, max_elements=max_elements))
     back = {name[d]: frozenset(p.elements[i] for i in members[d]) for d in downsets}
     principal = {x: name[p._down[i]] for i, x in enumerate(p.elements)}
     return DownsetLattice(lattice=lat, downset=back, principal=principal)

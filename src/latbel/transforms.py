@@ -3,9 +3,12 @@
 For a function f on the lattice, its Moebius transform is the unique m with
 f(x) = sum of m(y) over y <= x; the zeta transform is that summation itself.
 The co-Moebius transform of m sums upward instead: q(x) = sum of m(y) over
-y >= x, and has its own inverse obtained by Moebius inversion of the dual
-order.  All arithmetic is double precision except the Moebius coefficients,
-which are exact integers.
+y >= x.  Both inversions solve their summation by substitution along a
+linear extension (upward for Moebius, downward for co-Moebius): each m(x) is
+its total minus the values already found strictly below (above) x, so they
+need neither the Moebius coefficients nor any matrix.  The coefficients
+mu(x, y) themselves, exact integers, are computed on demand by
+``mobius_function``.  All other arithmetic is double precision.
 """
 
 from __future__ import annotations
@@ -101,13 +104,7 @@ def mobius_function(l: Lattice) -> MobiusMatrix:
 
 def mobius_transform(f: SetFunction) -> SetFunction:
     """m with f(x) = sum of m(y) over y <= x."""
-    l = f.lattice
-    # m(x) collects mu(y, x) f(y) over y <= x in ascending y
-    totals = [0.0] * len(l)
-    for fy, row in zip(f.values.values(), mobius_function(l)._rows):
-        for x, c in row.items():
-            totals[x] += c * fy
-    return SetFunction(l, dict(zip(l.elements, totals)))
+    return _solve(f.lattice, "down", f)
 
 
 def _members(l: Lattice, side: str) -> list[tuple[int, ...]]:
@@ -135,10 +132,19 @@ def comobius_transform(m: SetFunction) -> SetFunction:
 
 
 def mass_from_comobius(q: SetFunction) -> SetFunction:
-    """Invert the co-Moebius transform: m(x) recovered by Moebius inversion of
-    the reversed order, so that comobius_transform(result) equals q."""
-    l = q.lattice
-    rows = mobius_function(l)._rows
-    qv = list(q.values.values())
-    vals = {x: sum(c * qv[y] for y, c in row.items()) for x, row in zip(l.elements, rows)}
-    return SetFunction(l, vals)
+    """Invert the co-Moebius transform: the m with q(x) = sum of m(y) over
+    y >= x, so that comobius_transform(result) equals q."""
+    return _solve(q.lattice, "up", q)
+
+
+def _solve(l: Lattice, side: str, totals: SetFunction) -> SetFunction:
+    """The out with totals(x) = sum of out(y) over the down-set (up-set) of
+    x, by substitution along a linear extension of the order (of its dual):
+    sorting by member count puts every strict member of x before x."""
+    members = _members(l, side)
+    given = list(totals.values.values())
+    out = [0.0] * len(l)
+    get = out.__getitem__
+    for x in sorted(range(len(l)), key=lambda i: len(members[i])):
+        out[x] = given[x] - sum(map(get, members[x]))  # out[x] itself is still 0
+    return SetFunction(l, dict(zip(l.elements, out)))

@@ -178,6 +178,16 @@ def test_env_var_overrides_element_cap(tmp_path, capsys, monkeypatch):
     assert main(["check", path]) == 2
 
 
+def test_birkhoff_honours_the_element_cap(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path / "antichain5.json",
+                 {"v": 1, "elements": list("abcde"), "covers": []})
+    monkeypatch.setenv("LATBEL_MAX_ELEMENTS", "8")
+    assert main(["birkhoff", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("SizeLimitExceeded") and "Traceback" not in captured.err
+
+
 def test_chains_command(b2, capsys):
     assert main(["chains", b2]) == 0
     out = capsys.readouterr().out.strip().splitlines()

@@ -176,6 +176,21 @@ def test_decompose_preconditions():
         lb.decompose(no_top_mass)
 
 
+def test_decompose_refuses_a_non_positive_commonality():
+    """Masses negative within the tolerance pass as a belief, but can leave a
+    commonality at or below 0, whose logarithm the decomposition needs."""
+    l = bool_lattice(3)
+    m = {x: 0.0 for x in l.elements}
+    for x in ("{1}", "{1,2}", "{1,3}"):
+        m[x] = -0.9e-9
+    m["{1,2,3}"] = 1.5e-9
+    m["{2}"] = 1.0 - sum(m.values())
+    bel = lb.zeta_transform(lb.MassAllocation(l, m))
+    assert lb.check_belief(bel)
+    with pytest.raises(TopMassZero, match="commonality"):
+        lb.decompose(bel)
+
+
 def test_decompose_matches_boolean_closed_form():
     # independent oracle: w(A) = prod over B >= A of q(B)^((-1)^(|B - A| + 1))
     rng = random.Random(73)

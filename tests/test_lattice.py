@@ -373,7 +373,7 @@ def test_downset_covers_are_single_insertions():
 def test_downset_cap():
     p = lb.build_poset([f"x{i}" for i in range(6)], [])
     with pytest.raises(SizeLimitExceeded):
-        lb.downset_lattice(p, max_downsets=10)
+        lb.downset_lattice(p, max_elements=10)
 
 
 def test_birkhoff_round_trip():

@@ -1,22 +1,30 @@
-"""The bitset order core against exhaustive name-keyed oracles.
+"""The bitset order core and the function layers against reference
+implementations.
 
-Every oracle here rebuilds the order from the cover list by plain graph
+Every order oracle here rebuilds the order from the cover list by plain graph
 search and answers joins, meets and structural questions by brute force over
 element names, the way the definitions read.  The library's integer tables,
 structural profile (flags and first witnesses), Moebius coefficients and
-negation search must agree with them exactly.
+negation search must agree with them exactly.  The function-layer oracles
+compute the transforms, decomposition and combination from the Moebius
+coefficients and name-keyed loops, the way the formulas read; the library's
+substitution solves and log-space computations must agree with them to
+1e-12 and give the same focal elements and weight keys.
 """
 
 import itertools
+import math
 import random
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import latbel as lb
 from latbel.errors import NotALattice, RedundantCovers
 
-from conftest import bool_lattice, chain_lattice, corpus
+from conftest import bool_lattice, chain_lattice, corpus, random_function, random_mass
 
 
 class Oracle:
@@ -349,3 +357,120 @@ def test_non_lattices_fail_on_the_oracle_pair():
             lb.lattice_from_poset(p)
         assert (*exc.value.pair, exc.value.reason) == want
     assert failures >= 20
+
+
+# -- the function layers against the Moebius coefficients ----------------------------
+
+def mobius_transform_oracle(f):
+    """m(x) = sum of mu(y, x) f(y) over y <= x, scattered over the mu rows."""
+    l = f.lattice
+    totals = {x: 0.0 for x in l.elements}
+    for y in l.elements:
+        for x, c in lb.mobius_function(l)._rows[l.poset.index_of(y)].items():
+            totals[l.elements[x]] += c * f[y]
+    return totals
+
+
+def mass_from_comobius_oracle(q):
+    """m(x) = sum of mu(x, y) q(y) over y >= x, gathered from the mu rows."""
+    l = q.lattice
+    return {x: sum(c * q[l.elements[y]] for y, c in row.items())
+            for x, row in zip(l.elements, lb.mobius_function(l)._rows)}
+
+
+def decompose_oracle(bel):
+    """w(y) = product over x >= y of q(x) to the power -mu(y, x)."""
+    l = bel.lattice
+    q = lb.comobius_transform(lb.mobius_transform(bel))
+    weights = {}
+    for y, row in zip(l.elements, lb.mobius_function(l)._rows):
+        if y == l.top:
+            continue
+        w = 1.0
+        for x, c in row.items():
+            w *= q[l.elements[x]] ** -c
+        if abs(w - 1.0) > 1e-12:
+            weights[y] = w
+    return weights
+
+
+def recombine_oracle(weights):
+    """q(x) = product of w(y) over the foci y not above x, then inverted."""
+    l = weights.lattice
+    q = {x: math.prod(w for y, w in weights.items() if not l.leq(x, y)) for x in l.elements}
+    return mass_from_comobius_oracle(lb.SetFunction(l, q))
+
+
+def combine_oracle(m1, m2):
+    """Dempster's rule (raw), pair by pair over element names."""
+    l = m1.lattice
+    out = {x: 0.0 for x in l.elements}
+    for y1, y2 in itertools.product(l.elements, repeat=2):
+        if m1[y1] != 0.0 and m2[y2] != 0.0:
+            out[l.meet(y1, y2)] += m1[y1] * m2[y2]
+    return out
+
+
+def assert_close(got, want):
+    assert list(got) == list(want)
+    for x, v in want.items():
+        assert abs(got[x] - v) <= 1e-12 * max(1.0, abs(v)), (x, got[x], v)
+
+
+@pytest.mark.parametrize("name,l", LATTICES, ids=IDS)
+def test_function_layers_match_the_oracles(name, l):
+    rng = random.Random(len(l))
+    for _ in range(3):
+        f = random_function(l, rng)
+        assert_close(lb.mobius_transform(f).values, mobius_transform_oracle(f))
+        assert_close(lb.mass_from_comobius(f).values, mass_from_comobius_oracle(f))
+
+        m = random_mass(l, rng, top_min=0.2)
+        bel = lb.zeta_transform(m)
+        weights = lb.decompose(bel)
+        assert_close(weights.weights, decompose_oracle(bel))
+        mass, want = lb.recombine(weights), recombine_oracle(weights)
+        assert_close(mass.values, want)
+        assert mass.focal_elements() == lb.MassAllocation(l, want, check=False).focal_elements()
+
+        m2 = random_mass(l, rng)
+        # the same pairs in the same order: equal to the last bit
+        assert lb.combine(m, m2).values == combine_oracle(m, m2)
+
+
+# -- properties over downset lattices of random posets --------------------------------
+
+@st.composite
+def downset_lattices(draw):
+    n = draw(st.integers(1, 5), label="poset size")
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)),
+                 label="edges")
+    names = draw(st.permutations([f"p{i}" for i in range(n)]), label="input order")
+    covers = [(f"p{i}", f"p{j}") for (i, j), keep in zip(pairs, edges) if keep]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RedundantCovers)
+        return lb.downset_lattice(lb.build_poset(names, covers)).lattice
+
+
+@settings(max_examples=60, deadline=None)
+@given(l=downset_lattices(), data=st.data())
+def test_inversions_round_trip_on_random_downset_lattices(l, data):
+    values = data.draw(st.lists(st.floats(-5, 5, allow_nan=False),
+                                min_size=len(l), max_size=len(l)), label="values")
+    f = lb.SetFunction(l, dict(zip(l.elements, values)))
+    m = lb.mobius_transform(f)
+    for back in (lb.zeta_transform(m), lb.mobius_transform(lb.zeta_transform(f)),
+                 lb.comobius_transform(lb.mass_from_comobius(f)),
+                 lb.mass_from_comobius(lb.comobius_transform(f))):
+        for x in l.elements:
+            assert back[x] == pytest.approx(f[x], abs=1e-9)
+
+    raw = data.draw(st.lists(st.floats(0, 1), min_size=len(l), max_size=len(l)),
+                    label="masses")
+    raw = [0.0 if x == l.bottom else v for x, v in zip(l.elements, raw)]
+    raw[l.poset.index_of(l.top)] += 0.5
+    mass = lb.MassAllocation(l, {x: v / sum(raw) for x, v in zip(l.elements, raw)})
+    again = lb.recombine(lb.decompose(lb.zeta_transform(mass)))
+    for x in l.elements:
+        assert again[x] == pytest.approx(mass[x], abs=1e-9)

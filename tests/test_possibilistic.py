@@ -307,3 +307,32 @@ def test_reconstruct_rejects_non_isotone_pi():
     (n,) = lb.find_negations(dl.lattice, limit=1)
     with pytest.raises(InvalidDistribution, match="not isotone"):
         lb.reconstruct_chain(dl.lattice, n, pi)
+
+
+def random_isotone_pi(l, rng):
+    """Strictly increasing pi along a random linear extension of the
+    join-irreducibles, so isotone, with 1 at the last."""
+    rest, order = set(l.joinirr), []
+    while rest:
+        low = sorted(j for j in rest if not any(l.poset.lt(o, j) for o in rest))
+        pick = rng.choice(low)
+        order.append(pick)
+        rest.remove(pick)
+    values = sorted(rng.uniform(0.01, 0.99) for _ in order[1:]) + [1.0]
+    return dict(zip(order, values))
+
+
+@pytest.mark.parametrize("name", ["ref18", "bool3", "bool4"])
+def test_greedy_and_intersection_rules_agree(name):
+    """At step k the selection is also the least element of
+    eta(n(j_(k-1))) minus eta(n(j_k)) (all join-irreducibles when k = 1)."""
+    l = chain_diamond().lattice if name == "ref18" else bool_lattice(int(name[-1]))
+    rng = random.Random(131)
+    for n in lb.find_negations(l, limit=6):
+        for _ in range(30):
+            fc = lb.reconstruct_chain(l, n, random_isotone_pi(l, rng))
+            etas = {step.k: set(step.eta_nx) for step in fc.steps}
+            for step in fc.steps:
+                pool = etas.get(step.k - 1, set(l.joinirr)) - etas[step.k]
+                least = [g for g in pool if all(l.leq(g, o) for o in pool)]
+                assert least == [step.iota]

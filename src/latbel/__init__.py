@@ -9,9 +9,7 @@ chain reconstruction.
 
 from . import errors
 from .capacity import (
-    CapacityCheckReport,
     CheckResult,
-    capacity_report,
     check_belief,
     check_capacity,
     check_k_monotone,

@@ -29,19 +29,6 @@ class CheckResult:
         return self.ok
 
 
-@dataclass(frozen=True)
-class CapacityCheckReport:
-    """Summary report: capacity/belief/necessity flags and the largest k for
-    which k-monotonicity was verified ("total" when all k up to |L|-2 pass,
-    None when the family cap prevented the sweep)."""
-
-    is_capacity: bool
-    is_belief: bool
-    is_necessity_hint: bool
-    max_k_monotone: object
-    failure_witness: tuple | None
-
-
 def _boundary(f: SetFunction, tol: float):
     l = f.lattice
     if abs(f[l.bottom]) > tol:
@@ -69,14 +56,20 @@ def check_capacity(f: SetFunction, tol: float = DEFAULT_TOL) -> CheckResult:
 
 def check_belief(f: SetFunction, tol: float = DEFAULT_TOL) -> CheckResult:
     """Boundary conditions plus a nonnegative Moebius transform."""
+    return _belief_mass(f, tol)[0]
+
+
+def _belief_mass(f: SetFunction, tol: float):
+    """The verdict of :func:`check_belief` and the Moebius transform it
+    tested, None when the boundary conditions already fail."""
     bad = _boundary(f, tol)
     if bad is not None:
-        return bad
+        return bad, None
     m = mobius_transform(f)
     worst = min(f.lattice.elements, key=lambda x: m[x])
     if m[worst] < -tol:
-        return CheckResult(False, (worst,), f"negative Moebius mass m({worst}) = {m[worst]!r}")
-    return CheckResult(True)
+        return CheckResult(False, (worst,), f"negative Moebius mass m({worst}) = {m[worst]!r}"), m
+    return CheckResult(True), m
 
 
 def _first_failing_family(f: SetFunction, k: int, fails, op: str) -> CheckResult:
@@ -172,24 +165,3 @@ def max_k_monotone(
         return "total"
     return max(passing, default=1)
 
-
-def capacity_report(
-    f: SetFunction,
-    tol: float = DEFAULT_TOL,
-    max_families: int = DEFAULT_MAX_FAMILIES,
-) -> CapacityCheckReport:
-    """Assemble the one-shot report: capacity, belief and necessity checks
-    plus the k-monotonicity sweep."""
-    from .possibilistic import check_necessity
-
-    cap = check_capacity(f, tol)
-    bel = check_belief(f, tol)
-    nec = check_necessity(f, tol)
-    witness = next((r.witness for r in (cap, bel, nec) if not r.ok and r.witness is not None), None)
-    return CapacityCheckReport(
-        is_capacity=cap.ok,
-        is_belief=bel.ok,
-        is_necessity_hint=nec.ok,
-        max_k_monotone=max_k_monotone(f, tol, max_families),
-        failure_witness=witness,
-    )

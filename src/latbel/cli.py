@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import capacity, duality, evidence, io, lattice as lat, possibilistic, transforms
@@ -66,7 +67,8 @@ def main(argv=None) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--tolerance", type=float, default=1e-9, metavar="EPS")
+    common.add_argument("--tolerance", type=_tolerance, default=capacity.DEFAULT_TOL,
+                        metavar="EPS")
     common.add_argument("--limit", type=int, default=None, metavar="N",
                         help="override enumeration caps (chains, families)")
 
@@ -171,6 +173,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_bel_reconstruct)
 
     return parser
+
+
+def _tolerance(text: str) -> float:
+    """A finite, nonnegative tolerance: every check compares differences
+    with it, and against NaN or infinity those comparisons never fail."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
 
 
 def _emit(doc: dict) -> None:
@@ -374,19 +388,19 @@ def _cmd_bel_combine(args, limits) -> int:
 def _cmd_bel_decompose(args, limits) -> int:
     weights = evidence.decompose(_function(args, limits), tol=limits.tolerance)
     if args.json:
-        _emit(io.weights_to_dict(weights))
+        _emit(io.function_to_dict(weights))
     else:
         print("focus\tweight")
         for y, w in weights.items():
             print(f"{y}\t{w!r}")
     if args.out:
-        io.save(args.out, io.weights_to_dict(weights))
+        io.save(args.out, io.function_to_dict(weights))
     return 0
 
 
 def _cmd_bel_recombine(args, limits) -> int:
     weights = io.load_weights(args.weights, _lattice(args, limits))
-    return _emit_mass(args, evidence.recombine(weights, tol=limits.tolerance))
+    return _emit_mass(args, evidence.recombine(weights))
 
 
 def _cmd_bel_min_max(args, limits) -> int:

@@ -25,7 +25,12 @@ from .lattice import Lattice, _indices, eta, is_distributive, meet
 
 class Negation:
     """A verified vee-negation (kind "vee") or its inverse wedge-negation
-    (kind "wedge"), with the inverse bijection precomputed."""
+    (kind "wedge"), with the inverse bijection precomputed.
+
+    The constructor is where every negation is verified: a vee map must pass
+    :func:`verify_vee_negation`, a wedge map's inverse must.  Only the
+    search, whose results are negations by construction, skips it.
+    """
 
     __slots__ = ("lattice", "kind", "map", "inverse_map")
 
@@ -33,8 +38,9 @@ class Negation:
         if kind not in ("vee", "wedge"):
             raise ValueError(f"kind must be 'vee' or 'wedge', got {kind!r}")
         mapping = dict(mapping)
-        if not _verified and kind == "vee":
-            res = verify_vee_negation(lattice, mapping)
+        if not _verified:
+            vee = mapping if kind == "vee" else {v: k for k, v in mapping.items()}
+            res = verify_vee_negation(lattice, vee)
             if not res:
                 raise InvalidNegation(res.detail)
         self.lattice = lattice
@@ -210,7 +216,7 @@ def negation_from_irreducible_map(l: Lattice, jmap) -> Negation:
     for x in l.elements:
         parts = [jmap[j] for j in sorted(eta(l, x), key=l.poset.index_of)]
         mapping[x] = meet(l, parts) if parts else l.top
-    res = verify_vee_negation(l, mapping)
-    if not res:
-        raise NoConsistentExtension(res.detail)
-    return Negation(l, mapping, "vee", _verified=True)
+    try:
+        return Negation(l, mapping, "vee")
+    except InvalidNegation as exc:
+        raise NoConsistentExtension(str(exc)) from None

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+from .capacity import DEFAULT_TOL, _belief_mass
 from .errors import (
     FocusIsBottom,
     LatticeMismatch,
@@ -19,14 +20,7 @@ from .errors import (
     TotalConflict,
 )
 from .lattice import Lattice
-from .transforms import (
-    SetFunction,
-    comobius_transform,
-    mass_from_comobius,
-    mobius_transform,
-)
-
-DEFAULT_TOL = 1e-9
+from .transforms import SetFunction, comobius_transform, mass_from_comobius
 
 COMBINE_POLICIES = ("raw", "zero-bottom", "normalize")
 
@@ -143,13 +137,10 @@ def decompose(bel: SetFunction, *, tol: float = DEFAULT_TOL) -> SupportWeights:
     transform, so log w = -mass_from_comobius(log q).  The vacuous weight at
     top is omitted, as are weights equal to 1 up to 1e-12.
     """
-    from .capacity import check_belief
-
-    res = check_belief(bel, tol)
+    res, m = _belief_mass(bel, tol)
     if not res:
         raise NotABelief(res.witness, res.detail)
     l = bel.lattice
-    m = mobius_transform(bel)
     if m[l.top] <= tol:
         raise TopMassZero(f"mass at top is {m[l.top]!r}; decomposition needs it positive")
     q = comobius_transform(m)
@@ -165,7 +156,7 @@ def decompose(bel: SetFunction, *, tol: float = DEFAULT_TOL) -> SupportWeights:
     return SupportWeights(l, weights)
 
 
-def recombine(weights: SupportWeights, *, tol: float = DEFAULT_TOL) -> MassAllocation:
+def recombine(weights: SupportWeights) -> MassAllocation:
     """Dempster-combine (raw) the simple supports described by the weights.
 
     Computed multiplicatively on the commonality side: q(x) is the product

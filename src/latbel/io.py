@@ -21,6 +21,7 @@ import math
 import os
 from dataclasses import dataclass
 
+from .capacity import DEFAULT_MAX_FAMILIES, DEFAULT_TOL
 from .duality import Negation, negation_from_map
 from .errors import FormatError
 from .evidence import MassAllocation, SupportWeights
@@ -42,8 +43,8 @@ class Limits:
 
     max_elements: int = DEFAULT_MAX_ELEMENTS
     max_chains: int = DEFAULT_MAX_CHAINS
-    max_families: int = 10**6
-    tolerance: float = 1e-9
+    max_families: int = DEFAULT_MAX_FAMILIES
+    tolerance: float = DEFAULT_TOL
 
     @classmethod
     def from_env(cls, environ=None) -> "Limits":
@@ -124,8 +125,8 @@ def load_function(path, lattice: Lattice) -> SetFunction:
     return SetFunction(lattice, load_values(path))
 
 
-def load_mass(path, lattice: Lattice, *, check: bool = True, tol: float = 1e-9) -> MassAllocation:
-    return MassAllocation(lattice, load_values(path), check=check, tol=tol)
+def load_mass(path, lattice: Lattice, *, tol: float = DEFAULT_TOL) -> MassAllocation:
+    return MassAllocation(lattice, load_values(path), tol=tol)
 
 
 def load_weights(path, lattice: Lattice) -> SupportWeights:
@@ -149,10 +150,6 @@ def poset_to_dict(p: Poset) -> dict:
 
 def function_to_dict(f) -> dict:
     return {"v": FORMAT_VERSION, "values": {x: v for x, v in f.items()}}
-
-
-def weights_to_dict(w: SupportWeights) -> dict:
-    return {"v": FORMAT_VERSION, "values": {y: v for y, v in w.items()}}
 
 
 def dumps(doc: dict) -> str:

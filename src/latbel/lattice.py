@@ -162,10 +162,6 @@ class Poset:
     def above(self, x: str) -> frozenset[str]:
         return frozenset(self.elements[i] for i in _indices(self._up[self.index_of(x)]))
 
-    def covers_of(self, x: str) -> tuple[str, ...]:
-        """Elements covered by x, in input order."""
-        return tuple(self.elements[i] for i in self._cov_down[self.index_of(x)])
-
     def covered_by(self, x: str) -> tuple[str, ...]:
         """Elements covering x, in input order."""
         return tuple(self.elements[i] for i in self._cov_up[self.index_of(x)])
@@ -195,10 +191,6 @@ class Poset:
         """Indices sorted so that x <= y implies x comes first (stable)."""
         down = self._down
         return sorted(range(len(down)), key=lambda i: (down[i].bit_count(), i))
-
-    def linear_extension(self) -> tuple[str, ...]:
-        """Elements sorted so that x <= y implies x comes first (stable)."""
-        return tuple(self.elements[i] for i in self._linear_order())
 
 
 def _topological_order(n, succ, pred, names):
@@ -413,7 +405,9 @@ def _irredundant(keep, x, combine) -> frozenset[str]:
 #
 # A witness is None when its property holds and otherwise the first
 # counterexample in input order.  The cheapest criterion decides the property;
-# the canonical search for the first witness runs only when it fails.
+# the canonical search for the first witness runs only when it fails.  One
+# table, _WITNESSES, keyed by flag name, drives the profile, the is_*
+# predicates and the per-lattice cache; its order is the witness order.
 
 @dataclass(frozen=True)
 class StructureProfile:
@@ -474,11 +468,11 @@ def _semimodular_witness(l: Lattice, upper: bool):
 
 
 def is_upper_semimodular(l: Lattice) -> bool:
-    return _witness(l, "usm") is None
+    return _witness(l, "is_upper_semimodular") is None
 
 
 def is_lower_semimodular(l: Lattice) -> bool:
-    return _witness(l, "lsm") is None
+    return _witness(l, "is_lower_semimodular") is None
 
 
 def _distributive_witness(l: Lattice):
@@ -505,7 +499,7 @@ def _distributive_witness(l: Lattice):
 
 
 def is_distributive(l: Lattice) -> bool:
-    return _witness(l, "distr") is None
+    return _witness(l, "is_distributive") is None
 
 
 def _diamond_witness(l: Lattice):
@@ -531,11 +525,11 @@ def _diamond_witness(l: Lattice):
 
 
 def is_lower_locally_distributive(l: Lattice) -> bool:
-    return _witness(l, "lld") is None
+    return _witness(l, "is_lower_locally_distributive") is None
 
 
 def is_upper_locally_distributive(l: Lattice) -> bool:
-    return _witness(l, "uld") is None
+    return _witness(l, "is_upper_locally_distributive") is None
 
 
 def _complement_witness(l: Lattice):
@@ -572,18 +566,25 @@ def _ranked_witness(l: Lattice):
 
 
 _WITNESSES = {
-    "usm": lambda l: _semimodular_witness(l, True),
-    "lsm": lambda l: _semimodular_witness(l, False),
-    "distr": _distributive_witness,
-    "diamond": _diamond_witness,
-    "lld": lambda l: _witness(l, "lsm") or _witness(l, "diamond"),
-    "uld": lambda l: _witness(l, "usm") or _witness(l, "diamond"),
+    "is_linear": _linear_witness,
+    "is_ranked": _ranked_witness,
+    "is_lower_semimodular": lambda l: _semimodular_witness(l, False),
+    "is_upper_semimodular": lambda l: _semimodular_witness(l, True),
+    "is_modular": lambda l: (_witness(l, "is_lower_semimodular")
+                             or _witness(l, "is_upper_semimodular")),
+    "is_distributive": _distributive_witness,
+    "is_lower_locally_distributive": lambda l: (
+        _witness(l, "is_lower_semimodular") or _cached(l, "diamond", lambda: _diamond_witness(l))),
+    "is_upper_locally_distributive": lambda l: (
+        _witness(l, "is_upper_semimodular") or _cached(l, "diamond", lambda: _diamond_witness(l))),
+    "is_complemented": _complement_witness,
+    "is_atomistic": _atomistic_witness,
 }
 
 
-def _witness(l: Lattice, key: str):
-    """The witness of one structural property, cached on the lattice."""
-    return _cached(l, key, lambda: _WITNESSES[key](l))
+def _witness(l: Lattice, flag: str):
+    """The witness of one structural flag, cached on the lattice."""
+    return _cached(l, flag, lambda: _WITNESSES[flag](l))
 
 
 def profile(l: Lattice) -> StructureProfile:
@@ -591,42 +592,12 @@ def profile(l: Lattice) -> StructureProfile:
     def compute():
         from .duality import find_negations  # deferred: duality imports this module
 
-        witnesses = {}
-
-        def flag(name, witness):
-            if witness is not None:
-                witnesses[name] = witness
-            return witness is None
-
-        linear = flag("is_linear", _linear_witness(l))
-        ranked = flag("is_ranked", _ranked_witness(l))
-        lsm = flag("is_lower_semimodular", _witness(l, "lsm"))
-        usm = flag("is_upper_semimodular", _witness(l, "usm"))
-        if not lsm:
-            witnesses["is_modular"] = witnesses["is_lower_semimodular"]
-        elif not usm:
-            witnesses["is_modular"] = witnesses["is_upper_semimodular"]
-        distr = flag("is_distributive", _witness(l, "distr"))
-        lld = flag("is_lower_locally_distributive", _witness(l, "lld"))
-        uld = flag("is_upper_locally_distributive", _witness(l, "uld"))
-        compl = flag("is_complemented", _complement_witness(l))
-        atomistic = flag("is_atomistic", _atomistic_witness(l))
-        autodual = bool(find_negations(l, limit=1))
-
+        found = {flag: _witness(l, flag) for flag in _WITNESSES}
         return StructureProfile(
             is_lattice=True,
-            is_linear=linear,
-            is_ranked=ranked,
-            is_modular=lsm and usm,
-            is_lower_semimodular=lsm,
-            is_upper_semimodular=usm,
-            is_distributive=distr,
-            is_lower_locally_distributive=lld,
-            is_upper_locally_distributive=uld,
-            is_complemented=compl,
-            is_atomistic=atomistic,
-            is_autodual=autodual,
-            witnesses=witnesses,
+            is_autodual=bool(find_negations(l, limit=1)),
+            witnesses={flag: w for flag, w in found.items() if w is not None},
+            **{flag: w is None for flag, w in found.items()},
         )
 
     return _cached(l, "profile", compute)

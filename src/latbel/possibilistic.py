@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .capacity import CheckResult, _boundary
+from .capacity import DEFAULT_TOL, CheckResult, _boundary
 from .errors import (
     InvalidDistribution,
     InvalidNegation,
@@ -24,11 +24,9 @@ from .errors import (
     TiesInDistribution,
     TopValueNotOne,
 )
-from .duality import Negation, verify_vee_negation
+from .duality import Negation
 from .evidence import MassAllocation
 from .lattice import Lattice, eta, is_distributive, mu_set
-
-DEFAULT_TOL = 1e-9
 
 
 class PossibilityDistribution:
@@ -184,9 +182,6 @@ def reconstruct_chain(
         raise InvalidNegation("negation lives on a different lattice")
     if n.kind != "vee":
         raise InvalidNegation("chain reconstruction expects a vee-negation")
-    res = verify_vee_negation(l, n.map)
-    if not res:
-        raise InvalidNegation(res.detail)
 
     values = dict(pi.pi) if isinstance(pi, PossibilityDistribution) else dict(pi)
     values = _checked_distribution(l, values, l.joinirr, "pi", tol)

@@ -220,20 +220,21 @@ def test_conjugate_rejects_foreign_negation():
 
 
 # -- the report --------------------------------------------------------------------
+#
+# What ``latbel bel check --max-k`` reports, one library call per line.
 
 def test_capacity_report_consistency():
     rng = random.Random(53)
     l = bool_lattice(2)
     bel = lb.zeta_transform(random_mass(l, rng))
-    report = lb.capacity_report(bel)
-    assert report.is_belief and report.is_capacity
-    assert report.max_k_monotone == "total"
+    assert lb.check_belief(bel) and lb.check_capacity(bel)
+    assert lb.capacity.max_k_monotone(bel) == "total"
 
     _, f = non_belief_capacity_b2()
-    report = lb.capacity_report(f)
-    assert report.is_capacity and not report.is_belief
-    assert report.max_k_monotone == 1
-    assert report.failure_witness is not None
+    assert lb.check_capacity(f)
+    res = lb.check_belief(f)
+    assert not res and res.witness is not None
+    assert lb.capacity.max_k_monotone(f) == 1
 
 
 def test_report_belief_implies_capacity_on_random_inputs():
@@ -241,6 +242,5 @@ def test_report_belief_implies_capacity_on_random_inputs():
     for _, l in small_corpus(max_size=6):
         for _ in range(10):
             f = lb.SetFunction(l, {x: rng.uniform(0, 1) for x in l.elements})
-            report = lb.capacity_report(f)
-            if report.is_belief:
-                assert report.is_capacity
+            if lb.check_belief(f):
+                assert lb.check_capacity(f)

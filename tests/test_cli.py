@@ -418,3 +418,16 @@ def test_bel_conjugate_refuses_a_list_image(b2, tmp_path, capsys):
                 {"v": 1, "values": {"{}": 0, "{1}": 0.3, "{2}": 0.2, "{1,2}": 1}})
     assert main(["bel", "conjugate", "--lattice", b2, "--negation", neg, bel]) == 2
     assert capsys.readouterr().err.startswith("NotABijection")
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1", "abc"])
+def test_tolerance_must_be_finite_and_nonnegative(b2, tmp_path, capsys, tolerance):
+    """Against NaN or infinity every `> tol` comparison is false, so each
+    check would report that it holds."""
+    f = write(tmp_path / "f.json",
+              {"v": 1, "values": {"{}": 0.5, "{1}": 0.9, "{2}": 0.1, "{1,2}": 0.2}})
+    with pytest.raises(SystemExit) as exc:
+        main(["bel", "check", "--lattice", b2, f, f"--tolerance={tolerance}"])
+    assert exc.value.code == 2
+    assert "argument --tolerance: expected a finite number >= 0" in capsys.readouterr().err
+    assert main(["bel", "check", "--lattice", b2, f, "--tolerance", "0"]) == 1

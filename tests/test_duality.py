@@ -128,6 +128,20 @@ def test_invert_flips_kind_and_round_trips():
     assert lb.invert(w) == n
 
 
+def test_wedge_negation_is_verified_through_its_inverse():
+    n = chain_diamond_negation()
+    l = n.lattice
+    assert lb.Negation(l, n.inverse_map, "wedge") == lb.invert(n)
+    identity = {x: x for x in l.elements}
+    with pytest.raises(lb.errors.InvalidNegation):
+        lb.Negation(l, identity, "wedge")
+    b2 = bool_lattice(2)
+    with pytest.raises(lb.errors.InvalidNegation):
+        lb.Negation(b2, {x: x for x in b2.elements}, "wedge")
+    with pytest.raises(NotABijection):
+        lb.Negation(b2, {x: b2.bottom for x in b2.elements}, "wedge")
+
+
 def test_negation_from_irreducible_map_on_chain_diamond():
     n = chain_diamond_negation()
     l = chain_diamond().lattice

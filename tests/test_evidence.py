@@ -176,6 +176,27 @@ def test_decompose_preconditions():
         lb.decompose(no_top_mass)
 
 
+def test_decompose_reports_the_check_belief_witness():
+    rng = random.Random(73)
+    for name, l in corpus():
+        for _ in range(3):
+            f = lb.SetFunction(l, {x: rng.uniform(0, 1) for x in l.elements})
+            f = lb.SetFunction(l, {**f.values, l.bottom: 0.0, l.top: 1.0})
+            res = lb.check_belief(f)
+            if res:
+                continue
+            with pytest.raises(NotABelief) as exc:
+                lb.decompose(f)
+            assert (exc.value.witness, str(exc.value)) == (res.witness, res.detail), name
+    l = bool_lattice(2)
+    off = lb.SetFunction(l, {"{}": 0.1, "{1}": 0.5, "{2}": 0.5, "{1,2}": 1.0})
+    res = lb.check_belief(off)
+    with pytest.raises(NotABelief) as exc:
+        lb.decompose(off)
+    assert (exc.value.witness, str(exc.value)) == (res.witness, res.detail) == (
+        ("{}",), "f(bottom) = 0.1, expected 0")
+
+
 def test_decompose_refuses_a_non_positive_commonality():
     """Masses negative within the tolerance pass as a belief, but can leave a
     commonality at or below 0, whose logarithm the decomposition needs."""

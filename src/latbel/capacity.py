@@ -16,7 +16,7 @@ from .errors import InvalidNegation, SizeLimitExceeded
 from .transforms import SetFunction, mobius_transform
 
 DEFAULT_TOL = 1e-9
-DEFAULT_MAX_FAMILIES = 10**6
+DEFAULT_MAX_MEETS = 10**7
 
 
 @dataclass(frozen=True)
@@ -72,69 +72,72 @@ def _belief_mass(f: SetFunction, tol: float):
     return CheckResult(True), m
 
 
-def _first_failing_family(f: SetFunction, k: int, fails, op: str) -> CheckResult:
-    """First k-family (in input order) whose f(join) and alternating sum of f
-    over the meets of its subfamilies satisfy ``fails``."""
+def _sweep(f: SetFunction, k: int, tol: float, max_meets: int, op: str = "<") -> CheckResult:
+    """The first family of 2 to k distinct elements, smallest size first,
+    whose f(join) is below (op "!=": differs from) the alternating sum of f
+    over its subfamilies' meets.  Sizes above |L|-2 add nothing: a family
+    holding bottom has the inequality of the family without it, one holding
+    top holds with equality.  Refuses a sweep of over ``max_meets`` meets."""
     l = f.lattice
+    n = len(l)
+    sizes = range(2, min(k, max(2, n - 2)) + 1)
+    meets = sum(math.comb(n, j) * (2**j - 1) for j in sizes)
+    if meets > max_meets:
+        raise SizeLimitExceeded(
+            f"{meets} meet evaluations exceed the cap of {max_meets}; raise it with --limit"
+        )
+    fails = {"<": lambda lhs, rhs: lhs < rhs - tol,
+             "!=": lambda lhs, rhs: abs(lhs - rhs) > tol}[op]
     fv = list(f.values.values())
     join_t, meet_t = l._join, l._meet
-    for family in itertools.combinations(range(len(l)), k):
-        top = family[0]
-        for i in family[1:]:
-            top = join_t[top][i]
-        lhs, rhs = fv[top], 0.0
-        for r in range(1, k + 1):
-            sign = 1.0 if r % 2 else -1.0
-            for sub in itertools.combinations(family, r):
-                low = sub[0]
-                for i in sub[1:]:
-                    low = meet_t[low][i]
-                rhs += sign * fv[low]
-        if fails(lhs, rhs):
-            names = tuple(l.elements[i] for i in family)
-            return CheckResult(False, names, f"f(join) = {lhs!r} {op} {rhs!r}")
+    for j in sizes:
+        for family in itertools.combinations(range(n), j):
+            top = family[0]
+            for i in family[1:]:
+                top = join_t[top][i]
+            lhs, rhs = fv[top], 0.0
+            for r in range(1, j + 1):
+                sign = 1.0 if r % 2 else -1.0
+                for sub in itertools.combinations(family, r):
+                    low = sub[0]
+                    for i in sub[1:]:
+                        low = meet_t[low][i]
+                    rhs += sign * fv[low]
+            if fails(lhs, rhs):
+                names = tuple(l.elements[i] for i in family)
+                return CheckResult(False, names, f"f(join) = {lhs!r} {op} {rhs!r}")
     return CheckResult(True)
 
 
-def check_k_monotone(f: SetFunction, k: int, tol: float = DEFAULT_TOL) -> CheckResult:
+def check_k_monotone(
+    f: SetFunction, k: int, tol: float = DEFAULT_TOL, max_meets: int = DEFAULT_MAX_MEETS
+) -> CheckResult:
     """f(join of the family) >= alternating sum of f over meets of subfamilies,
-    for every family of k distinct elements.
+    for every family of k elements, repeated members allowed.
 
-    Families with repeated members collapse to smaller distinct families, so
-    enumerating k-subsets loses nothing at this k.
+    A family with repeated members has the inequality of its distinct
+    members, so the families of 2 to k distinct elements are checked.
     """
     if k < 2:
         raise ValueError("k-monotonicity is defined for k >= 2")
-    return _first_failing_family(f, k, lambda lhs, rhs: lhs < rhs - tol, "<")
+    return _sweep(f, k, tol, max_meets)
 
 
-def check_k_valuation(f: SetFunction, k: int, tol: float = DEFAULT_TOL) -> CheckResult:
+def check_k_valuation(
+    f: SetFunction, k: int, tol: float = DEFAULT_TOL, max_meets: int = DEFAULT_MAX_MEETS
+) -> CheckResult:
     """The k-monotonicity inequality degenerates into an equality everywhere."""
     if k < 2:
         raise ValueError("k-valuations are defined for k >= 2")
-    return _first_failing_family(f, k, lambda lhs, rhs: abs(lhs - rhs) > tol, "!=")
-
-
-def _total_family_count(n: int) -> int:
-    return sum(math.comb(n, k) for k in range(2, max(2, n - 2) + 1))
+    return _sweep(f, k, tol, max_meets, "!=")
 
 
 def check_total_monotone(
-    f: SetFunction,
-    tol: float = DEFAULT_TOL,
-    max_families: int = DEFAULT_MAX_FAMILIES,
+    f: SetFunction, tol: float = DEFAULT_TOL, max_meets: int = DEFAULT_MAX_MEETS
 ) -> CheckResult:
     """k-monotonicity for every k from 2 up to |L|-2, which suffices for all k."""
-    n = len(f.lattice)
-    if _total_family_count(n) > max_families:
-        raise SizeLimitExceeded(
-            f"{_total_family_count(n)} families exceed the cap of {max_families}"
-        )
-    for k in range(2, max(2, n - 2) + 1):
-        res = check_k_monotone(f, k, tol)
-        if not res:
-            return CheckResult(False, res.witness, f"fails at k={k}: {res.detail}")
-    return CheckResult(True)
+    res = _sweep(f, len(f.lattice), tol, max_meets)
+    return res or CheckResult(False, res.witness, f"fails at k={len(res.witness)}: {res.detail}")
 
 
 def conjugate(f: SetFunction, n, variant: str) -> SetFunction:
@@ -149,19 +152,13 @@ def conjugate(f: SetFunction, n, variant: str) -> SetFunction:
     return SetFunction(f.lattice, {x: 1.0 - f[send[x]] for x in f.lattice.elements})
 
 
-def max_k_monotone(
-    f: SetFunction,
-    tol: float = DEFAULT_TOL,
-    max_families: int = DEFAULT_MAX_FAMILIES,
-):
+def max_k_monotone(f: SetFunction, tol: float = DEFAULT_TOL, max_meets: int = DEFAULT_MAX_MEETS):
     """The largest k for which f is k-monotone: "total" when every k up to
-    |L|-2 passes, 1 when none does, None when the family cap prevents the
-    sweep."""
-    n = len(f.lattice)
-    if _total_family_count(n) > max_families:
+    |L|-2 passes, 1 when k = 2 already fails, None when the meet cap
+    prevents the sweep."""
+    try:
+        res = _sweep(f, len(f.lattice), tol, max_meets)
+    except SizeLimitExceeded:
         return None
-    passing = [k for k in range(2, max(2, n - 2) + 1) if check_k_monotone(f, k, tol)]
-    if len(passing) == max(2, n - 2) - 1:
-        return "total"
-    return max(passing, default=1)
+    return "total" if res else len(res.witness) - 1
 

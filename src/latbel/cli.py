@@ -54,7 +54,7 @@ def main(argv=None) -> int:
         limits = io.Limits.from_env()
         limits.tolerance = args.tolerance
         if args.limit is not None:
-            limits.max_chains = limits.max_families = args.limit
+            limits.max_chains = limits.max_meets = args.limit
         return args.handler(args, limits)
     except _PROPERTY_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tolerance", type=_tolerance, default=capacity.DEFAULT_TOL,
                         metavar="EPS")
     common.add_argument("--limit", type=int, default=None, metavar="N",
-                        help="override enumeration caps (chains, families)")
+                        help="override the caps on maximal chains and k-family meet evaluations")
 
     parser = argparse.ArgumentParser(prog="latbel",
                                      description="belief-function calculus on finite lattices")
@@ -331,7 +331,7 @@ def _cmd_bel_check(args, limits) -> int:
     cap = capacity.check_capacity(f, tol)
     bel = capacity.check_belief(f, tol)
     nec = possibilistic.check_necessity(f, tol)
-    max_k = capacity.max_k_monotone(f, tol, limits.max_families) if args.max_k else None
+    max_k = capacity.max_k_monotone(f, tol, limits.max_meets) if args.max_k else None
     if args.json:
         doc = {"v": 1, "is_capacity": _check_json(cap), "is_belief": _check_json(bel),
                "is_necessity": _check_json(nec)}
@@ -350,14 +350,15 @@ def _cmd_bel_check(args, limits) -> int:
 def _cmd_bel_kmono(args, limits) -> int:
     f = _function(args, limits)
     if args.k == "total":
-        res = capacity.check_total_monotone(f, limits.tolerance, limits.max_families)
+        res = capacity.check_total_monotone(f, limits.tolerance, limits.max_meets)
         return _report(args, "totally-monotone", res)
-    return _report(args, f"{args.k}-monotone",
-                   capacity.check_k_monotone(f, int(args.k), limits.tolerance))
+    res = capacity.check_k_monotone(f, int(args.k), limits.tolerance, limits.max_meets)
+    return _report(args, f"{args.k}-monotone", res)
 
 
 def _cmd_bel_valuation(args, limits) -> int:
-    res = capacity.check_k_valuation(_function(args, limits), args.k, limits.tolerance)
+    res = capacity.check_k_valuation(_function(args, limits), args.k, limits.tolerance,
+                                     limits.max_meets)
     return _report(args, f"{args.k}-valuation", res)
 
 
@@ -367,15 +368,19 @@ def _cmd_bel_conjugate(args, limits) -> int:
     return _emit_function(args, capacity.conjugate(f, n, args.variant))
 
 
-def _emit_mass(args, m) -> int:
+def _emit_table(args, f, header: str, rows) -> int:
     if args.json:
-        _emit(io.function_to_dict(m))
+        _emit(io.function_to_dict(f))
     else:
-        print("focal element\tmass")
-        for x in m.focal_elements():
-            print(f"{x}\t{m[x]!r}")
-    _write_function(args, m)
+        print(header)
+        for x in rows:
+            print(f"{x}\t{f[x]!r}")
+    _write_function(args, f)
     return 0
+
+
+def _emit_mass(args, m) -> int:
+    return _emit_table(args, m, "focal element\tmass", m.focal_elements())
 
 
 def _cmd_bel_combine(args, limits) -> int:
@@ -387,15 +392,7 @@ def _cmd_bel_combine(args, limits) -> int:
 
 def _cmd_bel_decompose(args, limits) -> int:
     weights = evidence.decompose(_function(args, limits), tol=limits.tolerance)
-    if args.json:
-        _emit(io.function_to_dict(weights))
-    else:
-        print("focus\tweight")
-        for y, w in weights.items():
-            print(f"{y}\t{w!r}")
-    if args.out:
-        io.save(args.out, io.function_to_dict(weights))
-    return 0
+    return _emit_table(args, weights, "focus\tweight", weights.weights)
 
 
 def _cmd_bel_recombine(args, limits) -> int:
@@ -440,8 +437,7 @@ def _cmd_bel_reconstruct(args, limits) -> int:
         print("chain element\tmass")
         for x in result.chain:
             print(f"{x}\t{result.mass[x]!r}")
-    if args.out:
-        io.save(args.out, io.function_to_dict(result.mass))
+    _write_function(args, result.mass)
     return 0
 
 

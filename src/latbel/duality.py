@@ -39,6 +39,9 @@ class Negation:
             raise ValueError(f"kind must be 'vee' or 'wedge', got {kind!r}")
         mapping = dict(mapping)
         if not _verified:
+            res = _injective(lattice, mapping)
+            if not res:
+                raise NotABijection(res.detail)
             vee = mapping if kind == "vee" else {v: k for k, v in mapping.items()}
             res = verify_vee_negation(lattice, vee)
             if not res:
@@ -84,6 +87,25 @@ def verify_vee_negation(l: Lattice, mapping) -> CheckResult:
     of the element set.
     """
     mapping = dict(mapping)
+    res = _injective(l, mapping)
+    if not res:
+        return res
+    if mapping[l.top] != l.bottom:
+        return CheckResult(False, (l.top,), f"n(top) = {mapping[l.top]!r}, expected bottom")
+    names, index = l.elements, l.poset._index
+    image = [index[mapping[x]] for x in names]
+    join_t, meet_t = l._join, l._meet
+    for i, j in itertools.combinations_with_replacement(range(len(names)), 2):
+        lhs, rhs = image[join_t[i][j]], meet_t[image[i]][image[j]]
+        if lhs != rhs:
+            x, y, lhs, rhs = names[i], names[j], names[lhs], names[rhs]
+            return CheckResult(False, (x, y), f"n({x} v {y}) = {lhs!r} but n({x}) ^ n({y}) = {rhs!r}")
+    return CheckResult(True)
+
+
+def _injective(l: Lattice, mapping: dict) -> CheckResult:
+    """Whether the map is injective, the witness the first pair with one
+    image; :class:`NotABijection` when it is not a total self-map."""
     for x in l.elements:
         if x not in mapping:
             raise NotABijection(f"map gives no image for {x!r}")
@@ -98,16 +120,6 @@ def verify_vee_negation(l: Lattice, mapping) -> CheckResult:
         if img in seen:
             return CheckResult(False, (seen[img], x), f"both map to {img!r}")
         seen[img] = x
-    if mapping[l.top] != l.bottom:
-        return CheckResult(False, (l.top,), f"n(top) = {mapping[l.top]!r}, expected bottom")
-    names, index = l.elements, l.poset._index
-    image = [index[mapping[x]] for x in names]
-    join_t, meet_t = l._join, l._meet
-    for i, j in itertools.combinations_with_replacement(range(len(names)), 2):
-        lhs, rhs = image[join_t[i][j]], meet_t[image[i]][image[j]]
-        if lhs != rhs:
-            x, y, lhs, rhs = names[i], names[j], names[lhs], names[rhs]
-            return CheckResult(False, (x, y), f"n({x} v {y}) = {lhs!r} but n({x}) ^ n({y}) = {rhs!r}")
     return CheckResult(True)
 
 
@@ -175,12 +187,7 @@ def invert(n: Negation) -> Negation:
     """The inverse bijection, a meet-reversing (wedge) negation; applying
     invert twice returns the original."""
     flipped = "wedge" if n.kind == "vee" else "vee"
-    out = Negation.__new__(Negation)
-    out.lattice = n.lattice
-    out.kind = flipped
-    out.map = dict(n.inverse_map)
-    out.inverse_map = dict(n.map)
-    return out
+    return Negation(n.lattice, n.inverse_map, flipped, _verified=True)
 
 
 def is_involutive(n: Negation) -> bool:
@@ -218,5 +225,5 @@ def negation_from_irreducible_map(l: Lattice, jmap) -> Negation:
         mapping[x] = meet(l, parts) if parts else l.top
     try:
         return Negation(l, mapping, "vee")
-    except InvalidNegation as exc:
+    except (InvalidNegation, NotABijection) as exc:
         raise NoConsistentExtension(str(exc)) from None

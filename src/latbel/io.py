@@ -21,7 +21,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from .capacity import DEFAULT_MAX_FAMILIES, DEFAULT_TOL
+from .capacity import DEFAULT_MAX_MEETS, DEFAULT_TOL
 from .duality import Negation, negation_from_map
 from .errors import FormatError
 from .evidence import MassAllocation, SupportWeights
@@ -43,7 +43,7 @@ class Limits:
 
     max_elements: int = DEFAULT_MAX_ELEMENTS
     max_chains: int = DEFAULT_MAX_CHAINS
-    max_families: int = DEFAULT_MAX_FAMILIES
+    max_meets: int = DEFAULT_MAX_MEETS
     tolerance: float = DEFAULT_TOL
 
     @classmethod
@@ -165,19 +165,21 @@ def dot_export(l: Lattice) -> str:
     """Hasse diagram as DOT, drawn bottom-up with one rank per height and
     join-irreducible elements drawn filled."""
     joinirr = set(l.joinirr)
+    # escaping backslash and quote keeps distinct names distinct DOT IDs
+    q = {x: '"' + x.replace("\\", "\\\\").replace('"', '\\"') + '"' for x in l.elements}
     lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=ellipse];"]
     for x in l.elements:
         if x in joinirr:
-            lines.append(f'  "{x}" [style=filled, fillcolor=black, fontcolor=white];')
+            lines.append(f"  {q[x]} [style=filled, fillcolor=black, fontcolor=white];")
         else:
-            lines.append(f'  "{x}";')
+            lines.append(f"  {q[x]};")
     for a, b in l.covers:
-        lines.append(f'  "{a}" -> "{b}";')
+        lines.append(f"  {q[a]} -> {q[b]};")
     by_height: dict[int, list[str]] = {}
     for x in l.elements:
         by_height.setdefault(l.heights[x], []).append(x)
     for h in sorted(by_height):
-        row = "; ".join(f'"{x}"' for x in by_height[h])
+        row = "; ".join(q[x] for x in by_height[h])
         lines.append(f"  {{ rank=same; {row}; }}")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .errors import IncompleteFunction, UnknownElement
-from .lattice import Lattice, _indices
+from .lattice import Lattice, _cached, _indices
 
 
 class SetFunction:
@@ -97,9 +97,7 @@ class MobiusMatrix:
 
 def mobius_function(l: Lattice) -> MobiusMatrix:
     """Moebius coefficients of the lattice (depends only on the order), cached."""
-    if "mobius" not in l._cache:
-        l._cache["mobius"] = MobiusMatrix(l)
-    return l._cache["mobius"]
+    return _cached(l, "mobius", lambda: MobiusMatrix(l))
 
 
 def mobius_transform(f: SetFunction) -> SetFunction:
@@ -109,10 +107,8 @@ def mobius_transform(f: SetFunction) -> SetFunction:
 
 def _members(l: Lattice, side: str) -> list[tuple[int, ...]]:
     """Ascending indices of each element's down-set or up-set, cached."""
-    if side not in l._cache:
-        masks = l.poset._down if side == "down" else l.poset._up
-        l._cache[side] = [tuple(_indices(mask)) for mask in masks]
-    return l._cache[side]
+    masks = l.poset._down if side == "down" else l.poset._up
+    return _cached(l, side, lambda: [tuple(_indices(mask)) for mask in masks])
 
 
 def zeta_transform(m: SetFunction) -> SetFunction:

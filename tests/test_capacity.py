@@ -159,6 +159,40 @@ def test_repeated_families_reduce_to_smaller_distinct_ones():
             for k in (2, 3):
                 expected = all(lb.check_k_monotone(f, j) for j in range(2, k + 1))
                 assert with_repetitions(f, k) == expected
+                assert bool(lb.check_k_monotone(f, k)) == with_repetitions(f, k)
+
+
+def vacuous_plausibility_b3():
+    """0 at bottom, 1 elsewhere: a capacity that is not 2-monotone ({1}, {2}
+    fail), although every family of exactly 6 distinct members passes."""
+    l = bool_lattice(3)
+    return lb.SetFunction(l, {x: 0.0 if x == l.bottom else 1.0 for x in l.elements})
+
+
+def test_k_monotone_fails_at_the_smallest_failing_size():
+    f = vacuous_plausibility_b3()
+    assert lb.check_capacity(f)
+    assert lb.capacity.max_k_monotone(f) == 1
+    for k in range(2, 7):
+        res = lb.check_k_monotone(f, k)
+        assert not res and res.witness == ("{1}", "{2}"), k
+        assert res.detail == "f(join) = 1.0 < 2.0"
+    res = lb.check_total_monotone(f)
+    assert not res and res.detail == "fails at k=2: f(join) = 1.0 < 2.0"
+    assert not lb.check_k_valuation(f, 4)
+
+
+def test_k_family_checks_refuse_work_over_the_meet_cap():
+    # B3 has C(8,2)*3 = 84 pair meets and C(8,3)*7 = 392 triple meets
+    f = normalized_height(bool_lattice(3))
+    assert lb.check_k_monotone(f, 2, max_meets=84)
+    for check in (lb.check_k_monotone, lb.check_k_valuation):
+        with pytest.raises(SizeLimitExceeded, match="476 meet evaluations exceed the cap of 475"):
+            check(f, 3, TOL, 475)
+    with pytest.raises(SizeLimitExceeded, match="5026 meet evaluations"):
+        lb.check_total_monotone(f, max_meets=5025)
+    assert lb.capacity.max_k_monotone(f, TOL, 5025) is None
+    assert lb.capacity.max_k_monotone(f, TOL, 5026) == "total"
 
 
 def test_total_monotone_for_zeta_of_masses():
@@ -173,7 +207,7 @@ def test_total_monotone_family_cap():
     l = bool_lattice(3)
     f = normalized_height(l)
     with pytest.raises(SizeLimitExceeded):
-        lb.check_total_monotone(f, max_families=10)
+        lb.check_total_monotone(f, max_meets=10)
 
 
 # -- conjugation -------------------------------------------------------------------

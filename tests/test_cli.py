@@ -1,6 +1,7 @@
 """Command line behaviour: exit codes, file round-trips, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -215,6 +216,15 @@ def test_dot_export(three_chain, b2, diamond_bundle, tmp_path, capsys):
     assert dot.count("style=filled") == 6
 
 
+def test_dot_export_escapes_quotes_and_backslashes(tmp_path, capsys):
+    path = write(tmp_path / "odd.json",
+                 {"v": 1, "elements": ['a"b', "c\\"], "covers": [['a"b', "c\\"]]})
+    assert main(["dot", path]) == 0
+    dot = capsys.readouterr().out
+    assert '  "a\\"b" -> "c\\\\";' in dot
+    assert '{ rank=same; "c\\\\"; }' in dot
+
+
 def test_bel_check_accepts_chain_capacity(three_chain, tmp_path, capsys):
     cap = write(tmp_path / "cap.json", {"v": 1, "values": {"⊥": 0, "a": 0.7, "⊤": 1}})
     assert main(["bel", "check", "--lattice", three_chain, cap]) == 0
@@ -242,6 +252,38 @@ def test_bel_kmono_and_valuation(b2, tmp_path, capsys):
               {"v": 1, "values": {"{}": 0, "{1}": 1, "{2}": 1, "{1,2}": 1}})
     assert main(["bel", "kmono", "2", "--lattice", b2, f]) == 1
     assert "witness" in capsys.readouterr().out
+
+
+def test_bel_check_max_k_stops_at_the_first_failing_size(tmp_path, capsys):
+    b3 = lb.boolean_lattice(["1", "2", "3"])
+    lattice = write(tmp_path / "b3.json", {
+        "v": 1, "elements": list(b3.elements), "covers": [list(c) for c in b3.covers]})
+    f = write(tmp_path / "f.json", {"v": 1, "values": {
+        x: 0 if x == b3.bottom else 1 for x in b3.elements}})
+    assert main(["bel", "check", "--lattice", lattice, f, "--max-k"]) == 1
+    assert "max_k_monotone: 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("k", ["9", "total"])
+def test_bel_kmono_refuses_work_over_the_meet_cap(diamond_bundle, tmp_path, capsys, k):
+    lattice, _, _ = diamond_bundle
+    elements = chain_diamond().lattice.elements
+    f = write(tmp_path / "f.json", {"v": 1, "values": {x: 1 for x in elements}})
+    start = time.perf_counter()
+    assert main(["bel", "kmono", k, "--lattice", lattice, f]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("SizeLimitExceeded")
+    assert "meet evaluations" in err and "--limit" in err
+
+
+def test_bel_kmono_and_valuation_honour_limit(b2, tmp_path, capsys):
+    prob = write(tmp_path / "p.json",
+                 {"v": 1, "values": {"{}": 0, "{1}": 0.4, "{2}": 0.6, "{1,2}": 1}})
+    assert main(["bel", "kmono", "3", "--lattice", b2, prob, "--limit", "5"]) == 2
+    assert main(["bel", "valuation", "2", "--lattice", b2, prob, "--limit", "5"]) == 2
+    assert capsys.readouterr().err.count("SizeLimitExceeded") == 2
+    assert main(["bel", "kmono", "3", "--lattice", b2, prob, "--limit", "18"]) == 0
 
 
 def test_bel_combine_against_commonality_product(b2, tmp_path, capsys):

@@ -142,6 +142,20 @@ def test_wedge_negation_is_verified_through_its_inverse():
         lb.Negation(b2, {x: b2.bottom for x in b2.elements}, "wedge")
 
 
+@pytest.mark.parametrize("image", ["{1}", ["{2}"]])
+def test_both_kinds_report_a_bad_map_itself(image):
+    b2 = bool_lattice(2)
+    bad = {"{}": "{1,2}", "{1}": image, "{2}": "{1}", "{1,2}": "{}"}
+    raised = []
+    for kind in ("vee", "wedge"):
+        with pytest.raises(NotABijection) as exc:
+            lb.Negation(b2, bad, kind)
+        raised.append(str(exc.value))
+    assert raised[0] == raised[1]
+    assert raised[0] == ("both map to '{1}'" if image == "{1}"
+                         else "image ['{2}'] of '{1}' is not a lattice element")
+
+
 def test_negation_from_irreducible_map_on_chain_diamond():
     n = chain_diamond_negation()
     l = chain_diamond().lattice

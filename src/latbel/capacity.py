@@ -29,7 +29,13 @@ class CheckResult:
         return self.ok
 
 
+def _require_tol(tol: float) -> None:
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
+
+
 def _boundary(f: SetFunction, tol: float):
+    _require_tol(tol)
     l = f.lattice
     if abs(f[l.bottom]) > tol:
         return CheckResult(False, (l.bottom,), f"f(bottom) = {f[l.bottom]!r}, expected 0")
@@ -39,18 +45,33 @@ def _boundary(f: SetFunction, tol: float):
 
 
 def check_capacity(f: SetFunction, tol: float = DEFAULT_TOL) -> CheckResult:
-    """f(bottom) = 0, f(top) = 1 and f isotone on every comparable pair."""
+    """f(bottom) = 0, f(top) = 1 and f isotone on every comparable pair.
+
+    Decided exactly in one walk up a linear extension, comparing each f(y)
+    with the largest value strictly beneath y; the pair scan only names the
+    first failing pair."""
     bad = _boundary(f, tol)
     if bad is not None:
         return bad
     l = f.lattice
-    down = l.poset._down
     fv = list(f.values.values())
+    upto = [0.0] * len(fv)  # the largest value on each down-set
+    for y in l._order:
+        below = max(map(upto.__getitem__, l.poset._cov_down[y]), default=-math.inf)
+        if below > fv[y] + tol:
+            return _isotone_scan(l, fv, tol)
+        upto[y] = max(below, fv[y])
+    return CheckResult(True)
+
+
+def _isotone_scan(l, fv, tol) -> CheckResult:
+    """The first comparable pair, in index order, with f(lower) > f(upper) + tol."""
+    down = l.poset._down
     for x, y in itertools.combinations(range(len(l)), 2):
         lo, hi = (x, y) if down[y] >> x & 1 else (y, x) if down[x] >> y & 1 else (None, None)
         if lo is not None and fv[lo] > fv[hi] + tol:
-            lo, hi = l.elements[lo], l.elements[hi]
-            return CheckResult(False, (lo, hi), f"f({lo}) = {f[lo]!r} > f({hi}) = {f[hi]!r}")
+            x, y = l.elements[lo], l.elements[hi]
+            return CheckResult(False, (x, y), f"f({x}) = {fv[lo]!r} > f({y}) = {fv[hi]!r}")
     return CheckResult(True)
 
 
@@ -78,6 +99,7 @@ def _sweep(f: SetFunction, k: int, tol: float, max_meets: int, op: str = "<") ->
     over its subfamilies' meets.  Sizes above |L|-2 add nothing: a family
     holding bottom has the inequality of the family without it, one holding
     top holds with equality.  Refuses a sweep of over ``max_meets`` meets."""
+    _require_tol(tol)
     l = f.lattice
     n = len(l)
     sizes = range(2, min(k, max(2, n - 2)) + 1)
@@ -157,8 +179,12 @@ def max_k_monotone(f: SetFunction, tol: float = DEFAULT_TOL, max_meets: int = DE
     |L|-2 passes, 1 when k = 2 already fails, None when the meet cap
     prevents the sweep."""
     try:
-        res = _sweep(f, len(f.lattice), tol, max_meets)
+        return _max_k(f, tol, max_meets)
     except SizeLimitExceeded:
         return None
+
+
+def _max_k(f: SetFunction, tol: float, max_meets: int):
+    res = _sweep(f, len(f.lattice), tol, max_meets)
     return "total" if res else len(res.witness) - 1
 

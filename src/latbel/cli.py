@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import capacity, duality, evidence, io, lattice as lat, possibilistic, transforms
@@ -24,6 +23,7 @@ from .errors import (
     NotAutodual,
     NotDistributive,
     SelectionFailed,
+    SizeLimitExceeded,
     TiesInDistribution,
     TopMassZero,
     TopValueNotOne,
@@ -180,10 +180,9 @@ def _tolerance(text: str) -> float:
     with it, and against NaN or infinity those comparisons never fail."""
     try:
         value = float(text)
+        capacity._require_tol(value)
     except ValueError:
-        value = math.nan
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}") from None
     return value
 
 
@@ -331,7 +330,11 @@ def _cmd_bel_check(args, limits) -> int:
     cap = capacity.check_capacity(f, tol)
     bel = capacity.check_belief(f, tol)
     nec = possibilistic.check_necessity(f, tol)
-    max_k = capacity.max_k_monotone(f, tol, limits.max_meets) if args.max_k else None
+    try:
+        max_k = capacity._max_k(f, tol, limits.max_meets) if args.max_k else None
+    except SizeLimitExceeded as exc:
+        max_k = None
+        print(f"max_k_monotone: not decided, {exc}", file=sys.stderr)
     if args.json:
         doc = {"v": 1, "is_capacity": _check_json(cap), "is_belief": _check_json(bel),
                "is_necessity": _check_json(nec)}

@@ -187,11 +187,6 @@ class Poset:
                if a != b and self._up[a] & self._down[b] & mask == (1 << a) | (1 << b)]
         return Poset([self.elements[i] for i in sub], cov)
 
-    def _linear_order(self) -> list[int]:
-        """Indices sorted so that x <= y implies x comes first (stable)."""
-        down = self._down
-        return sorted(range(len(down)), key=lambda i: (down[i].bit_count(), i))
-
 
 def _topological_order(n, succ, pred, names):
     indeg = [len(pred[i]) for i in range(n)]
@@ -224,11 +219,11 @@ class Lattice:
     """A finite lattice: a poset whose binary join and meet are total.
 
     Raises :class:`NotALattice` naming the first offending pair otherwise.
-    ``_join`` and ``_meet`` are the index tables of the two operations.
+    ``_join``/``_meet`` are the operations' index tables, ``_order`` a linear extension.
     """
 
     __slots__ = ("poset", "bottom", "top", "joinirr", "meetirr", "heights",
-                 "_join", "_meet", "_h", "_coh", "_cache")
+                 "_join", "_meet", "_order", "_h", "_coh", "_cache")
 
     def __init__(self, poset: Poset):
         self.poset = poset
@@ -267,7 +262,7 @@ class Lattice:
         self.joinirr = tuple(x for i, x in enumerate(names) if len(poset._cov_down[i]) == 1)
         self.meetirr = tuple(x for i, x in enumerate(names) if len(poset._cov_up[i]) == 1)
 
-        order = poset._linear_order()
+        self._order = order = sorted(range(n), key=lambda i: down[i].bit_count())
         h = [0] * n
         for i in order:
             h[i] = 1 + max((h[p] for p in poset._cov_down[i]), default=-1)

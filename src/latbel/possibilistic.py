@@ -105,12 +105,17 @@ class FocalChain:
 
 
 def check_necessity(f, tol: float = DEFAULT_TOL) -> CheckResult:
-    """Boundary conditions plus N(x ^ y) = min(N(x), N(y)) on all pairs."""
+    """Boundary conditions plus N(x ^ y) = min(N(x), N(y)) on all pairs.
+
+    Holds at once, exactly, when every cut {x : N(x) >= a} is the up-set of
+    its meet (Dubois & Prade 1988); else the pair scan decides within tol."""
     return _min_max_check(f, tol, want_min=True)
 
 
 def check_possibility(f, tol: float = DEFAULT_TOL) -> CheckResult:
-    """Boundary conditions plus P(x v y) = max(P(x), P(y)) on all pairs."""
+    """Boundary conditions plus P(x v y) = max(P(x), P(y)) on all pairs.
+
+    The dual of :func:`check_necessity`, on the cuts {x : P(x) <= a}."""
     return _min_max_check(f, tol, want_min=False)
 
 
@@ -119,8 +124,19 @@ def _min_max_check(f, tol, want_min):
     if bad is not None:
         return bad
     l = f.lattice
-    table, pick = (l._meet, min) if want_min else (l._join, max)
+    table, cuts, pick = (l._meet, l.poset._up, min) if want_min else (l._join, l.poset._down, max)
     fv = list(f.values.values())
+    order = sorted(range(len(fv)), key=fv.__getitem__, reverse=want_min)
+    seen, a, last = 0, order[0], fv[order[0]]
+    for i in order:  # seen is the cut of the values before fv[i], a its meet (join)
+        if fv[i] != last and seen != cuts[a]:
+            return _pair_scan(l, fv, tol, table, pick)
+        seen, a, last = seen | 1 << i, table[a][i], fv[i]
+    return CheckResult(True)
+
+
+def _pair_scan(l, fv, tol, table, pick):
+    """The first pair whose meet (join) value is off their min (max) by over tol."""
     for i, j in itertools.combinations(range(len(l)), 2):
         lhs, rhs = fv[table[i][j]], pick(fv[i], fv[j])
         if abs(lhs - rhs) > tol:

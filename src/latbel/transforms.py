@@ -135,12 +135,12 @@ def mass_from_comobius(q: SetFunction) -> SetFunction:
 
 def _solve(l: Lattice, side: str, totals: SetFunction) -> SetFunction:
     """The out with totals(x) = sum of out(y) over the down-set (up-set) of
-    x, by substitution along a linear extension of the order (of its dual):
-    sorting by member count puts every strict member of x before x."""
+    x, by substitution along the lattice's linear extension (reversed for
+    up-sets): out[x] depends only on x's strict members, which come first."""
     members = _members(l, side)
     given = list(totals.values.values())
     out = [0.0] * len(l)
     get = out.__getitem__
-    for x in sorted(range(len(l)), key=lambda i: len(members[i])):
+    for x in l._order if side == "down" else reversed(l._order):
         out[x] = given[x] - sum(map(get, members[x]))  # out[x] itself is still 0
     return SetFunction(l, dict(zip(l.elements, out)))

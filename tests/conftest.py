@@ -129,3 +129,28 @@ def random_capacity_on_chain(l, rng):
     values = [0.0] + inner + [1.0]
     ordered = sorted(l.elements, key=l.height)
     return lb.SetFunction(l, dict(zip(ordered, values)))
+
+
+def moore_lattice(rng, points=(2, 7), generators=(2, 8)):
+    """The lattice of a random Moore family: the intersection closure of
+    a few random subsets of a ground set of 2-7 points, plus the full set.
+    Every finite lattice arises this way, distributive or not.  Elements
+    are named by their members, e.g. "{0,3}", and declared in shuffled
+    order, so that input order need not be a linear extension."""
+    k = rng.randint(*points)
+    family = {(1 << k) - 1}
+    for _ in range(rng.randint(*generators)):
+        s = rng.getrandbits(k)
+        family |= {s & t for t in family} | {s}  # stays closed under intersection
+    name = {s: "{" + ",".join(str(i) for i in range(k) if s >> i & 1) + "}" for s in family}
+    covers = []
+    for b in family:
+        below = sorted((a for a in family if a & b == a != b), key=int.bit_count, reverse=True)
+        maximal = []
+        for a in below:  # larger sets first, so each is kept iff it lies in no kept one
+            if not any(a & c == a for c in maximal):
+                maximal.append(a)
+        covers += [(name[a], name[b]) for a in maximal]
+    names = list(name.values())
+    rng.shuffle(names)
+    return lb.lattice_from_poset(lb.build_poset(names, covers))

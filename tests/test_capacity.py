@@ -1,6 +1,7 @@
 """Capacity/belief recognition, k-monotonicity, valuations, conjugates."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -278,3 +279,19 @@ def test_report_belief_implies_capacity_on_random_inputs():
             f = lb.SetFunction(l, {x: rng.uniform(0, 1) for x in l.elements})
             if lb.check_belief(f):
                 assert lb.check_capacity(f)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9],
+                         ids=["nan", "inf", "-inf", "negative"])
+def test_checks_refuse_a_tolerance_that_is_not_finite_and_nonnegative(tol):
+    # against tol = nan every comparison passes, so f({1}) = 1.5 > f(top)
+    # would count as a capacity, belief, necessity and totally monotone
+    l = bool_lattice(2)
+    f = lb.SetFunction(l, {"{}": 0.0, "{1}": 1.5, "{2}": 0.0, "{1,2}": 1.0})
+    for check in (lb.check_capacity, lb.check_belief, lb.check_necessity,
+                  lb.check_possibility, lb.check_total_monotone, lb.capacity.max_k_monotone,
+                  lambda f, tol: lb.check_k_monotone(f, 2, tol),
+                  lambda f, tol: lb.check_k_valuation(f, 2, tol)):
+        with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+            check(f, tol)
+    assert not lb.check_capacity(f, 0.0)

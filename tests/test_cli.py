@@ -473,3 +473,25 @@ def test_tolerance_must_be_finite_and_nonnegative(b2, tmp_path, capsys, toleranc
     assert exc.value.code == 2
     assert "argument --tolerance: expected a finite number >= 0" in capsys.readouterr().err
     assert main(["bel", "check", "--lattice", b2, f, "--tolerance", "0"]) == 1
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_bel_check_max_k_says_when_the_meet_cap_stopped_it(tmp_path, capsys, json_flag):
+    b3 = lb.boolean_lattice(["1", "2", "3"])
+    lattice = write(tmp_path / "b3.json", {
+        "v": 1, "elements": list(b3.elements), "covers": [list(c) for c in b3.covers]})
+    # the additive f(x) = |x| / 3, a belief: 5026 meets decide it is total
+    f = write(tmp_path / "f.json", {"v": 1, "values": {
+        x: b3.height(x) / 3 for x in b3.elements}})
+    argv = ["bel", "check", "--lattice", lattice, f, "--max-k", *json_flag]
+    assert main([*argv, "--limit", "5026"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "total" in out
+    assert main([*argv, "--limit", "5025"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ("max_k_monotone: not decided, 5026 meet evaluations exceed the cap "
+                   "of 5025; raise it with --limit\n")
+    if json_flag:
+        assert json.loads(out)["max_k_monotone"] is None
+    else:
+        assert out.endswith("max_k_monotone: None\n")

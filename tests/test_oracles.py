@@ -9,9 +9,13 @@ negation search must agree with them exactly.  The function-layer oracles
 compute the transforms, decomposition and combination from the Moebius
 coefficients and name-keyed loops, the way the formulas read; the library's
 substitution solves and log-space computations must agree with them to
-1e-12 and give the same focal elements and weight keys.
+1e-12 and give the same focal elements and weight keys.  The capacity,
+necessity and possibility checks must give exactly the verdict, witness and
+detail of the all-pairs scans, kept here as they read before the checks
+learnt to decide without them.
 """
 
+import collections
 import itertools
 import math
 import random
@@ -24,7 +28,14 @@ from hypothesis import strategies as st
 import latbel as lb
 from latbel.errors import NotALattice, RedundantCovers
 
-from conftest import bool_lattice, chain_lattice, corpus, random_function, random_mass
+from conftest import (
+    bool_lattice,
+    chain_lattice,
+    corpus,
+    moore_lattice,
+    random_function,
+    random_mass,
+)
 
 
 class Oracle:
@@ -474,3 +485,136 @@ def test_inversions_round_trip_on_random_downset_lattices(l, data):
     again = lb.recombine(lb.decompose(lb.zeta_transform(mass)))
     for x in l.elements:
         assert again[x] == pytest.approx(mass[x], abs=1e-9)
+
+
+# -- capacity, necessity and possibility against the all-pairs scans ------------------
+
+def boundary_oracle(f, tol):
+    l = f.lattice
+    if abs(f[l.bottom]) > tol:
+        return lb.CheckResult(False, (l.bottom,), f"f(bottom) = {f[l.bottom]!r}, expected 0")
+    if abs(f[l.top] - 1.0) > tol:
+        return lb.CheckResult(False, (l.top,), f"f(top) = {f[l.top]!r}, expected 1")
+    return None
+
+
+def check_capacity_oracle(f, tol):
+    """Isotonicity on every comparable pair, in index order."""
+    bad = boundary_oracle(f, tol)
+    if bad is not None:
+        return bad
+    l = f.lattice
+    down = l.poset._down
+    fv = list(f.values.values())
+    for x, y in itertools.combinations(range(len(l)), 2):
+        lo, hi = (x, y) if down[y] >> x & 1 else (y, x) if down[x] >> y & 1 else (None, None)
+        if lo is not None and fv[lo] > fv[hi] + tol:
+            lo, hi = l.elements[lo], l.elements[hi]
+            return lb.CheckResult(False, (lo, hi), f"f({lo}) = {f[lo]!r} > f({hi}) = {f[hi]!r}")
+    return lb.CheckResult(True)
+
+
+def min_max_oracle(f, tol, want_min):
+    """f(x ^ y) = min (f(x v y) = max) on every pair, in index order."""
+    bad = boundary_oracle(f, tol)
+    if bad is not None:
+        return bad
+    l = f.lattice
+    table, pick = (l._meet, min) if want_min else (l._join, max)
+    fv = list(f.values.values())
+    for i, j in itertools.combinations(range(len(l)), 2):
+        lhs, rhs = fv[table[i][j]], pick(fv[i], fv[j])
+        if abs(lhs - rhs) > tol:
+            x, y = l.elements[i], l.elements[j]
+            op = pick.__name__
+            return lb.CheckResult(False, (x, y), f"{lhs!r} != {op}(f({x}), f({y})) = {rhs!r}")
+    return lb.CheckResult(True)
+
+
+def random_chain(l, rng):
+    """A random maximal chain, bottom first, by random upward covers."""
+    chain = [l.bottom]
+    while chain[-1] != l.top:
+        chain.append(rng.choice(l.poset.covered_by(chain[-1])))
+    return chain
+
+
+def chain_necessity(l, rng):
+    """The belief of a random mass on a random maximal chain: its value at
+    x sums the same chain prefix at every x above that prefix's end."""
+    return lb.zeta_transform(random_mass(l, rng, focal=random_chain(l, rng)[1:]))
+
+
+def normalized(l, values):
+    values[l.bottom], values[l.top] = 0.0, 1.0
+    return lb.SetFunction(l, values)
+
+
+def function_mix(l, rng):
+    """Random, isotone, tie-heavy, drifting and chain-supported functions, the
+    conjugates of the chain-supported ones, and near misses of each."""
+    u = {x: rng.random() for x in l.elements}
+    fs = [normalized(l, dict(u)),
+          normalized(l, {x: rng.choice((0.0, 0.5, 1.0)) for x in l.elements}),
+          normalized(l, {x: max(u[y] for y in l.poset.below(x)) for x in l.elements}),
+          lb.zeta_transform(random_mass(l, rng))]
+    fs.append(normalized(l, {x: round(2 * fs[-1][x]) / 2 for x in l.elements}))
+    # each cover within tol = 0.1 of isotone, a pair two covers apart not
+    fs.append(normalized(l, {x: -0.06 * l.height(x) for x in l.elements}))
+    nec = chain_necessity(l, rng)
+    dual = chain_necessity(lb.dual_lattice(l), rng)
+    fs += [nec, lb.SetFunction(l, {x: 1.0 - dual[x] for x in l.elements})]
+    negations = lb.find_negations(l, limit=1) if len(l) <= 16 else []
+    fs += [lb.conjugate(nec, n, "vee") for n in negations]
+    for f in list(fs):
+        fs.append(lb.SetFunction(l, {x: v + rng.choice((-1, 1)) * rng.uniform(1e-10, 2e-9)
+                                     if rng.random() < 0.3 else v for x, v in f.items()}))
+    return fs
+
+
+def assert_checks_match_the_scans(l, rng, tally):
+    for f in function_mix(l, rng):
+        for tol in (0.0, 1e-9, 0.1):
+            for name, got, want in (
+                    ("capacity", lb.check_capacity(f, tol), check_capacity_oracle(f, tol)),
+                    ("necessity", lb.check_necessity(f, tol), min_max_oracle(f, tol, True)),
+                    ("possibility", lb.check_possibility(f, tol), min_max_oracle(f, tol, False))):
+                assert got == want, (name, tol, dict(f.items()))
+                tally[name, want.ok] += 1
+
+
+def test_checks_match_the_scans_on_the_corpus():
+    rng, tally = random.Random(11), collections.Counter()
+    for _, l in LATTICES:
+        assert_checks_match_the_scans(l, rng, tally)
+    assert min(tally.values()) >= 100, tally
+
+
+def test_checks_match_the_scans_on_random_moore_families():
+    rng, tally = random.Random(12), collections.Counter()
+    for _ in range(150):
+        l = moore_lattice(rng)
+        if len(l) > 1:  # a one-element lattice carries no mass
+            assert_checks_match_the_scans(l, rng, tally)
+    assert min(tally.values()) >= 100, tally
+
+
+def test_passing_checks_never_reach_the_pair_scan(monkeypatch):
+    def scan(*args):
+        raise LookupError("pair scan reached")
+
+    monkeypatch.setattr(lb.capacity, "_isotone_scan", scan)
+    monkeypatch.setattr(lb.possibilistic, "_pair_scan", scan)
+    l, rng = bool_lattice(8), random.Random(13)
+    nec = chain_necessity(l, rng)
+    assert lb.check_capacity(lb.zeta_transform(random_mass(l, rng)))
+    assert lb.check_capacity(nec) and lb.check_necessity(nec)
+    assert lb.check_possibility(lb.conjugate(nec, lb.find_negations(l)[0], "vee"))
+    bumped = dict(nec.items())
+    x = next(x for x in l.elements if 0.0 < nec[x] < 1.0)
+    bumped[x] += 1e-12  # a necessity within tol, but no longer exactly
+    with pytest.raises(LookupError):
+        lb.check_necessity(lb.SetFunction(l, bumped))
+    bumped[x] = 2.0
+    with pytest.raises(LookupError):
+        lb.check_capacity(lb.SetFunction(l, bumped))

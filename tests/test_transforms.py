@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import latbel as lb
 
-from conftest import bool_lattice, chain_lattice, corpus, random_function
+from conftest import bool_lattice, chain_lattice, corpus, moore_lattice, random_function
 
 TOL = 1e-9
 
@@ -175,3 +175,31 @@ def test_set_function_refuses_non_finite_values(bad):
     l = bool_lattice(1)
     with pytest.raises(ValueError):
         lb.SetFunction(l, {"{}": 0.0, "{1}": bad})
+
+
+def random_linear_extension(l, rng):
+    """Element indices in a random order that lists every x before all y > x."""
+    down, placed, order = l.poset._down, 0, []
+    while len(order) < len(l):
+        ready = [i for i in range(len(l)) if not placed >> i & 1 and down[i] & ~placed == 1 << i]
+        order.append(rng.choice(ready))
+        placed |= 1 << order[-1]
+    return order
+
+
+def test_solves_are_equal_along_any_linear_extension():
+    """Each solved value depends only on the values of its strict members,
+    so the stored order gives the floats of any other linear extension."""
+    rng = random.Random(17)
+    lattices = [l for _, l in corpus()] + [moore_lattice(rng) for _ in range(40)]
+    for l in lattices:
+        pos = {i: k for k, i in enumerate(l._order)}
+        assert all(pos[l.poset.index_of(a)] < pos[l.poset.index_of(b)] for a, b in l.covers)
+        f = random_function(l, rng)
+        for side, solve in (("down", lb.mobius_transform), ("up", lb.mass_from_comobius)):
+            members = lb.transforms._members(l, side)
+            order = random_linear_extension(l, rng)
+            out, given = [0.0] * len(l), list(f.values.values())
+            for x in order if side == "down" else reversed(order):
+                out[x] = given[x] - sum(out[y] for y in members[x])
+            assert list(solve(f).values.values()) == out

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .capacity import DEFAULT_TOL, _belief_mass
+from .capacity import DEFAULT_TOL, _belief_mass, _require_tol
 from .errors import (
     FocusIsBottom,
     LatticeMismatch,
@@ -36,6 +36,7 @@ class MassAllocation(SetFunction):
 
     def __init__(self, lattice, values, *, check: bool = True, tol: float = DEFAULT_TOL):
         super().__init__(lattice, values)
+        _require_tol(tol)
         if check:
             total = sum(self.values.values())
             if abs(total - 1.0) > tol:
@@ -45,9 +46,11 @@ class MassAllocation(SetFunction):
 
     def focal_elements(self, tol: float = DEFAULT_TOL) -> tuple[str, ...]:
         """Elements carrying mass beyond the tolerance, in input order."""
+        _require_tol(tol)
         return tuple(x for x, v in self.values.items() if abs(v) > tol)
 
     def is_nonnegative(self, tol: float = DEFAULT_TOL) -> bool:
+        _require_tol(tol)
         return all(v >= -tol for v in self.values.values())
 
 
@@ -92,6 +95,7 @@ def combine(
     """
     if policy not in COMBINE_POLICIES:
         raise ValueError(f"unknown policy {policy!r}, expected one of {COMBINE_POLICIES}")
+    _require_tol(tol)
     if m1.lattice is not m2.lattice:
         raise LatticeMismatch("mass allocations live on different lattices")
     l = m1.lattice

@@ -9,6 +9,10 @@ Internally an element is its input index and a set of elements is a Python
 int used as a bitset, bit i standing for element i (the encoding of
 Ait-Kaci, Boyer, Lincoln & Nasr, "Efficient implementation of lattice
 operations", TOPLAS 1989).  Element names appear only at the API edge.
+The join and meet tables are filled column by column along a linear
+extension, composing the columns of each element's covers; only a poset
+found not to be a lattice is scanned pair by pair, to name its first pair
+without a join or a meet.
 
 Poset and Lattice are immutable once built, except that ``Lattice._cache``
 is filled lazily with derived results such as the structural profile and
@@ -22,6 +26,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, fields
+from operator import itemgetter
 
 from .errors import (
     CycleDetected,
@@ -218,8 +223,10 @@ def build_poset(elements, covers, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -
 class Lattice:
     """A finite lattice: a poset whose binary join and meet are total.
 
-    Raises :class:`NotALattice` naming the first offending pair otherwise.
-    ``_join``/``_meet`` are the operations' index tables, ``_order`` a linear extension.
+    Raises :class:`NotALattice` otherwise, naming the first pair in input
+    order without a join or a meet.  ``_join``/``_meet`` are the operations'
+    index tables, filled along the linear extension ``_order`` by
+    :func:`_columns`; the pair scan runs only to name the failing pair.
     """
 
     __slots__ = ("poset", "bottom", "top", "joinirr", "meetirr", "heights",
@@ -231,38 +238,21 @@ class Lattice:
         names = poset.elements
         up, down = poset._up, poset._down
 
-        # The join of i and j is the element whose up-set is up[i] & up[j];
-        # if no element has that up-set, the pair has no least upper bound.
-        by_up = {u: i for i, u in enumerate(up)}
-        by_down = {d: i for i, d in enumerate(down)}
-        join_t = [[0] * n for _ in range(n)]
-        meet_t = [[0] * n for _ in range(n)]
-        for i in range(n):
-            up_i, down_i = up[i], down[i]
-            join_i, meet_i = join_t[i], meet_t[i]
-            join_i[i] = meet_i[i] = i
-            for j in range(i + 1, n):
-                ub = up_i & up[j]
-                least = by_up.get(ub)
-                if least is None:
-                    reason = "no-least-upper-bound" if ub else "no-upper-bound"
-                    raise NotALattice(names[i], names[j], reason)
-                lb = down_i & down[j]
-                greatest = by_down.get(lb)
-                if greatest is None:
-                    reason = "no-greatest-lower-bound" if lb else "no-lower-bound"
-                    raise NotALattice(names[i], names[j], reason)
-                join_i[j] = join_t[j][i] = least
-                meet_i[j] = meet_t[j][i] = greatest
+        # With a unique minimal element, a join pass without a miss shows that
+        # every pair has a join, so P is a lattice and the meet pass cannot miss.
+        self._order = order = sorted(range(n), key=lambda i: down[i].bit_count())
+        one_minimal = sum(not c for c in poset._cov_down) == 1
+        join_t = _columns(order, poset._cov_down, up) if one_minimal else None
+        if join_t is None:
+            raise _first_failing_pair(poset)
         self._join = join_t
-        self._meet = meet_t
+        self._meet = _columns(order[::-1], poset._cov_up, down)
 
         self.bottom = poset.minimal_elements()[0]
         self.top = poset.maximal_elements()[0]
         self.joinirr = tuple(x for i, x in enumerate(names) if len(poset._cov_down[i]) == 1)
         self.meetirr = tuple(x for i, x in enumerate(names) if len(poset._cov_up[i]) == 1)
 
-        self._order = order = sorted(range(n), key=lambda i: down[i].bit_count())
         h = [0] * n
         for i in order:
             h[i] = 1 + max((h[p] for p in poset._cov_down[i]), default=-1)
@@ -316,6 +306,51 @@ class Lattice:
     def coheight(self, x: str) -> int:
         """Length of a longest chain from x up to the top."""
         return self._coh[self.poset.index_of(x)]
+
+
+def _columns(order, lower, up):
+    """The join table, filled column by column along the linear extension
+    ``order`` from the lower covers ``lower[y]`` of each y; None as soon as
+    a pair is found to have no join.  Column y is row y: x v y = step[x v c]
+    for a lower cover c of y.  With a second lower cover c2, step is column
+    c2.  Otherwise step is the identity but for each z >= c not above y,
+    sent to z v y: the element whose up-set is up[z] & up[y].  Run on the
+    reversed order with upper covers and down-sets, it fills the meet table.
+    """
+    by_up = {u: i for i, u in enumerate(up)}
+    identity = list(range(len(up)))
+    cols = [None] * len(up)
+    for y in order:
+        below = lower[y]
+        if not below:
+            cols[y] = identity
+            continue
+        if len(below) > 1:
+            step = cols[below[1]]
+        else:
+            up_y, step = up[y], identity.copy()
+            for z in _indices(up[below[0]] & ~up_y):
+                step[z] = by_up.get(up[z] & up_y)
+                if step[z] is None:
+                    return None
+        cols[y] = list(itemgetter(*cols[below[0]])(step))
+    return cols
+
+
+def _first_failing_pair(poset: Poset) -> NotALattice:
+    """The error naming the first pair in input order without a join or a
+    meet; run only once the poset is known not to be a lattice."""
+    names, up, down = poset.elements, poset._up, poset._down
+    ups, downs = set(up), set(down)
+    for i, j in itertools.combinations(range(len(names)), 2):
+        ub = up[i] & up[j]
+        if ub not in ups:
+            return NotALattice(names[i], names[j],
+                               "no-least-upper-bound" if ub else "no-upper-bound")
+        lb = down[i] & down[j]
+        if lb not in downs:
+            return NotALattice(names[i], names[j],
+                               "no-greatest-lower-bound" if lb else "no-lower-bound")
 
 
 def lattice_from_poset(p: Poset) -> Lattice:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .capacity import DEFAULT_TOL, CheckResult, _boundary
+from .capacity import DEFAULT_TOL, CheckResult, _boundary, _require_tol
 from .errors import (
     InvalidDistribution,
     InvalidNegation,
@@ -66,6 +66,7 @@ class NecessityDistribution:
 
 
 def _checked_distribution(lattice, values, domain, label, tol):
+    _require_tol(tol)
     values = dict(values)
     missing = [x for x in domain if x not in values]
     if missing:

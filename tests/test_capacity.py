@@ -295,3 +295,25 @@ def test_checks_refuse_a_tolerance_that_is_not_finite_and_nonnegative(tol):
         with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
             check(f, tol)
     assert not lb.check_capacity(f, 0.0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9],
+                         ids=["nan", "inf", "-inf", "negative"])
+def test_constructors_refuse_a_tolerance_that_is_not_finite_and_nonnegative(tol):
+    # against tol = nan a mass totalling 2.3 passes, and pi values inside
+    # [0, 1] fail "outside [0, 1]"
+    l = bool_lattice(2)
+    mass = {"{}": 0.0, "{1}": 1.0, "{2}": 1.0, "{1,2}": 0.3}
+    m = lb.MassAllocation(l, {"{}": 0.0, "{1}": 0.5, "{2}": 0.0, "{1,2}": 0.5})
+    pi = {"{1}": 0.5, "{2}": 1.0}
+    neg = lb.find_negations(l)[0]
+    for call in (lambda: lb.MassAllocation(l, mass, tol=tol),
+                 lambda: lb.combine(m, m, "normalize", tol=tol),
+                 lambda: m.focal_elements(tol),
+                 lambda: m.is_nonnegative(tol),
+                 lambda: lb.PossibilityDistribution(l, pi, tol=tol),
+                 lambda: lb.NecessityDistribution(l, {"{1}": 0.0, "{2}": 0.5}, tol=tol),
+                 lambda: lb.reconstruct_chain(l, neg, pi, tol=tol)):
+        with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+            call()
+    assert lb.reconstruct_chain(l, neg, pi).chain == ("{1}", "{1,2}")

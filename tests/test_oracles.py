@@ -354,20 +354,64 @@ def test_negation_search_matches_the_oracle(name, l):
     assert [n.map for n in lb.find_negations(l, limit=limit)] == want
 
 
+def with_bounds(p, rng, bottom=True, top=True):
+    """p with a new least and/or greatest element, in shuffled input order."""
+    names, covers = list(p.elements), list(p.covers)
+    if bottom:
+        names.append("⊥")
+        covers += [("⊥", x) for x in p.minimal_elements()]
+    if top:
+        names.append("⊤")
+        covers += [(x, "⊤") for x in p.maximal_elements()]
+    rng.shuffle(names)
+    return lb.build_poset(names, covers)
+
+
 def test_non_lattices_fail_on_the_oracle_pair():
+    # Several minimal elements send the poset straight to the pair scan; with
+    # one, the column fill itself must miss before the scan names the pair.
     rng = random.Random(7)
-    failures = 0
-    for _ in range(60):
-        p = random_poset(rng, rng.randint(2, 7), 0.4)
-        want = Oracle(p.elements, p.covers).first_failure()
-        if want is None:
-            lb.lattice_from_poset(p)
-            continue
-        failures += 1
-        with pytest.raises(NotALattice) as exc:
-            lb.lattice_from_poset(p)
-        assert (*exc.value.pair, exc.value.reason) == want
-    assert failures >= 20
+    failures = collections.Counter()
+    for _ in range(150):
+        p = random_poset(rng, rng.randint(2, 9), 0.4)
+        for bottom, top in itertools.product((False, True), repeat=2):
+            q = with_bounds(p, rng, bottom, top)
+            want = Oracle(q.elements, q.covers).first_failure()
+            if want is None:
+                lb.lattice_from_poset(q)
+                continue
+            failures[bottom, top] += 1
+            with pytest.raises(NotALattice) as exc:
+                lb.lattice_from_poset(q)
+            assert (*exc.value.pair, exc.value.reason) == want
+    assert min(failures.values()) >= 25, failures
+
+
+def test_lattices_never_reach_the_pair_scan(monkeypatch):
+    def scan(poset):
+        raise LookupError("pair scan reached")
+
+    monkeypatch.setattr(lb.lattice, "_first_failing_pair", scan)
+    rng = random.Random(14)
+    for l in [l for _, l in LATTICES] + [moore_lattice(rng) for _ in range(100)]:
+        for q in (l.poset, l.poset.dual()):
+            lb.lattice_from_poset(q)
+    bowtie = lb.build_poset(list("abcd"), [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
+    with pytest.raises(LookupError):  # a bounded non-lattice reaches it after a fill miss
+        lb.lattice_from_poset(with_bounds(bowtie, rng))
+
+
+@settings(max_examples=150, deadline=None)
+@given(l=st.randoms().map(moore_lattice), dual=st.booleans())
+def test_tables_match_the_oracle_on_random_moore_families(l, dual):
+    if dual:
+        l = lb.dual_lattice(l)
+    o = oracle_of(l)
+    names = l.elements
+    assert [[names[k] for k in row] for row in l._join] == [
+        [o.join(x, y) for y in names] for x in names]
+    assert [[names[k] for k in row] for row in l._meet] == [
+        [o.meet(x, y) for y in names] for x in names]
 
 
 # -- the function layers against the Moebius coefficients ----------------------------

@@ -263,17 +263,16 @@ def _cmd_birkhoff(args, limits) -> int:
 
 def _cmd_mobius(args, limits) -> int:
     l = _lattice(args, limits)
-    mat = transforms.mobius_function(l)
+    rows = transforms.mobius_function(l)._rows
+    names = l.elements
+    mu = {x: {names[j]: row.get(j, 0) for j in lat._indices(up)}
+          for x, row, up in zip(names, rows, l.poset._up)}
     if args.json:
-        doc = {"v": 1, "mu": {}}
-        for x in l.elements:
-            doc["mu"][x] = {y: mat.mu(x, y) for y in l.elements if l.leq(x, y)}
-        _emit(doc)
+        _emit({"v": 1, "mu": mu})
     else:
-        for x in l.elements:
-            for y in l.elements:
-                if l.leq(x, y):
-                    print(f"mu({x}, {y}) = {mat.mu(x, y)}")
+        for x, row in mu.items():
+            for y, v in row.items():
+                print(f"mu({x}, {y}) = {v}")
     return 0
 
 

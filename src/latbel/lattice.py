@@ -73,7 +73,7 @@ class Poset:
             )
         index: dict[str, int] = {}
         for name in names:
-            if not isinstance(name, str) or not name or any(ch.isspace() for ch in name):
+            if not isinstance(name, str) or name.split() != [name]:  # empty or spaced
                 raise InvalidElementName(f"bad element name: {name!r}")
             if name in index:
                 raise DuplicateElement(name)
@@ -658,15 +658,13 @@ def downset_lattice(p: Poset, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Do
     n = len(p)
     strict = [d ^ (1 << i) for i, d in enumerate(p._down)]
 
-    def addable(d):
-        """Elements outside the downset d whose strict lower set lies inside."""
-        return [i for i in range(n) if not d >> i & 1 and strict[i] & d == strict[i]]
-
     seen = {0}
     frontier = [0]
+    grow = {}  # per downset, the elements outside it whose strict lower set lies inside
     while frontier:
         d = frontier.pop()
-        for i in addable(d):
+        grow[d] = [i for i in range(n) if not d >> i & 1 and strict[i] & d == strict[i]]
+        for i in grow[d]:
             nd = d | 1 << i
             if nd not in seen:
                 seen.add(nd)
@@ -681,7 +679,7 @@ def downset_lattice(p: Poset, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Do
     downsets = sorted(seen, key=lambda d: (len(members[d]), members[d]))
     name = {d: "{" + ",".join(p.elements[i] for i in members[d]) + "}" for d in downsets}
     names = [name[d] for d in downsets]
-    covers = [(name[d], name[d | 1 << i]) for d in downsets for i in addable(d)]
+    covers = [(name[d], name[d | 1 << i]) for d in downsets for i in grow[d]]
     lat = Lattice(Poset(names, covers, max_elements=max_elements))
     back = {name[d]: frozenset(p.elements[i] for i in members[d]) for d in downsets}
     principal = {x: name[p._down[i]] for i, x in enumerate(p.elements)}

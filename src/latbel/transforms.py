@@ -8,7 +8,8 @@ linear extension (upward for Moebius, downward for co-Moebius): each m(x) is
 its total minus the values already found strictly below (above) x, so they
 need neither the Moebius coefficients nor any matrix.  The coefficients
 mu(x, y) themselves, exact integers, are computed on demand by
-``mobius_function``.  All other arithmetic is double precision.
+``mobius_function``, each row x by Rota's crosscut theorem over the upper
+covers of x (Rota 1964).  All other arithmetic is double precision.
 """
 
 from __future__ import annotations
@@ -58,11 +59,14 @@ class SetFunction:
 class MobiusMatrix:
     """The two-variable Moebius function mu(x, y) of a lattice, for x <= y.
 
-    mu(x, x) = 1 and, for x < y, the values on the half-open interval
-    [x, y) sum to -mu(x, y); pairs with x not below y give 0.  Only nonzero
+    By Rota's crosscut theorem (Rota 1964, "On the foundations of
+    combinatorial theory I"), mu(x, y) is the sum of (-1)^|S| over the sets S
+    of upper covers of x with x v (join of S) = y.  Row x starts as {x: 1}
+    and each upper cover a subtracts the row's push-forward under t -> t v a,
+    so the work follows the nonzeros met, not the up-set of x.  Only nonzero
     values are stored: ``_rows[x]`` maps y to mu(x, y) in ascending index
-    order.  It keeps the poset, not the lattice, so caching it on the
-    lattice makes no reference cycle.
+    order.  It keeps the poset, not the lattice, so caching it on the lattice
+    makes no reference cycle.
     """
 
     __slots__ = ("poset", "_rows")
@@ -70,24 +74,20 @@ class MobiusMatrix:
     def __init__(self, lattice: Lattice):
         p = lattice.poset
         self.poset = p
-        down = p._down
-        size = [d.bit_count() for d in down]
+        join = lattice._join
         rows = []
-        for x in range(len(p)):
-            above = sorted(_indices(p._up[x]), key=size.__getitem__)  # a linear extension
-            # The t already done with mu(x, t) = v, as one bitset per value v;
-            # mu(x, y) is minus the sum over those t inside down[y].
-            done = {1: 1 << x}
-            row = [(x, 1)]
-            for y in above[1:]:
-                below = down[y]
-                c = 0
-                for v, mask in done.items():
-                    c -= v * (mask & below).bit_count()
-                if c:
-                    done[c] = done.get(c, 0) | 1 << y
-                    row.append((y, c))
-            rows.append(dict(sorted(row)))
+        for x, covers in enumerate(p._cov_up):
+            d = {x: 1}
+            for a in covers:
+                join_a = join[a]
+                for t, v in list(d.items()):
+                    y = join_a[t]
+                    c = d.get(y, 0) - v
+                    if c:
+                        d[y] = c
+                    else:
+                        del d[y]
+            rows.append(dict(sorted(d.items())))
         self._rows = rows
 
     def mu(self, x: str, y: str) -> int:

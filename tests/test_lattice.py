@@ -419,6 +419,20 @@ def test_cover_endpoint_must_be_a_name():
         lb.build_poset(["a", "b"], [(0, "b")])
 
 
+@pytest.mark.parametrize("space", [" ", "\t", "\x1c", "\x85", "\u2003", "\u3000"])
+def test_element_names_with_whitespace_are_refused(space):
+    for name in (space + "a", "a" + space + "b", "a" + space, space):
+        with pytest.raises(InvalidElementName) as exc:
+            lb.build_poset([name], [])
+        assert str(exc.value) == f"bad element name: {name!r}"
+
+
+def test_empty_element_name_is_refused():
+    with pytest.raises(InvalidElementName) as exc:
+        lb.build_poset(["a", ""], [])
+    assert str(exc.value) == "bad element name: ''"
+
+
 def test_lattice_is_freed_by_reference_counting():
     """No reference cycle keeps a lattice alive once its caches are filled."""
     class Probe:

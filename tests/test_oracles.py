@@ -339,6 +339,25 @@ def test_profile_matches_the_oracle(name, l):
     assert lb.lattice.is_upper_locally_distributive(l) == flags["is_upper_locally_distributive"]
 
 
+@pytest.mark.parametrize("l,want", [
+    (diamond_lattice(3), 2), (diamond_lattice(8), 7), (diamond_lattice(16), 15),
+    (partition_lattice(5), 24),  # (-1)^(n-1) (n-1)!
+], ids=["M3", "M8", "M16", "Pi5"])
+def test_mobius_from_bottom_to_top_in_closed_form(l, want):
+    assert lb.mobius_function(l).mu(l.bottom, l.top) == want
+
+
+@pytest.mark.parametrize("length", [0, 1, 15, 127])
+@pytest.mark.parametrize("dual", [False, True])
+def test_mobius_of_a_chain_lives_on_the_diagonal_and_the_covers(length, dual):
+    l = chain_lattice(length)
+    if dual:
+        l = lb.dual_lattice(l)
+    rows = lb.mobius_function(l)._rows
+    assert [list(row.items()) for row in rows] == [
+        sorted([(x, 1)] + [(y, -1) for y in up]) for x, up in enumerate(l.poset._cov_up)]
+
+
 @pytest.mark.parametrize("name,l", LATTICES, ids=IDS)
 def test_mobius_matches_the_full_row_recursion(name, l):
     mu = mobius_oracle(oracle_of(l))
@@ -412,6 +431,19 @@ def test_tables_match_the_oracle_on_random_moore_families(l, dual):
         [o.join(x, y) for y in names] for x in names]
     assert [[names[k] for k in row] for row in l._meet] == [
         [o.meet(x, y) for y in names] for x in names]
+
+
+@settings(max_examples=150, deadline=None)
+@given(l=st.randoms().map(moore_lattice), dual=st.booleans())
+def test_mobius_matches_the_oracle_on_random_moore_families(l, dual):
+    if dual:
+        l = lb.dual_lattice(l)
+    names = l.elements
+    rows = lb.mobius_function(l)._rows
+    assert {(names[x], names[y]): v for x, row in enumerate(rows) for y, v in row.items()} == {
+        pair: v for pair, v in mobius_oracle(oracle_of(l)).items() if v}
+    for row in rows:
+        assert list(row) == sorted(row) and all(row.values())
 
 
 # -- the function layers against the Moebius coefficients ----------------------------

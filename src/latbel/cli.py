@@ -54,7 +54,7 @@ def main(argv=None) -> int:
         limits = io.Limits.from_env()
         limits.tolerance = args.tolerance
         if args.limit is not None:
-            limits.max_chains = limits.max_meets = args.limit
+            limits.max_chains = limits.max_families = args.limit
         return args.handler(args, limits)
     except _PROPERTY_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tolerance", type=_tolerance, default=capacity.DEFAULT_TOL,
                         metavar="EPS")
     common.add_argument("--limit", type=int, default=None, metavar="N",
-                        help="override the caps on maximal chains and k-family meet evaluations")
+                        help="override the caps on maximal chains and k-families built")
 
     parser = argparse.ArgumentParser(prog="latbel",
                                      description="belief-function calculus on finite lattices")
@@ -330,7 +330,7 @@ def _cmd_bel_check(args, limits) -> int:
     bel = capacity.check_belief(f, tol)
     nec = possibilistic.check_necessity(f, tol)
     try:
-        max_k = capacity._max_k(f, tol, limits.max_meets) if args.max_k else None
+        max_k = capacity._max_k(f, tol, limits.max_families) if args.max_k else None
     except SizeLimitExceeded as exc:
         max_k = None
         print(f"max_k_monotone: not decided, {exc}", file=sys.stderr)
@@ -352,15 +352,15 @@ def _cmd_bel_check(args, limits) -> int:
 def _cmd_bel_kmono(args, limits) -> int:
     f = _function(args, limits)
     if args.k == "total":
-        res = capacity.check_total_monotone(f, limits.tolerance, limits.max_meets)
+        res = capacity.check_total_monotone(f, limits.tolerance, limits.max_families)
         return _report(args, "totally-monotone", res)
-    res = capacity.check_k_monotone(f, int(args.k), limits.tolerance, limits.max_meets)
+    res = capacity.check_k_monotone(f, int(args.k), limits.tolerance, limits.max_families)
     return _report(args, f"{args.k}-monotone", res)
 
 
 def _cmd_bel_valuation(args, limits) -> int:
     res = capacity.check_k_valuation(_function(args, limits), args.k, limits.tolerance,
-                                     limits.max_meets)
+                                     limits.max_families)
     return _report(args, f"{args.k}-valuation", res)
 
 

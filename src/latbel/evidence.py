@@ -62,11 +62,10 @@ class SupportWeights:
     __slots__ = ("lattice", "weights")
 
     def __init__(self, lattice: Lattice, weights):
-        weights = dict(weights)
-        for y in weights:
-            lattice.poset.index_of(y)
+        weights = dict(weights)  # checked as a function: known elements, finite numbers
+        full = SetFunction(lattice, {**dict.fromkeys(lattice.elements, 1.0), **weights})
         self.lattice = lattice
-        self.weights = {y: float(weights[y]) for y in lattice.elements if y in weights}
+        self.weights = {y: full[y] for y in lattice.elements if y in weights}
 
     def __getitem__(self, y: str) -> float:
         return self.weights.get(y, 1.0)

@@ -21,7 +21,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from .capacity import DEFAULT_MAX_MEETS, DEFAULT_TOL
+from .capacity import DEFAULT_MAX_FAMILIES, DEFAULT_TOL
 from .duality import Negation, negation_from_map
 from .errors import FormatError
 from .evidence import MassAllocation, SupportWeights
@@ -43,7 +43,7 @@ class Limits:
 
     max_elements: int = DEFAULT_MAX_ELEMENTS
     max_chains: int = DEFAULT_MAX_CHAINS
-    max_meets: int = DEFAULT_MAX_MEETS
+    max_families: int = DEFAULT_MAX_FAMILIES
     tolerance: float = DEFAULT_TOL
 
     @classmethod
@@ -73,7 +73,7 @@ def _load_document(path) -> dict:
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: expected a JSON object at top level")
     v = doc.get("v", FORMAT_VERSION)
-    if v != FORMAT_VERSION:
+    if type(v) is not int or v != FORMAT_VERSION:  # not True or 1.0
         raise FormatError(f"{path}: unsupported format version {v!r}")
     return doc
 

@@ -183,17 +183,33 @@ def test_k_monotone_fails_at_the_smallest_failing_size():
     assert not lb.check_k_valuation(f, 4)
 
 
+def signed_additive_b4():
+    """The additive function of B4 with mass -0.5 on {1} and 0.5 on {2}, {3}
+    and {4}.  Its negative mass sits on a join-irreducible, which lies under
+    a member of every family whose join is above it, so every family passes
+    but only after the sweep has built every antichain."""
+    l = bool_lattice(4)
+    return lb.SetFunction(l, {x: sum(-0.5 if a == "1" else 0.5 for a in x[1:-1].split(",") if a)
+                              for x in l.elements})
+
+
 def test_k_family_checks_refuse_work_over_the_meet_cap():
-    # B3 has C(8,2)*3 = 84 pair meets and C(8,3)*7 = 392 triple meets
-    f = normalized_height(bool_lattice(3))
-    assert lb.check_k_monotone(f, 2, max_meets=84)
+    # a size-k sweep builds the 16 singletons and the antichains of 2 to k
+    # members (55 pairs, 64 triples) anew: 71 families for k = 2, 71 + 135
+    # for k = 3
+    f = signed_additive_b4()
+    assert lb.check_k_monotone(f, 2, max_families=71)
     for check in (lb.check_k_monotone, lb.check_k_valuation):
-        with pytest.raises(SizeLimitExceeded, match="476 meet evaluations exceed the cap of 475"):
-            check(f, 3, TOL, 475)
-    with pytest.raises(SizeLimitExceeded, match="5026 meet evaluations"):
-        lb.check_total_monotone(f, max_meets=5025)
-    assert lb.capacity.max_k_monotone(f, TOL, 5025) is None
-    assert lb.capacity.max_k_monotone(f, TOL, 5026) == "total"
+        with pytest.raises(SizeLimitExceeded,
+                           match="206 families exceed the cap of 205; raise it with --limit"):
+            check(f, 3, TOL, 205)
+        assert check(f, 3, TOL, 206)
+    with pytest.raises(SizeLimitExceeded, match="866 families"):
+        lb.check_total_monotone(f, max_families=865)
+    assert lb.capacity.max_k_monotone(f, TOL, 865) is None
+    assert lb.capacity.max_k_monotone(f, TOL, 866) == "total"
+    # without negative mass nothing is built
+    assert lb.capacity.max_k_monotone(normalized_height(bool_lattice(3)), TOL, 0) == "total"
 
 
 def test_total_monotone_for_zeta_of_masses():
@@ -205,10 +221,8 @@ def test_total_monotone_for_zeta_of_masses():
 
 
 def test_total_monotone_family_cap():
-    l = bool_lattice(3)
-    f = normalized_height(l)
     with pytest.raises(SizeLimitExceeded):
-        lb.check_total_monotone(f, max_meets=10)
+        lb.check_total_monotone(signed_additive_b4(), max_families=10)
 
 
 # -- conjugation -------------------------------------------------------------------

@@ -264,26 +264,42 @@ def test_bel_check_max_k_stops_at_the_first_failing_size(tmp_path, capsys):
     assert "max_k_monotone: 1" in capsys.readouterr().out
 
 
+def signed_additive_bundle(tmp_path, k):
+    """B_k and its additive function with mass -0.5 on {1}, the rest of a
+    total mass of 1 spread evenly over the other atoms: no family fails, but
+    the negative mass makes the sweep build every antichain."""
+    l = lb.boolean_lattice([str(i + 1) for i in range(k)])
+    lattice = write(tmp_path / f"b{k}.json", {
+        "v": 1, "elements": list(l.elements), "covers": [list(c) for c in l.covers]})
+    mass = {"1": -0.5, **{str(i + 1): 1.5 / (k - 1) for i in range(1, k)}}
+    f = write(tmp_path / "f.json", {"v": 1, "values": {
+        x: sum(mass[a] for a in x[1:-1].split(",") if a) for x in l.elements}})
+    return lattice, f
+
+
 @pytest.mark.parametrize("k", ["9", "total"])
 def test_bel_kmono_refuses_work_over_the_meet_cap(diamond_bundle, tmp_path, capsys, k):
+    # constant 1 has all its Moebius mass at bottom, which lies under every
+    # member: every family passes without being built
     lattice, _, _ = diamond_bundle
     elements = chain_diamond().lattice.elements
     f = write(tmp_path / "f.json", {"v": 1, "values": {x: 1 for x in elements}})
     start = time.perf_counter()
-    assert main(["bel", "kmono", k, "--lattice", lattice, f]) == 2
+    assert main(["bel", "kmono", k, "--lattice", lattice, f]) == 0
     assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out.endswith(": holds\n") and err == ""
+
+
+def test_bel_kmono_and_valuation_honour_limit(tmp_path, capsys):
+    lattice, f = signed_additive_bundle(tmp_path, 4)
+    assert main(["bel", "kmono", "3", "--lattice", lattice, f, "--limit", "205"]) == 2
+    assert main(["bel", "valuation", "2", "--lattice", lattice, f, "--limit", "70"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("SizeLimitExceeded")
-    assert "meet evaluations" in err and "--limit" in err
-
-
-def test_bel_kmono_and_valuation_honour_limit(b2, tmp_path, capsys):
-    prob = write(tmp_path / "p.json",
-                 {"v": 1, "values": {"{}": 0, "{1}": 0.4, "{2}": 0.6, "{1,2}": 1}})
-    assert main(["bel", "kmono", "3", "--lattice", b2, prob, "--limit", "5"]) == 2
-    assert main(["bel", "valuation", "2", "--lattice", b2, prob, "--limit", "5"]) == 2
-    assert capsys.readouterr().err.count("SizeLimitExceeded") == 2
-    assert main(["bel", "kmono", "3", "--lattice", b2, prob, "--limit", "18"]) == 0
+    assert err.count("SizeLimitExceeded") == 2
+    assert "206 families exceed the cap of 205; raise it with --limit" in err
+    assert main(["bel", "kmono", "3", "--lattice", lattice, f, "--limit", "206"]) == 0
+    assert main(["bel", "valuation", "2", "--lattice", lattice, f, "--limit", "71"]) == 0
 
 
 def test_bel_combine_against_commonality_product(b2, tmp_path, capsys):
@@ -427,6 +443,22 @@ def test_bel_check_refuses_malformed_numbers(b2, tmp_path, capsys, literal):
     assert err.startswith("FormatError") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("version", ["true", "1.0", "\"1\"", "2"])
+def test_files_refuse_any_version_but_the_integer_one(b2, tmp_path, capsys, version):
+    # True == 1 == 1.0 in Python, so an equality test alone lets these through
+    lattice = tmp_path / "lat.json"
+    lattice.write_text(open(b2, encoding="utf-8").read().replace('"v": 1', '"v": ' + version),
+                       encoding="utf-8")
+    f = tmp_path / "f.json"
+    f.write_text('{"v": %s, "values": %s}' % (version, B2_BEL % 1), encoding="utf-8")
+    for argv in (["check", str(lattice)], ["bel", "check", "--lattice", b2, str(f)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("FormatError")
+        assert f"unsupported format version {json.loads(version)!r}" in err
+    assert main(["check", b2]) == 0
+
+
 @pytest.mark.parametrize("literal", ["null", "NaN", "1e400"])
 def test_bel_reconstruct_refuses_malformed_pi(b2, tmp_path, capsys, literal):
     path = tmp_path / "pi.json"
@@ -477,20 +509,16 @@ def test_tolerance_must_be_finite_and_nonnegative(b2, tmp_path, capsys, toleranc
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
 def test_bel_check_max_k_says_when_the_meet_cap_stopped_it(tmp_path, capsys, json_flag):
-    b3 = lb.boolean_lattice(["1", "2", "3"])
-    lattice = write(tmp_path / "b3.json", {
-        "v": 1, "elements": list(b3.elements), "covers": [list(c) for c in b3.covers]})
-    # the additive f(x) = |x| / 3, a belief: 5026 meets decide it is total
-    f = write(tmp_path / "f.json", {"v": 1, "values": {
-        x: b3.height(x) / 3 for x in b3.elements}})
+    # not a belief (exit 1), but totally monotone: 55 families decide it
+    lattice, f = signed_additive_bundle(tmp_path, 3)
     argv = ["bel", "check", "--lattice", lattice, f, "--max-k", *json_flag]
-    assert main([*argv, "--limit", "5026"]) == 0
+    assert main([*argv, "--limit", "55"]) == 1
     out, err = capsys.readouterr()
     assert err == "" and "total" in out
-    assert main([*argv, "--limit", "5025"]) == 0
+    assert main([*argv, "--limit", "54"]) == 1
     out, err = capsys.readouterr()
-    assert err == ("max_k_monotone: not decided, 5026 meet evaluations exceed the cap "
-                   "of 5025; raise it with --limit\n")
+    assert err == ("max_k_monotone: not decided, 55 families exceed the cap "
+                   "of 54; raise it with --limit\n")
     if json_flag:
         assert json.loads(out)["max_k_monotone"] is None
     else:

@@ -1,6 +1,7 @@
 """Dempster combination, simple supports, decomposition and recombination."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -266,6 +267,16 @@ def test_recombine_rejects_nonpositive_weights():
     l = bool_lattice(2)
     with pytest.raises(NonPositiveWeight):
         lb.recombine(lb.SupportWeights(l, {"{1}": 0.0}))
+
+
+@pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
+def test_support_weights_refuse_non_finite_weights(w):
+    l = bool_lattice(2)
+    with pytest.raises(ValueError, match="not finite"):
+        lb.SupportWeights(l, {"{1}": 0.5, "{2}": w})
+    with pytest.raises(lb.errors.UnknownElement):
+        lb.SupportWeights(l, {"{3}": w})
+    assert lb.SupportWeights(l, {"{2}": 0.5, "{1}": 2}).weights == {"{1}": 2.0, "{2}": 0.5}
 
 
 def test_combine_requires_one_lattice():

@@ -12,7 +12,9 @@ substitution solves and log-space computations must agree with them to
 1e-12 and give the same focal elements and weight keys.  The capacity,
 necessity and possibility checks must give exactly the verdict, witness and
 detail of the all-pairs scans, kept here as they read before the checks
-learnt to decide without them.
+learnt to decide without them.  Likewise the k-family checks (k-monotone,
+k-valuation, total) must match the exhaustive sweep over every family of
+distinct elements with its 2^j - 1 subfamily meets, which they replaced.
 """
 
 import collections
@@ -26,7 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latbel as lb
-from latbel.errors import NotALattice, RedundantCovers
+from latbel.capacity import CheckResult, _require_tol
+from latbel.errors import NotALattice, RedundantCovers, SizeLimitExceeded
 
 from conftest import (
     bool_lattice,
@@ -694,3 +697,152 @@ def test_passing_checks_never_reach_the_pair_scan(monkeypatch):
     bumped[x] = 2.0
     with pytest.raises(LookupError):
         lb.check_capacity(lb.SetFunction(l, bumped))
+
+
+# -- k-family checks against the exhaustive sweep -----------------------------------------
+
+def k_family_sweep_oracle(f, k: int, tol: float, max_meets: int, op: str = "<"):
+    """The first family of 2 to k distinct elements, smallest size first,
+    whose f(join) is below (op "!=": differs from) the alternating sum of f
+    over its subfamilies' meets.  Sizes above |L|-2 add nothing: a family
+    holding bottom has the inequality of the family without it, one holding
+    top holds with equality.  Refuses a sweep of over ``max_meets`` meets."""
+    _require_tol(tol)
+    l = f.lattice
+    n = len(l)
+    sizes = range(2, min(k, max(2, n - 2)) + 1)
+    meets = sum(math.comb(n, j) * (2**j - 1) for j in sizes)
+    if meets > max_meets:
+        raise SizeLimitExceeded(
+            f"{meets} meet evaluations exceed the cap of {max_meets}; raise it with --limit"
+        )
+    fails = {"<": lambda lhs, rhs: lhs < rhs - tol,
+             "!=": lambda lhs, rhs: abs(lhs - rhs) > tol}[op]
+    fv = list(f.values.values())
+    join_t, meet_t = l._join, l._meet
+    for j in sizes:
+        for family in itertools.combinations(range(n), j):
+            top = family[0]
+            for i in family[1:]:
+                top = join_t[top][i]
+            lhs, rhs = fv[top], 0.0
+            for r in range(1, j + 1):
+                sign = 1.0 if r % 2 else -1.0
+                for sub in itertools.combinations(family, r):
+                    low = sub[0]
+                    for i in sub[1:]:
+                        low = meet_t[low][i]
+                    rhs += sign * fv[low]
+            if fails(lhs, rhs):
+                names = tuple(l.elements[i] for i in family)
+                return CheckResult(False, names, f"f(join) = {lhs!r} {op} {rhs!r}")
+    return CheckResult(True)
+
+
+ORACLE_MEETS = 10**5  # the oracle spends 2^j - 1 meets on each family of j members
+
+
+def dyadic(rng):
+    """Draws of multiples of 1/64: every sum the checks and the oracle form
+    of them is exact, so the two agree even where a family's difference
+    equals the tolerance."""
+    return lambda lo, hi: rng.randint(round(lo * 64), round(hi * 64)) / 64
+
+
+def k_family_mix(l, value):
+    """Random, belief, signed-mass, rounded-belief and vacuous functions, one
+    with negative mass on every join-irreducible, and one with negative mass
+    on the elements of three or more lower covers, which tends to fail first
+    at a larger family.  ``value(lo, hi)`` draws each number."""
+    def zeta(mass):
+        values = {x: mass(i, x) for i, x in enumerate(l.elements)}
+        return lb.zeta_transform(lb.SetFunction(l, values))
+
+    irreducible = set(lb.eta(l, l.top))
+    bel = zeta(lambda i, x: 0.0 if x == l.bottom else value(0.0, 1.0))
+    return [lb.SetFunction(l, {x: value(-1.0, 1.0) for x in l.elements}), bel,
+            zeta(lambda i, x: value(-0.3, 1.0)),
+            lb.SetFunction(l, {x: round(4 * v) / 4 for x, v in bel.items()}),
+            lb.SetFunction(l, {x: float(x != l.bottom) for x in l.elements}),
+            zeta(lambda i, x: value(0.0, 1.0) * (-1 if x in irreducible else 1)),
+            zeta(lambda i, x: -0.25 if len(l.poset._cov_down[i]) >= 3 else value(0.0, 1.0))]
+
+
+def assert_k_family_checks_match_the_sweep(l, value, tols, tally):
+    checks = {"<": lb.check_k_monotone, "!=": lb.check_k_valuation}
+    for f in k_family_mix(l, value):
+        for tol in tols:
+            for k, op in ((2, "<"), (3, "<"), (2, "!="), (3, "!="), ("total", "<")):
+                try:
+                    want = k_family_sweep_oracle(f, len(l) if k == "total" else k, tol,
+                                                 ORACLE_MEETS, op)
+                except SizeLimitExceeded:
+                    continue
+                if k == "total":
+                    max_k = "total" if want else len(want.witness) - 1
+                    assert lb.capacity.max_k_monotone(f, tol) == max_k
+                    want = want or CheckResult(False, want.witness,
+                                               f"fails at k={len(want.witness)}: {want.detail}")
+                    got = lb.check_total_monotone(f, tol)
+                else:
+                    got = checks[op](f, k, tol)
+                assert got == want, (k, op, tol, dict(f.items()))
+                tally[k, op, len(want.witness or ())] += 1
+
+
+def test_k_family_checks_match_the_sweep_on_the_corpus():
+    rng, tally = random.Random(15), collections.Counter()
+    for _, l in LATTICES:
+        if len(l) > 1:  # a one-element lattice carries no mass
+            assert_k_family_checks_match_the_sweep(l, rng.uniform, (1e-9, 0.1), tally)
+    assert {key for key, count in tally.items() if count >= 5} >= {
+        (2, "<", 0), (2, "<", 2), (3, "<", 0), (3, "<", 2), (3, "<", 3),
+        (2, "!=", 0), (2, "!=", 2), (3, "!=", 0), (3, "!=", 2),
+        ("total", "<", 0), ("total", "<", 2), ("total", "<", 3)}, tally
+
+
+@settings(max_examples=100, deadline=None)
+@given(l=st.randoms().map(moore_lattice), dual=st.booleans(), rng=st.randoms())
+def test_k_family_checks_match_the_sweep_on_random_moore_families(l, dual, rng):
+    if dual:
+        l = lb.dual_lattice(l)
+    if len(l) > 1:
+        assert_k_family_checks_match_the_sweep(l, dyadic(rng), (0.0, 1e-9, 0.25),
+                                               collections.Counter())
+
+
+def random_capacity(l, rng):
+    """A normalized function of multiples of 1/1024 with f(top) = 1 exactly:
+    the zeta transform of a nonnegative or of a signed mass (the remainder on
+    top), or a random isotone function with ties.  Not every one is a
+    capacity, and the checks run at tolerance 0 on exact sums."""
+    q, top = max(1, 1024 // len(l)), l.poset.index_of(l.top)
+    kind = rng.randrange(3)
+    if kind < 2:
+        mass = [rng.randint(-q if kind else 0, q) / 1024 for _ in l.elements]
+        mass[l._order[0]], mass[top] = 0.0, 0.0
+        mass[top] = 1.0 - sum(mass)
+        return lb.zeta_transform(lb.SetFunction(l, dict(zip(l.elements, mass))))
+    values = [0.0] * len(l)
+    for y in l._order[1:]:  # upwards along a linear extension
+        below = max(values[c] for c in l.poset._cov_down[y])
+        values[y] = 1.0 if y == top else min(1.0, below + rng.randint(0, 2 * q) / 1024)
+    return lb.SetFunction(l, dict(zip(l.elements, values)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(l=st.randoms().map(moore_lattice), dual=st.booleans(), rng=st.randoms())
+def test_a_capacity_is_totally_monotone_iff_it_is_a_belief(l, dual, rng):
+    # the paper's theorem, on any lattice: a non-belief capacity has negative
+    # mass at an element with two or more lower covers, whose lower covers
+    # then form a failing family
+    if dual:
+        l = lb.dual_lattice(l)
+    if len(l) < 2:
+        return
+    f = random_capacity(l, rng)
+    if not lb.check_capacity(f, 0.0):
+        return
+    belief = bool(lb.check_belief(f, 0.0))
+    assert bool(lb.check_total_monotone(f, 0.0)) == belief
+    assert (lb.capacity.max_k_monotone(f, 0.0) == "total") == belief

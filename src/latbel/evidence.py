@@ -175,5 +175,8 @@ def recombine(weights: SupportWeights) -> MassAllocation:
     log_w = SetFunction(l, {x: math.log(weights[x]) for x in l.elements})
     total = sum(log_w.values.values())
     above = comobius_transform(log_w)
-    q = SetFunction(l, {x: math.exp(total - v) for x, v in above.items()})
+    try:
+        q = SetFunction(l, {x: math.exp(total - v) for x, v in above.items()})
+    except OverflowError:
+        raise ValueError("the commonality of these weights exceeds the float range") from None
     return MassAllocation(l, mass_from_comobius(q).values, check=False)

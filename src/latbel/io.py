@@ -70,6 +70,8 @@ def _load_document(path) -> dict:
         raise FormatError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise FormatError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: expected a JSON object at top level")
     v = doc.get("v", FORMAT_VERSION)

@@ -23,6 +23,7 @@ only replaces it with an equal value.  Construction is single-threaded.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass, fields
@@ -395,7 +396,8 @@ def mu_set(l: Lattice, x: str) -> frozenset[str]:
 
 
 def eta_star(l: Lattice, x: str) -> frozenset[str]:
-    """Minimal decomposition: the unique irredundant subset of eta(x) with join x.
+    """Minimal decomposition: the unique irredundant subset of eta(x) with
+    join x, namely the join-irreducibles below x and not below x⁻.
 
     Only defined when the lattice is lower locally distributive; other
     lattices may have several irredundant decompositions, so we refuse.
@@ -404,31 +406,34 @@ def eta_star(l: Lattice, x: str) -> frozenset[str]:
         raise DecompositionNotUnique(
             "minimal join decomposition requires a lower locally distributive lattice"
         )
-    return _irredundant([j for j in l.joinirr if l.leq(j, x)], x,
-                        lambda xs: join(l, xs) if xs else l.bottom)
+    return _minimal_decomposition(l, x, False)
 
 
 def mu_star(l: Lattice, x: str) -> frozenset[str]:
-    """Unique irredundant subset of mu_set(x) with meet x (upper locally
-    distributive lattices only)."""
+    """Unique irredundant subset of mu_set(x) with meet x, namely the
+    meet-irreducibles above x and not above x⁺ (upper locally distributive
+    lattices only)."""
     if not is_upper_locally_distributive(l):
         raise DecompositionNotUnique(
             "minimal meet decomposition requires an upper locally distributive lattice"
         )
-    return _irredundant([m for m in l.meetirr if l.leq(x, m)], x,
-                        lambda xs: meet(l, xs) if xs else l.top)
+    return _minimal_decomposition(l, x, True)
 
 
-def _irredundant(keep, x, combine) -> frozenset[str]:
-    """Drop members, earliest first, while combine(rest) stays x."""
-    while True:
-        for j in keep:
-            rest = [o for o in keep if o != j]
-            if combine(rest) == x:
-                keep = rest
-                break
-        else:
-            return frozenset(keep)
+def _minimal_decomposition(l: Lattice, x: str, upper: bool) -> frozenset[str]:
+    p = l.poset
+    i = p.index_of(x)
+    sets, irr = (p._up, l.meetirr) if upper else (p._down, l.joinirr)
+    gap = sets[i] & ~sets[_cover_bound(l, i, upper)]
+    return frozenset(j for j in irr if gap >> p._index[j] & 1)
+
+
+def _cover_bound(l: Lattice, x: int, upper: bool) -> int:
+    """x⁻, the meet of the lower covers of x, or (upper) x⁺, the join of its
+    upper covers; x itself when it has none."""
+    covers = (l.poset._cov_up if upper else l.poset._cov_down)[x]
+    table = l._join if upper else l._meet
+    return functools.reduce(lambda a, c: table[a][c], covers, covers[0] if covers else x)
 
 
 # -- structural predicates ----------------------------------------------------
@@ -478,22 +483,10 @@ def _semimodular_witness(l: Lattice, upper: bool):
     dual.  Distinct upper covers of m meet in m, so only pairs of covers of
     one element can fail; the first witness is the smallest failing pair."""
     p = l.poset
-    above = [set(c) for c in p._cov_up]
-    fails = []
-    if upper:
-        join_t = l._join
-        for covs in p._cov_up:
-            for x, y in itertools.combinations(covs, 2):
-                j = join_t[x][y]
-                if j not in above[x] or j not in above[y]:
-                    fails.append((x, y))
-    else:
-        meet_t = l._meet
-        for covs in p._cov_down:
-            for x, y in itertools.combinations(covs, 2):
-                m = meet_t[x][y]
-                if x not in above[m] or y not in above[m]:
-                    fails.append((x, y))
+    covers, table = (p._cov_up, l._join) if upper else (p._cov_down, l._meet)
+    back = [set(c) for c in (p._cov_down if upper else p._cov_up)]
+    fails = [(x, y) for cs in covers for x, y in itertools.combinations(cs, 2)
+             if not back[table[x][y]] >= {x, y}]
     return _names(l, *min(fails)) if fails else None
 
 
@@ -532,25 +525,18 @@ def is_distributive(l: Lattice) -> bool:
     return _witness(l, "is_distributive") is None
 
 
-def _diamond_witness(l: Lattice):
-    """A triple of incomparable elements with equal pairwise meets and joins,
-    i.e. an embedded five-element diamond sublattice.  Distributive lattices
-    have none."""
+def _locally_distributive_witness(l: Lattice, upper: bool):
+    """Lower: the first x whose interval [x⁻, x] is not Boolean (Monjardet
+    1985; Edelman 1980); upper: the dual, with [x, x⁺].  Run only on lower
+    (upper) semimodular lattices, where the interval is Boolean iff it has
+    2^k elements, k the number of lower (upper) covers of x."""
     if is_distributive(l):
         return None
-    n = len(l)
-    join_t, meet_t = l._join, l._meet
-    for u in range(n):
-        join_u, meet_u = join_t[u], meet_t[u]
-        for v in range(u + 1, n):
-            p, q = meet_u[v], join_u[v]
-            if p == u or p == v:  # comparable pair
-                continue
-            join_v, meet_v = join_t[v], meet_t[v]
-            for w in range(v + 1, n):
-                if (meet_u[w] == p and meet_v[w] == p and join_u[w] == q
-                        and join_v[w] == q and w != p and w != q):
-                    return _names(l, u, v, w)
+    p = l.poset
+    inside, outside = (p._up, p._down) if upper else (p._down, p._up)
+    for x, covers in enumerate(p._cov_up if upper else p._cov_down):
+        if (inside[x] & outside[_cover_bound(l, x, upper)]).bit_count() != 1 << len(covers):
+            return _names(l, x)
     return None
 
 
@@ -604,9 +590,9 @@ _WITNESSES = {
                              or _witness(l, "is_upper_semimodular")),
     "is_distributive": _distributive_witness,
     "is_lower_locally_distributive": lambda l: (
-        _witness(l, "is_lower_semimodular") or _cached(l, "diamond", lambda: _diamond_witness(l))),
+        _witness(l, "is_lower_semimodular") or _locally_distributive_witness(l, False)),
     "is_upper_locally_distributive": lambda l: (
-        _witness(l, "is_upper_semimodular") or _cached(l, "diamond", lambda: _diamond_witness(l))),
+        _witness(l, "is_upper_semimodular") or _locally_distributive_witness(l, True)),
     "is_complemented": _complement_witness,
     "is_atomistic": _atomistic_witness,
 }

@@ -73,6 +73,19 @@ def chain_diamond_negation():
     return lb.negation_from_irreducible_map(dl.lattice, jmap)
 
 
+@lru_cache(maxsize=None)
+def convex_geometry(m):
+    """The closed sets of the convex geometry of an m-point line: the
+    intervals [i, j] with 0 <= i <= j < m, named "[i,j]", plus the empty set
+    "{}", ordered by inclusion.  Lower locally distributive; distributive
+    only for m <= 2.  It has m(m + 1)/2 + 1 elements."""
+    names = ["{}"] + [f"[{i},{j}]" for i in range(m) for j in range(i, m)]
+    covers = [("{}", f"[{i},{i}]") for i in range(m)]
+    covers += [(f"[{i + 1},{j}]", f"[{i},{j}]") for i in range(m) for j in range(i + 1, m)]
+    covers += [(f"[{i},{j - 1}]", f"[{i},{j}]") for i in range(m) for j in range(i + 1, m)]
+    return lb.lattice_from_poset(lb.build_poset(names, covers))
+
+
 def corpus():
     """(name, lattice) pairs covering chains, Boolean lattices, the diamond
     and pentagon, and the two reference autodual lattices."""

@@ -421,6 +421,23 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert main(["check", str(path)]) == 2
 
 
+def test_deeply_nested_json_exits_2(b2, tmp_path, capsys):
+    path = tmp_path / "deep.json"  # deep enough to exhaust any recursion limit
+    path.write_text('{"v": 1, "values": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                    encoding="utf-8")
+    for argv in (["check", str(path)], ["bel", "check", "--lattice", b2, str(path)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"FormatError: {path}: JSON nested too deeply\n"
+
+
+def test_bel_recombine_refuses_weights_beyond_the_float_range(b2, tmp_path, capsys):
+    weights = write(tmp_path / "w.json",
+                    {"v": 1, "values": {"{}": 1e300, "{1}": 1e300, "{2}": 1e300}})
+    assert main(["bel", "recombine", "--lattice", b2, weights]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ValueError") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_check_json_output_is_deterministic(diamond_bundle, capsys):
     lattice, _, _ = diamond_bundle
     assert main(["check", lattice, "--json"]) == 0

@@ -24,6 +24,7 @@ from conftest import (
     bool_lattice,
     chain_diamond,
     chain_lattice,
+    convex_geometry,
     corpus,
     distributive_corpus,
     m3,
@@ -260,6 +261,20 @@ def test_mu_star_dual_of_eta_star():
         d = lb.dual_lattice(l)
         for x in l.elements:
             assert lb.mu_star(l, x) == lb.eta_star(d, x)
+
+
+@pytest.mark.parametrize("m", [3, 6, 12])
+def test_eta_star_of_a_line_interval_is_its_two_endpoints(m):
+    l = convex_geometry(m)
+    prof = lb.profile(l)
+    assert prof.is_lower_locally_distributive and not prof.is_distributive
+    assert not prof.is_upper_locally_distributive
+    assert len(l) == m * (m + 1) // 2 + 1
+    assert lb.eta_star(l, "{}") == frozenset()
+    for i, j in itertools.combinations_with_replacement(range(m), 2):
+        assert lb.eta_star(l, f"[{i},{j}]") == {f"[{i},{i}]", f"[{j},{j}]"}
+    with pytest.raises(DecompositionNotUnique):
+        lb.mu_star(l, "{}")
 
 
 # -- structural profiles ---------------------------------------------------------

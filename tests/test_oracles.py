@@ -18,6 +18,8 @@ distinct elements with its 2^j - 1 subfamily meets, which they replaced.
 """
 
 import collections
+import copy
+import functools
 import itertools
 import math
 import random
@@ -34,6 +36,7 @@ from latbel.errors import NotALattice, RedundantCovers, SizeLimitExceeded
 from conftest import (
     bool_lattice,
     chain_lattice,
+    convex_geometry,
     corpus,
     moore_lattice,
     random_function,
@@ -120,6 +123,14 @@ class Oracle:
         return [x for x in self.elements
                 if sum(1 for a in self.elements if self.covers(a, x)) == 1]
 
+    def dual(self):
+        """The same elements with the order reversed: joins become meets."""
+        d = copy.copy(self)
+        d.up, d.down = self.down, self.up
+        d.cover_set = {(b, a) for a, b in self.cover_set}
+        d._join, d._meet, d._height = {}, {}, {}
+        return d
+
 
 # -- the canonical first-witness searches, by name ---------------------------------
 
@@ -166,6 +177,39 @@ def diamond_witness(o):
         if p != q and p not in (u, v, w) and q not in (u, v, w):
             return (u, v, w)
     return None
+
+
+def boolean_interval_witness(o):
+    """The first x whose interval [x-, x] is not a Boolean lattice, x- being
+    the meet of the lower covers of x (Monjardet's definition of lower local
+    distributivity; on the dual oracle, the upper one).  The interval is
+    Boolean iff the joins of the subsets of its atoms, the empty join being
+    x-, are pairwise distinct and fill it."""
+    for x in o.elements:
+        lo = functools.reduce(o.meet, [a for a in o.elements if o.covers(a, x)], x)
+        interval = {y for y in o.elements if o.leq(lo, y) and o.leq(y, x)}
+        atoms = [a for a in interval if o.covers(lo, a)]
+        if len(interval) != 2 ** len(atoms) or interval != {
+                functools.reduce(o.join, s, lo)
+                for r in range(len(atoms) + 1) for s in itertools.combinations(atoms, r)}:
+            return (x,)
+    return None
+
+
+def greedy_decomposition(o, x):
+    """The join-irreducibles below x, dropped earliest first while the join
+    of the rest stays x (the empty join being the bottom); on the dual
+    oracle, the meet-irreducibles above x.  Irredundant by construction."""
+    bottom = next(b for b in o.elements if all(o.leq(b, y) for y in o.elements))
+    keep = [j for j in o.joinirr() if o.leq(j, x)]
+    while True:
+        for j in keep:
+            rest = [k for k in keep if k != j]
+            if functools.reduce(o.join, rest, bottom) == x:
+                keep = rest
+                break
+        else:
+            return frozenset(keep)
 
 
 def complement_witness(o):
@@ -224,10 +268,11 @@ def oracle_profile(o):
         "is_complemented": complement_witness(o),
         "is_atomistic": atomistic_witness(o),
     }
-    diamond = diamond_witness(o)
     w["is_modular"] = w["is_lower_semimodular"] or w["is_upper_semimodular"]
-    w["is_lower_locally_distributive"] = w["is_lower_semimodular"] or diamond
-    w["is_upper_locally_distributive"] = w["is_upper_semimodular"] or diamond
+    w["is_lower_locally_distributive"] = (w["is_lower_semimodular"]
+                                          or boolean_interval_witness(o))
+    w["is_upper_locally_distributive"] = (w["is_upper_semimodular"]
+                                          or boolean_interval_witness(o.dual()))
     flags = {name: w.get(name) is None for name in lb.profile(bool_lattice(1)).flags()}
     flags["is_autodual"] = bool(negations(o, limit=1))
     return flags, {k: v for k, v in w.items() if v is not None}
@@ -296,6 +341,8 @@ def lattices():
         entries.append((f"downsets{k}", dl.lattice))
     # the dual of the Pi4 input is not a linear extension of its order
     entries.append(("Pi4-dual", lb.dual_lattice(partition_lattice(4))))
+    # lower locally distributive, but neither distributive nor upper semimodular
+    entries.append(("convex4", convex_geometry(4)))
     return entries
 
 
@@ -340,6 +387,49 @@ def test_profile_matches_the_oracle(name, l):
     assert lb.lattice.is_upper_semimodular(l) == flags["is_upper_semimodular"]
     assert lb.lattice.is_lower_locally_distributive(l) == flags["is_lower_locally_distributive"]
     assert lb.lattice.is_upper_locally_distributive(l) == flags["is_upper_locally_distributive"]
+
+
+def assert_locally_distributive_characterizations(prof, o):
+    # Monjardet's definition needs no semimodularity test (a locally
+    # distributive lattice is semimodular), and a semimodular lattice is
+    # locally distributive iff no five-element diamond embeds in it.
+    no_diamond = diamond_witness(o) is None
+    assert (prof.is_lower_locally_distributive == (boolean_interval_witness(o) is None)
+            == (prof.is_lower_semimodular and no_diamond))
+    assert (prof.is_upper_locally_distributive == (boolean_interval_witness(o.dual()) is None)
+            == (prof.is_upper_semimodular and no_diamond))
+
+
+@pytest.mark.parametrize("name,l", LATTICES, ids=IDS)
+def test_locally_distributive_flags_match_their_characterizations(name, l):
+    assert_locally_distributive_characterizations(lb.profile(l), oracle_of(l))
+
+
+@settings(max_examples=200, deadline=None)
+@given(l=st.randoms().map(moore_lattice), dual=st.booleans())
+def test_profile_matches_the_oracle_on_random_moore_families(l, dual):
+    if dual:
+        l = lb.dual_lattice(l)
+    o, prof = oracle_of(l), lb.profile(l)
+    flags, witnesses = oracle_profile(o)
+    assert prof.flags() == flags
+    assert prof.witnesses == witnesses
+    assert_locally_distributive_characterizations(prof, o)
+
+
+def test_minimal_decompositions_match_the_greedy_oracle():
+    rng, tally = random.Random(15), collections.Counter()
+    bases = [l for _, l in LATTICES] + [moore_lattice(rng) for _ in range(300)]
+    for l in bases + [lb.dual_lattice(b) for b in bases]:
+        prof, o = lb.profile(l), oracle_of(l)
+        for side, holds, star, view in (
+                ("lower", prof.is_lower_locally_distributive, lb.eta_star, o),
+                ("upper", prof.is_upper_locally_distributive, lb.mu_star, o.dual())):
+            if holds:
+                assert {x: star(l, x) for x in l.elements} == {
+                    x: greedy_decomposition(view, x) for x in l.elements}
+                tally[side, prof.is_distributive] += 1
+    assert min(tally.values()) >= 10, tally
 
 
 @pytest.mark.parametrize("l,want", [

@@ -1,6 +1,7 @@
 """Command line behaviour: exit codes, file round-trips, determinism."""
 
 import json
+import pathlib
 import time
 
 import pytest
@@ -540,3 +541,66 @@ def test_bel_check_max_k_says_when_the_meet_cap_stopped_it(tmp_path, capsys, jso
         assert json.loads(out)["max_k_monotone"] is None
     else:
         assert out.endswith("max_k_monotone: None\n")
+
+
+# -- recorded output ---------------------------------------------------------------
+
+GOLDEN = json.loads(pathlib.Path(__file__).with_name("cli_golden.json").read_text("utf-8"))
+
+
+def golden_commands(tmp_path, b2, diamond_bundle):
+    """Label -> argv for the function-layer commands whose output is recorded
+    in cli_golden.json, byte for byte, text and --json alike."""
+    lattice, negation, pi = diamond_bundle
+    names = chain_diamond().lattice.elements
+
+    def values(name, given):
+        return write(tmp_path / name, {"v": 1, "values": {x: given.get(x, 0) for x in names}})
+
+    m1 = {"{a}": 0.1, "{c,d}": 0.2, "{a,b,c}": 0.3, "{a,b,c,d,e,f}": 0.4}
+    m2 = {"{c}": 0.25, "{a,b}": 0.35, "{c,d,e,f}": 0.15, "{a,b,c,d,e,f}": 0.25}
+    subset = {x: set(x[1:-1].split(",")) - {""} for x in names}
+    bel = {x: sum(v for y, v in m1.items() if subset[y] <= subset[x]) for x in names}
+    f = {x: (3 * i % 7 - 2) / 10 for i, x in enumerate(names)}
+    files = {
+        "f": values("f.json", f),
+        "g": values("g.json", {**f, "{}": 0, "{a,b,c,d,e,f}": 1}),
+        "m1": values("m1.json", m1),
+        "m2": values("m2.json", m2),
+        "bel": values("bel.json", bel),
+        "w": write(tmp_path / "w.json",
+                   {"v": 1, "values": {"{a}": 0.5, "{c,d}": 0.8, "{a,b,c}": 2.0}}),
+        "left": write(tmp_path / "left.json",
+                      {"v": 1, "values": {"{}": 0, "{1}": 1, "{2}": 0, "{1,2}": 0}}),
+        "right": write(tmp_path / "right.json",
+                       {"v": 1, "values": {"{}": 0, "{1}": 0, "{2}": 1, "{1,2}": 0}}),
+    }
+
+    def bel(command, *rest, on=lattice):
+        return ["bel", command, "--lattice", on, *rest]
+
+    cases = {f"transform {d}": ["transform", d, "--lattice", lattice, files["f"]]
+             for d in ("mobius", "zeta", "comobius", "inverse-comobius")}
+    for policy in ("raw", "zero-bottom", "normalize"):
+        cases[f"combine {policy}"] = bel("combine", files["m1"], files["m2"], "--policy", policy)
+        cases[f"combine {policy} conflict"] = bel("combine", files["left"], files["right"],
+                                                  "--policy", policy, on=b2)
+    cases["decompose"] = bel("decompose", files["bel"])
+    cases["recombine"] = bel("recombine", files["w"])
+    for variant in ("vee", "wedge"):
+        cases[f"conjugate {variant}"] = bel("conjugate", files["bel"], "--negation", negation,
+                                            "--variant", variant)
+    cases["reconstruct"] = bel("reconstruct", "--negation", negation, "--pi", pi)
+    cases["check"] = bel("check", files["bel"], "--max-k")
+    cases["check g"] = bel("check", files["g"])
+    cases["kmono"] = bel("kmono", "3", files["g"])
+    cases["valuation"] = bel("valuation", "2", files["bel"])
+    return {**cases, **{label + " --json": [*argv, "--json"] for label, argv in cases.items()}}
+
+
+@pytest.mark.parametrize("label", sorted(GOLDEN))
+def test_function_commands_print_the_recorded_bytes(label, b2, diamond_bundle, tmp_path, capsys):
+    commands = golden_commands(tmp_path, b2, diamond_bundle)
+    assert sorted(commands) == sorted(GOLDEN)
+    code = main(commands[label])
+    assert {"code": code, "out": capsys.readouterr().out} == GOLDEN[label]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidNegation, SizeLimitExceeded
 from .lattice import _indices
-from .transforms import SetFunction, mobius_transform
+from .transforms import SetFunction, _Vector, mobius_transform
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_FAMILIES = 10**7
@@ -57,8 +57,7 @@ def check_capacity(f: SetFunction, tol: float = DEFAULT_TOL) -> CheckResult:
     bad = _boundary(f, tol)
     if bad is not None:
         return bad
-    l = f.lattice
-    fv = list(f.values.values())
+    l, fv = f.lattice, f.vector
     upto = [0.0] * len(fv)  # the largest value on each down-set
     for y in l._order:
         below = max(map(upto.__getitem__, l.poset._cov_down[y]), default=-math.inf)
@@ -91,9 +90,10 @@ def _belief_mass(f: SetFunction, tol: float):
     if bad is not None:
         return bad, None
     m = mobius_transform(f)
-    worst = min(f.lattice.elements, key=lambda x: m[x])
-    if m[worst] < -tol:
-        return CheckResult(False, (worst,), f"negative Moebius mass m({worst}) = {m[worst]!r}"), m
+    low = min(m.vector)
+    if low < -tol:
+        worst = f.lattice.elements[m.vector.index(low)]
+        return CheckResult(False, (worst,), f"negative Moebius mass m({worst}) = {low!r}"), m
     return CheckResult(True), m
 
 
@@ -103,7 +103,8 @@ def _sweep(f: SetFunction, k: int, tol: float, max_families: int, op: str = "<")
     differs from) the alternating sum of f over its subfamilies' meets."""
     _require_tol(tol)
     l, fails = f.lattice, {"<": lambda s: s < -tol, "!=": lambda s: abs(s) > tol}[op]
-    m = [0.0 if x == l.bottom else v for x, v in mobius_transform(f).items()]
+    m = list(mobius_transform(f).vector)
+    m[l._order[0]] = 0.0
     can_fail = fails(sum(v for v in m if v < 0)) or fails(sum(v for v in m if v > 0))
     risky = sum(1 << i for i, v in enumerate(m) if v < 0 or op == "!=" and v)
     down, up, join_t, built = l.poset._down, l.poset._up, l._join, 0
@@ -131,7 +132,7 @@ def _sweep(f: SetFunction, k: int, tol: float, max_families: int, op: str = "<")
 
 
 def _witness(f: SetFunction, family: tuple, top: int, op: str) -> CheckResult:
-    l, fv, rhs = f.lattice, list(f.values.values()), 0.0  # in the oracle's order, digit for digit
+    l, fv, rhs = f.lattice, f.vector, 0.0  # in the oracle's order, digit for digit
     for r in range(1, len(family) + 1):
         for sub in itertools.combinations(family, r):
             rhs += (1.0 if r % 2 else -1.0) * fv[functools.reduce(lambda a, b: l._meet[a][b], sub)]
@@ -172,7 +173,7 @@ def conjugate(f: SetFunction, n, variant: str) -> SetFunction:
     if n.kind != "vee":
         raise InvalidNegation("conjugation expects a join-reversing (vee) negation")
     send = n.map if variant == "vee" else n.inverse_map
-    return SetFunction(f.lattice, {x: 1.0 - f[send[x]] for x in f.lattice.elements})
+    return SetFunction(f.lattice, _Vector(1.0 - f[send[x]] for x in f.lattice.elements))
 
 
 def max_k_monotone(f: SetFunction, tol: float = DEFAULT_TOL,

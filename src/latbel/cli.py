@@ -276,12 +276,15 @@ def _cmd_mobius(args, limits) -> int:
     return 0
 
 
-def _emit_function(args, f) -> int:
+def _emit_table(args, f, header: str = "", rows=None) -> int:
+    """f as JSON, or one tab-separated line per row (None: per element) under the header."""
     if args.json:
         _emit(io.function_to_dict(f))
     else:
-        for x, v in f.items():
-            print(f"{x}\t{v!r}")
+        if header:
+            print(header)
+        for x in f.lattice.elements if rows is None else rows:
+            print(f"{x}\t{f[x]!r}")
     _write_function(args, f)
     return 0
 
@@ -293,7 +296,7 @@ def _cmd_transform(args, limits) -> int:
         "comobius": transforms.comobius_transform,
         "inverse-comobius": transforms.mass_from_comobius,
     }[args.direction]
-    return _emit_function(args, op(_function(args, limits)))
+    return _emit_table(args, op(_function(args, limits)))
 
 
 def _cmd_negations(args, limits) -> int:
@@ -367,18 +370,7 @@ def _cmd_bel_valuation(args, limits) -> int:
 def _cmd_bel_conjugate(args, limits) -> int:
     f = _function(args, limits)
     n = io.load_negation(args.negation, f.lattice)
-    return _emit_function(args, capacity.conjugate(f, n, args.variant))
-
-
-def _emit_table(args, f, header: str, rows) -> int:
-    if args.json:
-        _emit(io.function_to_dict(f))
-    else:
-        print(header)
-        for x in rows:
-            print(f"{x}\t{f[x]!r}")
-    _write_function(args, f)
-    return 0
+    return _emit_table(args, capacity.conjugate(f, n, args.variant))
 
 
 def _emit_mass(args, m) -> int:
@@ -419,7 +411,7 @@ def _cmd_bel_reconstruct(args, limits) -> int:
     pi = io.load_distribution(args.pi, "pi")
     result = possibilistic.reconstruct_chain(l, n, pi, tol=limits.tolerance)
     if args.json:
-        doc = {
+        _emit({
             "v": 1,
             "iota": list(result.iota),
             "chain": list(result.chain),
@@ -429,18 +421,14 @@ def _cmd_bel_reconstruct(args, limits) -> int:
                  "iota": s.iota, "chain": s.chain_element}
                 for s in result.steps
             ],
-        }
-        _emit(doc)
-    else:
-        print("step\tx\tn(x)\teta(n(x))\tiota\tchain")
-        for s in result.steps:
-            print(f"{s.k}\t{s.x}\t{s.nx}\t{','.join(s.eta_nx)}\t{s.iota}\t{s.chain_element}")
-        print()
-        print("chain element\tmass")
-        for x in result.chain:
-            print(f"{x}\t{result.mass[x]!r}")
-    _write_function(args, result.mass)
-    return 0
+        })
+        _write_function(args, result.mass)
+        return 0
+    print("step\tx\tn(x)\teta(n(x))\tiota\tchain")
+    for s in result.steps:
+        print(f"{s.k}\t{s.x}\t{s.nx}\t{','.join(s.eta_nx)}\t{s.iota}\t{s.chain_element}")
+    print()
+    return _emit_table(args, result.mass, "chain element\tmass", result.chain)
 
 
 if __name__ == "__main__":

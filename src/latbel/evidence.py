@@ -20,7 +20,7 @@ from .errors import (
     TotalConflict,
 )
 from .lattice import Lattice
-from .transforms import SetFunction, comobius_transform, mass_from_comobius
+from .transforms import SetFunction, _Vector, comobius_transform, mass_from_comobius
 
 COMBINE_POLICIES = ("raw", "zero-bottom", "normalize")
 
@@ -38,37 +38,39 @@ class MassAllocation(SetFunction):
         super().__init__(lattice, values)
         _require_tol(tol)
         if check:
-            total = sum(self.values.values())
+            total, bottom = sum(self.vector), self.vector[lattice._order[0]]
             if abs(total - 1.0) > tol:
                 raise ValueError(f"mass total is {total!r}, expected 1")
-            if abs(self.values[lattice.bottom]) > tol:
-                raise ValueError(f"mass at bottom is {self.values[lattice.bottom]!r}, expected 0")
+            if abs(bottom) > tol:
+                raise ValueError(f"mass at bottom is {bottom!r}, expected 0")
 
     def focal_elements(self, tol: float = DEFAULT_TOL) -> tuple[str, ...]:
         """Elements carrying mass beyond the tolerance, in input order."""
         _require_tol(tol)
-        return tuple(x for x, v in self.values.items() if abs(v) > tol)
+        return tuple(x for x, v in zip(self.lattice.elements, self.vector) if abs(v) > tol)
 
     def is_nonnegative(self, tol: float = DEFAULT_TOL) -> bool:
         _require_tol(tol)
-        return all(v >= -tol for v in self.values.values())
+        return all(v >= -tol for v in self.vector)
 
 
 class SupportWeights:
     """Weights of a simple-support decomposition, keyed by focus element.
 
-    Foci with weight 1 contribute a vacuous component and are omitted."""
+    Foci with weight 1 contribute a vacuous component and are omitted from
+    ``weights``; ``vector`` holds every element's weight in input order."""
 
-    __slots__ = ("lattice", "weights")
+    __slots__ = ("lattice", "weights", "vector")
 
     def __init__(self, lattice: Lattice, weights):
         weights = dict(weights)  # checked as a function: known elements, finite numbers
         full = SetFunction(lattice, {**dict.fromkeys(lattice.elements, 1.0), **weights})
         self.lattice = lattice
-        self.weights = {y: full[y] for y in lattice.elements if y in weights}
+        self.vector = full.vector
+        self.weights = {y: w for y, w in full.items() if y in weights}
 
     def __getitem__(self, y: str) -> float:
-        return self.weights.get(y, 1.0)
+        return self.vector[self.lattice.poset.index_of(y)]
 
     def items(self):
         return self.weights.items()
@@ -97,23 +99,21 @@ def combine(
     _require_tol(tol)
     if m1.lattice is not m2.lattice:
         raise LatticeMismatch("mass allocations live on different lattices")
-    l = m1.lattice
+    l, bottom = m1.lattice, m1.lattice._order[0]
     out = [0.0] * len(l)
-    second = [(j, v2) for j, v2 in enumerate(m2.values.values()) if v2 != 0.0]
-    for meet_i, v1 in zip(l._meet, m1.values.values()):
+    second = [(j, v2) for j, v2 in enumerate(m2.vector) if v2 != 0.0]
+    for meet_i, v1 in zip(l._meet, m1.vector):
         if v1 != 0.0:
             for j, v2 in second:
                 out[meet_i[j]] += v1 * v2
-    out = dict(zip(l.elements, out))
-    if policy == "zero-bottom":
-        out[l.bottom] = 0.0
-    elif policy == "normalize":
-        conflict = out[l.bottom]
+    conflict = out[bottom]
+    if policy != "raw":
+        out[bottom] = 0.0
+    if policy == "normalize":
         if 1.0 - conflict <= tol:
             raise TotalConflict(f"conflict mass {conflict!r} leaves nothing to renormalize")
-        out[l.bottom] = 0.0
-        out = {x: v / (1.0 - conflict) for x, v in out.items()}
-    return MassAllocation(l, out, check=False)
+        out = [v / (1.0 - conflict) for v in out]
+    return MassAllocation(l, _Vector(out), check=False)
 
 
 def simple_support(l: Lattice, y: str, w: float) -> MassAllocation:
@@ -124,11 +124,10 @@ def simple_support(l: Lattice, y: str, w: float) -> MassAllocation:
     """
     if y == l.bottom and y != l.top:
         raise FocusIsBottom("a simple support function cannot focus on bottom")
-    l.poset.index_of(y)
-    vals = {x: 0.0 for x in l.elements}
-    vals[y] += 1.0 - float(w)
-    vals[l.top] += float(w)
-    return MassAllocation(l, vals, check=False)
+    vals = [0.0] * len(l)
+    vals[l.poset.index_of(y)] += 1.0 - float(w)
+    vals[l._order[-1]] += float(w)
+    return MassAllocation(l, _Vector(vals), check=False)
 
 
 def decompose(bel: SetFunction, *, tol: float = DEFAULT_TOL) -> SupportWeights:
@@ -147,16 +146,12 @@ def decompose(bel: SetFunction, *, tol: float = DEFAULT_TOL) -> SupportWeights:
     if m[l.top] <= tol:
         raise TopMassZero(f"mass at top is {m[l.top]!r}; decomposition needs it positive")
     q = comobius_transform(m)
-    low = min(q.values.values())
+    low = min(q.vector)
     if low <= 0.0:  # reachable only through masses negative within the tolerance
         raise TopMassZero(f"commonality {low!r} is not positive; decomposition needs it positive")
-    log_w = mass_from_comobius(SetFunction(l, {x: math.log(v) for x, v in q.items()}))
-    weights = {}
-    for y, lw in log_w.items():
-        w = math.exp(-lw)
-        if y != l.top and abs(w - 1.0) > 1e-12:
-            weights[y] = w
-    return SupportWeights(l, weights)
+    log_w = mass_from_comobius(SetFunction(l, _Vector(map(math.log, q.vector))))
+    by_focus = zip(l.elements, (math.exp(-lw) for lw in log_w.vector))
+    return SupportWeights(l, {y: w for y, w in by_focus if y != l.top and abs(w - 1.0) > 1e-12})
 
 
 def recombine(weights: SupportWeights) -> MassAllocation:
@@ -172,11 +167,10 @@ def recombine(weights: SupportWeights) -> MassAllocation:
     for y, w in weights.items():
         if w <= 0.0:
             raise NonPositiveWeight(f"weight {w!r} at {y!r}")
-    log_w = SetFunction(l, {x: math.log(weights[x]) for x in l.elements})
-    total = sum(log_w.values.values())
-    above = comobius_transform(log_w)
+    log_w = SetFunction(l, _Vector(map(math.log, weights.vector)))
+    total = sum(log_w.vector)
     try:
-        q = SetFunction(l, {x: math.exp(total - v) for x, v in above.items()})
+        q = _Vector(math.exp(total - v) for v in comobius_transform(log_w).vector)
     except OverflowError:
         raise ValueError("the commonality of these weights exceeds the float range") from None
-    return MassAllocation(l, mass_from_comobius(q).values, check=False)
+    return MassAllocation(l, mass_from_comobius(SetFunction(l, q)).vector, check=False)

@@ -27,6 +27,7 @@ from .errors import (
 from .duality import Negation
 from .evidence import MassAllocation
 from .lattice import Lattice, eta, is_distributive, mu_set
+from .transforms import _Vector
 
 
 class PossibilityDistribution:
@@ -126,7 +127,7 @@ def _min_max_check(f, tol, want_min):
         return bad
     l = f.lattice
     table, cuts, pick = (l._meet, l.poset._up, min) if want_min else (l._join, l.poset._down, max)
-    fv = list(f.values.values())
+    fv = list(f.vector)  # a list's item getter sorts faster than a tuple's
     order = sorted(range(len(fv)), key=fv.__getitem__, reverse=want_min)
     seen, a, last = 0, order[0], fv[order[0]]
     for i in order:  # seen is the cut of the values before fv[i], a its meet (join)
@@ -250,10 +251,10 @@ def reconstruct_chain(
     if chain[-1] != l.top:
         raise SelectionFailed(0, (chain[-1],), detail="chain did not reach the top")
 
-    masses = {x: 0.0 for x in l.elements}
+    masses = [0.0] * len(l)
     for pos, element in enumerate(chain):
         k = count - pos
         previous = values[ordered[k - 2]] if k >= 2 else 0.0
-        masses[element] = values[ordered[k - 1]] - previous
-    mass = MassAllocation(l, masses, tol=2 * tol)
+        masses[l.poset.index_of(element)] = values[ordered[k - 1]] - previous
+    mass = MassAllocation(l, _Vector(masses), tol=2 * tol)
     return FocalChain(chain=tuple(chain), mass=mass, iota=tuple(iota), steps=tuple(steps))

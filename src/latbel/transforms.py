@@ -9,7 +9,8 @@ its total minus the values already found strictly below (above) x, so they
 need neither the Moebius coefficients nor any matrix.  The coefficients
 mu(x, y) themselves, exact integers, are computed on demand by
 ``mobius_function``, each row x by Rota's crosscut theorem over the upper
-covers of x (Rota 1964).  All other arithmetic is double precision.
+covers of x (Rota 1964).  All other arithmetic is double precision, on
+each function's ``vector`` of values in lattice input order.
 """
 
 from __future__ import annotations
@@ -20,33 +21,48 @@ from .errors import IncompleteFunction, UnknownElement
 from .lattice import Lattice, _cached, _indices
 
 
-class SetFunction:
-    """A total assignment of finite real values to the elements of one lattice."""
+class _Vector(tuple):
+    """Values in lattice input order: a stored function, or a result the library built."""
 
-    __slots__ = ("lattice", "values")
+    __slots__ = ()
+
+
+class SetFunction:
+    """A total assignment of finite real values to the elements of one lattice,
+    stored only as ``vector``, one tuple in lattice input order, and never
+    changed; ``values`` returns a new name-to-value dict on each access."""
+
+    __slots__ = ("lattice", "vector")
 
     def __init__(self, lattice: Lattice, values):
-        vals = dict(values)
-        extra = [x for x in vals if x not in lattice]
-        if extra:
-            raise UnknownElement(extra[0])
-        missing = [x for x in lattice.elements if x not in vals]
-        if missing:
-            raise IncompleteFunction(missing)
-        self.lattice = lattice
+        if not isinstance(values, _Vector):
+            vals = dict(values)
+            extra = [x for x in vals if x not in lattice]
+            if extra:
+                raise UnknownElement(extra[0])
+            missing = [x for x in lattice.elements if x not in vals]
+            if missing:
+                raise IncompleteFunction(missing)
+            values = map(vals.__getitem__, lattice.elements)
         try:
-            self.values = {x: float(vals[x]) for x in lattice.elements}
+            vector = _Vector(map(float, values))
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"function values must be finite numbers: {exc}") from None
-        for x, v in self.values.items():
+        if len(vector) != len(lattice):
+            raise ValueError(f"{len(vector)} values for {len(lattice)} elements")
+        for x, v in zip(lattice.elements, vector):
             if not math.isfinite(v):
                 raise ValueError(f"value of {x!r} is not finite: {v!r}")
+        self.lattice = lattice
+        self.vector = vector
+
+    @property
+    def values(self) -> dict:
+        """A new dict of element name to value, in lattice input order."""
+        return dict(zip(self.lattice.elements, self.vector))
 
     def __getitem__(self, x: str) -> float:
-        try:
-            return self.values[x]
-        except KeyError:
-            raise UnknownElement(x) from None
+        return self.vector[self.lattice.poset.index_of(x)]
 
     def items(self):
         """(element, value) pairs in lattice input order."""
@@ -113,18 +129,18 @@ def _members(l: Lattice, side: str) -> list[tuple[int, ...]]:
 
 def zeta_transform(m: SetFunction) -> SetFunction:
     """f(x) = sum of m(y) over y <= x; inverse of the Moebius transform."""
-    l = m.lattice
-    get = list(m.values.values()).__getitem__
-    vals = {x: sum(map(get, below)) for x, below in zip(l.elements, _members(l, "down"))}
-    return SetFunction(l, vals)
+    return _sums(m, "down")
 
 
 def comobius_transform(m: SetFunction) -> SetFunction:
     """q(x) = sum of m(y) over y >= x (the commonality side)."""
-    l = m.lattice
-    get = list(m.values.values()).__getitem__
-    vals = {x: sum(map(get, above)) for x, above in zip(l.elements, _members(l, "up"))}
-    return SetFunction(l, vals)
+    return _sums(m, "up")
+
+
+def _sums(m: SetFunction, side: str) -> SetFunction:
+    """The sum of m over each element's down-set (up-set)."""
+    get = list(m.vector).__getitem__  # a list's item getter maps faster than a tuple's
+    return SetFunction(m.lattice, _Vector(sum(map(get, ms)) for ms in _members(m.lattice, side)))
 
 
 def mass_from_comobius(q: SetFunction) -> SetFunction:
@@ -138,9 +154,9 @@ def _solve(l: Lattice, side: str, totals: SetFunction) -> SetFunction:
     x, by substitution along the lattice's linear extension (reversed for
     up-sets): out[x] depends only on x's strict members, which come first."""
     members = _members(l, side)
-    given = list(totals.values.values())
+    given = totals.vector
     out = [0.0] * len(l)
     get = out.__getitem__
     for x in l._order if side == "down" else reversed(l._order):
         out[x] = given[x] - sum(map(get, members[x]))  # out[x] itself is still 0
-    return SetFunction(l, dict(zip(l.elements, out)))
+    return SetFunction(l, _Vector(out))

@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import latbel as lb
 from latbel.errors import SizeLimitExceeded
@@ -14,6 +16,7 @@ from conftest import (
     chain_lattice,
     corpus,
     m3,
+    moore_lattice,
     n5,
     random_capacity_on_chain,
     random_mass,
@@ -246,6 +249,21 @@ def test_conjugate_round_trip_and_capacity():
     back = lb.conjugate(lb.conjugate(bel, n, "wedge"), n, "vee")
     for x in l.elements:
         assert back[x] == pytest.approx(bel[x], abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(l=st.randoms().map(moore_lattice), dual=st.booleans(), rng=st.randoms())
+def test_conjugations_undo_each_other_on_random_moore_families(l, dual, rng):
+    if dual:
+        l = lb.dual_lattice(l)
+    found = lb.find_negations(l, limit=1)
+    if not found:
+        return
+    n = found[0]
+    f = lb.SetFunction(l, {x: rng.randint(-64, 64) / 64 for x in l.elements})
+    # 1 - (1 - v) is v exactly on these values
+    assert lb.conjugate(lb.conjugate(f, n, "vee"), n, "wedge").vector == f.vector
+    assert lb.conjugate(lb.conjugate(f, n, "wedge"), n, "vee").vector == f.vector
 
 
 def test_conjugate_is_plausibility_on_booleans():

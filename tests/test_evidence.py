@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import latbel as lb
 from latbel.errors import (
@@ -20,6 +22,7 @@ from conftest import (
     chain_diamond,
     chain_lattice,
     corpus,
+    moore_lattice,
     random_mass,
 )
 
@@ -149,6 +152,40 @@ def test_same_focus_supports_multiply():
         assert combined[x] == pytest.approx(product[x], abs=TOL)
 
 
+def dyadic_mass(l, rng, *, top=0):
+    """A mass of 64 units of 1/64 over the elements above bottom, top/64 of
+    them on top: sums and products of these are exact floats."""
+    units = [0] * len(l)
+    units[l._order[-1]] = top
+    for _ in range(64 - top):
+        units[rng.choice(l._order[1:])] += 1
+    return lb.MassAllocation(l, dict(zip(l.elements, (u / 64 for u in units))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(l=st.randoms().map(moore_lattice), dual=st.booleans(), rng=st.randoms())
+def test_combination_multiplies_commonalities_on_random_moore_families(l, dual, rng):
+    if dual:
+        l = lb.dual_lattice(l)
+    if len(l) < 2:
+        return
+    m1, m2 = dyadic_mass(l, rng), dyadic_mass(l, rng)
+    q1, q2 = lb.comobius_transform(m1), lb.comobius_transform(m2)
+    product = [a * b for a, b in zip(q1.vector, q2.vector)]
+    assert list(lb.comobius_transform(lb.combine(m1, m2, "raw")).vector) == product
+    bottom, conflict = l._order[0], lb.combine(m1, m2, "raw")[l.bottom]
+    off_bottom = [i for i in range(len(l)) if i != bottom]
+    q = lb.comobius_transform(lb.combine(m1, m2, "zero-bottom")).vector
+    assert [q[i] for i in off_bottom] == [product[i] for i in off_bottom]
+    if conflict == 1.0:
+        with pytest.raises(TotalConflict):
+            lb.combine(m1, m2, "normalize")
+        return
+    q = lb.comobius_transform(lb.combine(m1, m2, "normalize")).vector
+    assert [q[i] for i in off_bottom] == pytest.approx(
+        [product[i] / (1.0 - conflict) for i in off_bottom], rel=1e-12, abs=1e-15)
+
+
 # -- decompose / recombine -------------------------------------------------------------
 
 def test_decompose_of_a_simple_support():
@@ -254,6 +291,18 @@ def test_recombine_round_trip():
                 assert rebuilt[x] == pytest.approx(m[x], abs=1e-8), name
 
 
+@settings(max_examples=100, deadline=None)
+@given(l=st.randoms().map(moore_lattice), dual=st.booleans(), rng=st.randoms())
+def test_recombine_inverts_decompose_on_random_moore_families(l, dual, rng):
+    if dual:
+        l = lb.dual_lattice(l)
+    if len(l) < 2:
+        return
+    m = dyadic_mass(l, rng, top=8)
+    again = lb.recombine(lb.decompose(lb.zeta_transform(m)))
+    assert again.vector == pytest.approx(m.vector, abs=1e-9)
+
+
 def test_recombine_single_weight_is_a_simple_support():
     l = bool_lattice(3)
     y, w = "{1,3}", 0.45
@@ -277,6 +326,14 @@ def test_support_weights_refuse_non_finite_weights(w):
     with pytest.raises(lb.errors.UnknownElement):
         lb.SupportWeights(l, {"{3}": w})
     assert lb.SupportWeights(l, {"{2}": 0.5, "{1}": 2}).weights == {"{1}": 2.0, "{2}": 0.5}
+
+
+def test_support_weights_refuse_unknown_names():
+    w = lb.SupportWeights(bool_lattice(2), {"{1}": 0.5})
+    assert (w["{1}"], w["{2}"]) == (0.5, 1.0)
+    for name in ("nope", ["{1}"], None):
+        with pytest.raises(lb.errors.UnknownElement):
+            w[name]
 
 
 def test_combine_requires_one_lattice():

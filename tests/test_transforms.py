@@ -177,6 +177,29 @@ def test_set_function_refuses_non_finite_values(bad):
         lb.SetFunction(l, {"{}": 0.0, "{1}": bad})
 
 
+def test_a_function_cannot_be_changed_through_its_values():
+    l = bool_lattice(2)
+    f = lb.SetFunction(l, {"{}": 0.0, "{1}": 0.5, "{2}": 0.25, "{1,2}": 0.75})
+    vector = f.vector
+    f.values[l.top] = float("nan")  # a NaN top would pass every boundary check
+    assert f[l.top] == 0.75 and f.vector == vector == (0.0, 0.5, 0.25, 0.75)
+    assert f.values == {"{}": 0.0, "{1}": 0.5, "{2}": 0.25, "{1,2}": 0.75}
+    assert not lb.check_capacity(f)
+    m = lb.MassAllocation(l, {"{}": 0.0, "{1}": 0.5, "{2}": 0.25, "{1,2}": 0.25})
+    m.values[l.bottom] = -5.0
+    assert m[l.bottom] == 0.0 and m.is_nonnegative()
+    assert m.focal_elements() == ("{1}", "{2}", "{1,2}")
+    with pytest.raises(TypeError):
+        f.vector[0] = 1.0
+
+
+def test_set_function_refuses_unknown_and_unhashable_names():
+    f = lb.SetFunction(bool_lattice(1), {"{}": 0.0, "{1}": 1.0})
+    for name in ("nope", ["{1}"], {"{1}": 1}):
+        with pytest.raises(lb.errors.UnknownElement):
+            f[name]
+
+
 def random_linear_extension(l, rng):
     """Element indices in a random order that lists every x before all y > x."""
     down, placed, order = l.poset._down, 0, []

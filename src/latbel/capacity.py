@@ -172,8 +172,9 @@ def conjugate(f: SetFunction, n, variant: str) -> SetFunction:
         raise InvalidNegation("negation and function live on different lattices")
     if n.kind != "vee":
         raise InvalidNegation("conjugation expects a join-reversing (vee) negation")
-    send = n.map if variant == "vee" else n.inverse_map
-    return SetFunction(f.lattice, _Vector(1.0 - f[send[x]] for x in f.lattice.elements))
+    image = n.image  # a permutation of the indices; sorting them by it inverts it
+    send = image if variant == "vee" else sorted(range(len(image)), key=image.__getitem__)
+    return SetFunction(f.lattice, _Vector(1.0 - f.vector[i] for i in send))
 
 
 def max_k_monotone(f: SetFunction, tol: float = DEFAULT_TOL,

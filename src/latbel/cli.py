@@ -307,7 +307,7 @@ def _cmd_negations(args, limits) -> int:
         _emit({"v": 1, "negations": [dict(n.map) for n in found]})
     else:
         for n in found:
-            print("  ".join(f"{x}->{n.map[x]}" for x in l.elements))
+            print("  ".join(f"{x}->{y}" for x, y in n.map.items()))
     return 0 if found else 1
 
 

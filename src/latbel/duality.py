@@ -6,10 +6,15 @@ order dual.  Negations need not be involutive and are rarely unique, so the
 search below enumerates them in a canonical order: the partial map is
 extended along the input element order, trying candidate images in input
 order, which makes "the first negation" stable across runs.
+
+Like every validated structure in this package, a negation holds index
+tuples only: its ``image`` in lattice input order.  The name dicts it hands
+out are fresh copies, so writing into one changes nothing.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .capacity import CheckResult
@@ -18,27 +23,29 @@ from .errors import (
     NoConsistentExtension,
     NotABijection,
     NotDistributive,
-    UnknownElement,
 )
-from .lattice import Lattice, _indices, eta, is_distributive, meet
+from .lattice import Lattice, _indices, _names, is_distributive
+from .transforms import _Vector
 
 
 class Negation:
     """A verified vee-negation (kind "vee") or its inverse wedge-negation
-    (kind "wedge"), with the inverse bijection precomputed.
+    (kind "wedge"), held as ``image``: the index of each element's image,
+    in lattice input order.  ``map`` and ``inverse_map`` return new dicts.
 
     The constructor is where every negation is verified: a vee map must pass
-    :func:`verify_vee_negation`, a wedge map's inverse must.  Only the
-    search, whose results are negations by construction, skips it.
+    :func:`verify_vee_negation`, a wedge map's inverse must.  Only the image
+    tuples the search and :func:`invert` build, negations by construction,
+    skip it.
     """
 
-    __slots__ = ("lattice", "kind", "map", "inverse_map")
+    __slots__ = ("lattice", "kind", "image")
 
-    def __init__(self, lattice: Lattice, mapping, kind: str = "vee", _verified: bool = False):
+    def __init__(self, lattice: Lattice, mapping, kind: str = "vee"):
         if kind not in ("vee", "wedge"):
             raise ValueError(f"kind must be 'vee' or 'wedge', got {kind!r}")
-        mapping = dict(mapping)
-        if not _verified:
+        if not isinstance(mapping, _Vector):
+            mapping = dict(mapping)
             res = _injective(lattice, mapping)
             if not res:
                 raise NotABijection(res.detail)
@@ -46,33 +53,39 @@ class Negation:
             res = verify_vee_negation(lattice, vee)
             if not res:
                 raise InvalidNegation(res.detail)
+            index = lattice.poset._index
+            mapping = _Vector(index[mapping[x]] for x in lattice.elements)
         self.lattice = lattice
         self.kind = kind
-        self.map = {x: mapping[x] for x in lattice.elements}
-        self.inverse_map = {v: k for k, v in self.map.items()}
+        self.image = mapping
+
+    @property
+    def map(self) -> dict:
+        """A new dict of element to image, in input order."""
+        return dict(zip(self.lattice.elements, _names(self.lattice, *self.image)))
+
+    @property
+    def inverse_map(self) -> dict:
+        """A new dict of element to preimage, in input order."""
+        return invert(self).map
 
     def __call__(self, x: str) -> str:
-        try:
-            return self.map[x]
-        except KeyError:
-            raise UnknownElement(x) from None
+        p = self.lattice.poset
+        return p.elements[self.image[p.index_of(x)]]
 
     def inverse(self, x: str) -> str:
-        try:
-            return self.inverse_map[x]
-        except KeyError:
-            raise UnknownElement(x) from None
+        return invert(self)(x)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Negation)
             and other.lattice is self.lattice
             and other.kind == self.kind
-            and other.map == self.map
+            and other.image == self.image
         )
 
     def __hash__(self):
-        return hash((id(self.lattice), self.kind, tuple(sorted(self.map.items()))))
+        return hash((id(self.lattice), self.kind, self.image))
 
     def __repr__(self) -> str:
         pairs = ", ".join(f"{k}->{v}" for k, v in self.map.items())
@@ -143,7 +156,7 @@ def find_negations(l: Lattice, limit: int | None = 1) -> list[Negation]:
         raise ValueError("limit must be at least 1")
     p = l.poset
     n = len(p)
-    names, down, up = p.elements, p._down, p._up
+    down, up = p._down, p._up
     candidates: dict[tuple, list[int]] = {}
     for c in range(n):
         key = (l._h[c], l._coh[c], len(p._cov_up[c]), len(p._cov_down[c]))
@@ -176,8 +189,7 @@ def find_negations(l: Lattice, limit: int | None = 1) -> list[Negation]:
         if i + 1 < n:
             stack.append(fits(i + 1))
             continue
-        mapping = {names[x]: names[image_bit[x].bit_length() - 1] for x in range(n)}
-        results.append(Negation(l, mapping, "vee", _verified=True))
+        results.append(Negation(l, _Vector(b.bit_length() - 1 for b in image_bit), "vee"))
         if limit is not None and len(results) >= limit:
             break
     return results
@@ -187,12 +199,13 @@ def invert(n: Negation) -> Negation:
     """The inverse bijection, a meet-reversing (wedge) negation; applying
     invert twice returns the original."""
     flipped = "wedge" if n.kind == "vee" else "vee"
-    return Negation(n.lattice, n.inverse_map, flipped, _verified=True)
+    image = n.image  # a permutation of the indices; sorting them by it inverts it
+    return Negation(n.lattice, _Vector(sorted(range(len(image)), key=image.__getitem__)), flipped)
 
 
 def is_involutive(n: Negation) -> bool:
     """n composed with itself is the identity."""
-    return all(n.map[n.map[x]] == x for x in n.lattice.elements)
+    return n.image == invert(n).image
 
 
 def negation_from_irreducible_map(l: Lattice, jmap) -> Negation:
@@ -209,20 +222,18 @@ def negation_from_irreducible_map(l: Lattice, jmap) -> Negation:
     missing = [j for j in l.joinirr if j not in jmap]
     if missing:
         raise NotABijection(f"no image for join-irreducible {missing[0]!r}")
-    meetirr = set(l.meetirr)
-    images = []
+    p = l.poset
     for j in l.joinirr:
-        img = jmap[j]
-        if img not in meetirr:
-            raise NotABijection(f"image {img!r} of {j!r} is not meet-irreducible")
-        images.append(img)
-    if len(set(images)) != len(images):
+        if jmap[j] not in l or not l._mmask >> p._index[jmap[j]] & 1:
+            raise NotABijection(f"image {jmap[j]!r} of {j!r} is not meet-irreducible")
+    send = {p._index[j]: p._index[jmap[j]] for j in l.joinirr}  # as indices
+    if len(set(send.values())) != len(send):
         raise NotABijection("two join-irreducibles share one image")
 
-    mapping = {}
-    for x in l.elements:
-        parts = [jmap[j] for j in sorted(eta(l, x), key=l.poset.index_of)]
-        mapping[x] = meet(l, parts) if parts else l.top
+    top, meet_t = l._order[-1], l._meet
+    image = [functools.reduce(lambda a, j: meet_t[a][send[j]], _indices(below & l._jmask), top)
+             for below in p._down]
+    mapping = dict(zip(l.elements, _names(l, *image)))
     try:
         return Negation(l, mapping, "vee")
     except (InvalidNegation, NotABijection) as exc:

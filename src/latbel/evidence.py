@@ -54,29 +54,26 @@ class MassAllocation(SetFunction):
         return all(v >= -tol for v in self.vector)
 
 
-class SupportWeights:
-    """Weights of a simple-support decomposition, keyed by focus element.
+class SupportWeights(SetFunction):
+    """Weights of a simple-support decomposition, as a function whose
+    ``vector`` holds every element's weight, 1 where none is given.  Foci
+    with weight 1 contribute a vacuous component and are omitted from
+    ``weights`` and ``items()``."""
 
-    Foci with weight 1 contribute a vacuous component and are omitted from
-    ``weights``; ``vector`` holds every element's weight in input order."""
-
-    __slots__ = ("lattice", "weights", "vector")
+    __slots__ = ()
 
     def __init__(self, lattice: Lattice, weights):
-        weights = dict(weights)  # checked as a function: known elements, finite numbers
-        full = SetFunction(lattice, {**dict.fromkeys(lattice.elements, 1.0), **weights})
-        self.lattice = lattice
-        self.vector = full.vector
-        self.weights = {y: w for y, w in full.items() if y in weights}
+        if not isinstance(weights, _Vector):  # by focus name: known elements, finite numbers
+            weights = {**dict.fromkeys(lattice.elements, 1.0), **dict(weights)}
+        super().__init__(lattice, weights)
 
-    def __getitem__(self, y: str) -> float:
-        return self.vector[self.lattice.poset.index_of(y)]
+    @property
+    def weights(self) -> dict:
+        """A new dict of focus to weight, in input order, without weights of 1."""
+        return {y: w for y, w in self.values.items() if w != 1.0}
 
     def items(self):
         return self.weights.items()
-
-    def __repr__(self) -> str:
-        return f"SupportWeights({self.weights!r})"
 
 
 def combine(
@@ -150,8 +147,9 @@ def decompose(bel: SetFunction, *, tol: float = DEFAULT_TOL) -> SupportWeights:
     if low <= 0.0:  # reachable only through masses negative within the tolerance
         raise TopMassZero(f"commonality {low!r} is not positive; decomposition needs it positive")
     log_w = mass_from_comobius(SetFunction(l, _Vector(map(math.log, q.vector))))
-    by_focus = zip(l.elements, (math.exp(-lw) for lw in log_w.vector))
-    return SupportWeights(l, {y: w for y, w in by_focus if y != l.top and abs(w - 1.0) > 1e-12})
+    w = [math.exp(-lw) for lw in log_w.vector]
+    w[l._order[-1]] = 1.0
+    return SupportWeights(l, _Vector(1.0 if abs(v - 1.0) <= 1e-12 else v for v in w))
 
 
 def recombine(weights: SupportWeights) -> MassAllocation:

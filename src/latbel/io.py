@@ -166,12 +166,11 @@ def save(path, doc: dict) -> None:
 def dot_export(l: Lattice) -> str:
     """Hasse diagram as DOT, drawn bottom-up with one rank per height and
     join-irreducible elements drawn filled."""
-    joinirr = set(l.joinirr)
     # escaping backslash and quote keeps distinct names distinct DOT IDs
     q = {x: '"' + x.replace("\\", "\\\\").replace('"', '\\"') + '"' for x in l.elements}
     lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=ellipse];"]
-    for x in l.elements:
-        if x in joinirr:
+    for i, x in enumerate(l.elements):
+        if l._jmask >> i & 1:
             lines.append(f"  {q[x]} [style=filled, fillcolor=black, fontcolor=white];")
         else:
             lines.append(f"  {q[x]};")

@@ -231,7 +231,7 @@ class Lattice:
     """
 
     __slots__ = ("poset", "bottom", "top", "joinirr", "meetirr", "heights",
-                 "_join", "_meet", "_order", "_h", "_coh", "_cache")
+                 "_join", "_meet", "_order", "_jmask", "_mmask", "_h", "_coh", "_cache")
 
     def __init__(self, poset: Poset):
         self.poset = poset
@@ -251,8 +251,10 @@ class Lattice:
 
         self.bottom = poset.minimal_elements()[0]
         self.top = poset.maximal_elements()[0]
-        self.joinirr = tuple(x for i, x in enumerate(names) if len(poset._cov_down[i]) == 1)
-        self.meetirr = tuple(x for i, x in enumerate(names) if len(poset._cov_up[i]) == 1)
+        self._jmask = sum(1 << i for i, c in enumerate(poset._cov_down) if len(c) == 1)
+        self._mmask = sum(1 << i for i, c in enumerate(poset._cov_up) if len(c) == 1)
+        self.joinirr = _names(self, *_indices(self._jmask))
+        self.meetirr = _names(self, *_indices(self._mmask))
 
         h = [0] * n
         for i in order:
@@ -361,22 +363,19 @@ def lattice_from_poset(p: Poset) -> Lattice:
 
 def join(l: Lattice, xs) -> str:
     """Join of a nonempty collection of elements (fold of the binary table)."""
-    return _fold(l, xs, l.join)
+    return _fold(l, xs, l._join)
 
 
 def meet(l: Lattice, xs) -> str:
     """Meet of a nonempty collection of elements."""
-    return _fold(l, xs, l.meet)
+    return _fold(l, xs, l._meet)
 
 
-def _fold(l, xs, op):
-    items = sorted(set(xs), key=l.poset.index_of)
+def _fold(l, xs, table):
+    items = {l.poset.index_of(x) for x in xs}
     if not items:
         raise ValueError("join/meet of an empty collection")
-    acc = items[0]
-    for x in items[1:]:
-        acc = op(acc, x)
-    return acc
+    return l.elements[functools.reduce(lambda a, b: table[a][b], items)]
 
 
 # -- irreducible decompositions ----------------------------------------------
@@ -384,15 +383,13 @@ def _fold(l, xs, op):
 def eta(l: Lattice, x: str) -> frozenset[str]:
     """Normal decomposition: all join-irreducibles <= x."""
     p = l.poset
-    below = p._down[p.index_of(x)]
-    return frozenset(j for j in l.joinirr if below >> p._index[j] & 1)
+    return frozenset(_names(l, *_indices(p._down[p.index_of(x)] & l._jmask)))
 
 
 def mu_set(l: Lattice, x: str) -> frozenset[str]:
     """All meet-irreducibles >= x."""
     p = l.poset
-    above = p._up[p.index_of(x)]
-    return frozenset(m for m in l.meetirr if above >> p._index[m] & 1)
+    return frozenset(_names(l, *_indices(p._up[p.index_of(x)] & l._mmask)))
 
 
 def eta_star(l: Lattice, x: str) -> frozenset[str]:
@@ -423,9 +420,8 @@ def mu_star(l: Lattice, x: str) -> frozenset[str]:
 def _minimal_decomposition(l: Lattice, x: str, upper: bool) -> frozenset[str]:
     p = l.poset
     i = p.index_of(x)
-    sets, irr = (p._up, l.meetirr) if upper else (p._down, l.joinirr)
-    gap = sets[i] & ~sets[_cover_bound(l, i, upper)]
-    return frozenset(j for j in irr if gap >> p._index[j] & 1)
+    sets, irr = (p._up, l._mmask) if upper else (p._down, l._jmask)
+    return frozenset(_names(l, *_indices(sets[i] & ~sets[_cover_bound(l, i, upper)] & irr)))
 
 
 def _cover_bound(l: Lattice, x: int, upper: bool) -> int:
@@ -475,7 +471,7 @@ def _cached(l: Lattice, key: str, compute):
 
 
 def _names(l: Lattice, *idx) -> tuple[str, ...]:
-    return tuple(l.poset.elements[i] for i in idx)
+    return tuple(map(l.poset.elements.__getitem__, idx))
 
 
 def _semimodular_witness(l: Lattice, upper: bool):
@@ -510,8 +506,7 @@ def _distributive_witness(l: Lattice):
     p = l.poset
     n = len(p)
     join_t, meet_t = l._join, l._meet
-    irr = sum(1 << i for i in range(n) if len(p._cov_down[i]) == 1)
-    eta_mask = [d & irr for d in p._down]
+    eta_mask = [d & l._jmask for d in p._down]
     for x, join_x in enumerate(join_t):
         for y in range(x + 1, n):
             if eta_mask[join_x[y]] != eta_mask[x] | eta_mask[y]:
@@ -679,18 +674,17 @@ def boolean_lattice(atom_names) -> Lattice:
 
 def maximal_chains(l: Lattice, *, max_chains: int = DEFAULT_MAX_CHAINS) -> list[tuple[str, ...]]:
     """All maximal chains from bottom to top, each as an ordered element tuple."""
-    p = l.poset
+    cov_up, top = l.poset._cov_up, l._order[-1]
     out: list[tuple[str, ...]] = []
-    stack = [(l.bottom, (l.bottom,))]
+    stack = [(l._order[0],)]  # index paths up from bottom
     while stack:
-        x, path = stack.pop()
-        if x == l.top:
-            out.append(path)
+        path = stack.pop()
+        if path[-1] == top:
+            out.append(_names(l, *path))
             if len(out) > max_chains:
                 raise SizeLimitExceeded(f"more than {max_chains} maximal chains")
             continue
-        for nxt in reversed(p.covered_by(x)):
-            stack.append((nxt, path + (nxt,)))
+        stack += [path + (c,) for c in reversed(cov_up[path[-1]])]
     return out
 
 

@@ -8,6 +8,9 @@ irreducibles alone.  Conversely, a strictly increasing possibility
 distribution determines a unique maximal chain of focal elements together
 with the masses sitting on it; ``reconstruct_chain`` carries out that
 selection procedure step by step.
+
+Like every validated structure in this package, a distribution holds index
+tuples only, and its name dicts (``pi``, ``nu``, ``items()``) are fresh copies.
 """
 
 from __future__ import annotations
@@ -23,65 +26,77 @@ from .errors import (
     SelectionFailed,
     TiesInDistribution,
     TopValueNotOne,
+    UnknownElement,
 )
 from .duality import Negation
 from .evidence import MassAllocation
-from .lattice import Lattice, eta, is_distributive, mu_set
+from .lattice import Lattice, _indices, _names, is_distributive
 from .transforms import _Vector
 
 
-class PossibilityDistribution:
+class _Distribution:
+    """Values in [0, 1] on one family of irreducibles, stored only as
+    ``vector``: one entry per lattice element in input order, None off the
+    family; the name dict (``pi`` or ``nu``) is a new copy on each access."""
+
+    __slots__ = ("lattice", "vector")
+
+    def __init__(self, lattice: Lattice, values, *, tol: float = DEFAULT_TOL):
+        self.lattice = lattice
+        self.vector = self._vector(lattice, values, tol)
+        index, domain = lattice.poset._index, getattr(lattice, self._domain)
+        if not any(abs(self.vector[index[x]] - self._attained) <= tol for x in domain):
+            raise InvalidDistribution(self._unattained)
+
+    @classmethod
+    def _vector(cls, l: Lattice, values, tol: float) -> tuple:
+        """The vector of the values given by name, each in [0, 1] within tol."""
+        _require_tol(tol)
+        values, label, domain = dict(values), cls._label, getattr(l, cls._domain)
+        missing = [x for x in domain if x not in values]
+        if missing:
+            raise InvalidDistribution(f"{label} gives no value for {missing[0]!r}")
+        if len(values) > len(domain):  # so some key lies outside the domain
+            extra = next(x for x in values if x not in domain)
+            raise InvalidDistribution(f"{label} defined on non-irreducible {extra!r}")
+        vector, index = [None] * len(l), l.poset._index
+        for x in domain:
+            try:
+                v = float(values[x])
+            except (TypeError, ValueError, OverflowError):
+                raise InvalidDistribution(f"{label}({x}) = {values[x]!r} is not a number") from None
+            if not -tol <= v <= 1.0 + tol:  # also refuses NaN
+                raise InvalidDistribution(f"{label}({x}) = {v!r} outside [0, 1]")
+            vector[index[x]] = v
+        return tuple(vector)
+
+    def __getitem__(self, x: str) -> float:
+        v = self.vector[self.lattice.poset.index_of(x)]
+        if v is None:
+            raise UnknownElement(x)
+        return v
+
+    def items(self):
+        """(irreducible, value) pairs in input order, from a new dict."""
+        return {x: v for x, v in zip(self.lattice.elements, self.vector) if v is not None}.items()
+
+
+class PossibilityDistribution(_Distribution):
     """Values in [0, 1] on the join-irreducibles, attaining 1 somewhere."""
 
-    __slots__ = ("lattice", "pi")
-
-    def __init__(self, lattice: Lattice, pi, *, tol: float = DEFAULT_TOL):
-        self.lattice = lattice
-        self.pi = _checked_distribution(lattice, pi, lattice.joinirr, "pi", tol)
-        if not any(abs(v - 1.0) <= tol for v in self.pi.values()):
-            raise InvalidDistribution("no join-irreducible attains possibility 1")
-
-    def __getitem__(self, j: str) -> float:
-        return self.pi[j]
-
-    def items(self):
-        return self.pi.items()
+    __slots__ = ()
+    _label, _domain, _attained = "pi", "joinirr", 1.0
+    _unattained = "no join-irreducible attains possibility 1"
+    pi = property(lambda self: dict(self.items()), doc="A new dict of join-irreducible to value.")
 
 
-class NecessityDistribution:
+class NecessityDistribution(_Distribution):
     """Values in [0, 1] on the meet-irreducibles, attaining 0 somewhere."""
 
-    __slots__ = ("lattice", "nu")
-
-    def __init__(self, lattice: Lattice, nu, *, tol: float = DEFAULT_TOL):
-        self.lattice = lattice
-        self.nu = _checked_distribution(lattice, nu, lattice.meetirr, "nu", tol)
-        if not any(abs(v) <= tol for v in self.nu.values()):
-            raise InvalidDistribution("no meet-irreducible attains necessity 0")
-
-    def __getitem__(self, m: str) -> float:
-        return self.nu[m]
-
-    def items(self):
-        return self.nu.items()
-
-
-def _checked_distribution(lattice, values, domain, label, tol):
-    _require_tol(tol)
-    values = dict(values)
-    missing = [x for x in domain if x not in values]
-    if missing:
-        raise InvalidDistribution(f"{label} gives no value for {missing[0]!r}")
-    extra = [x for x in values if x not in domain]
-    if extra:
-        raise InvalidDistribution(f"{label} defined on non-irreducible {extra[0]!r}")
-    out = {}
-    for x in domain:
-        v = float(values[x])
-        if not -tol <= v <= 1.0 + tol:  # also refuses NaN
-            raise InvalidDistribution(f"{label}({x}) = {v!r} outside [0, 1]")
-        out[x] = v
-    return out
+    __slots__ = ()
+    _label, _domain, _attained = "nu", "meetirr", 0.0
+    _unattained = "no meet-irreducible attains necessity 0"
+    nu = property(lambda self: dict(self.items()), doc="A new dict of meet-irreducible to value.")
 
 
 @dataclass(frozen=True)
@@ -162,14 +177,16 @@ def necessity_distribution(f, *, tol: float = DEFAULT_TOL) -> NecessityDistribut
 
 def eval_possibility(pi: PossibilityDistribution, x: str) -> float:
     """Largest pi value among the join-irreducibles below x (0 at bottom)."""
-    vals = [pi[j] for j in eta(pi.lattice, x)]
-    return max(vals) if vals else 0.0
+    l = pi.lattice
+    below = l.poset._down[l.poset.index_of(x)]
+    return max(map(pi.vector.__getitem__, _indices(below & l._jmask)), default=0.0)
 
 
 def eval_necessity(nu: NecessityDistribution, x: str) -> float:
     """Smallest nu value among the meet-irreducibles above x (1 at top)."""
-    vals = [nu[m] for m in mu_set(nu.lattice, x)]
-    return min(vals) if vals else 1.0
+    l = nu.lattice
+    above = l.poset._up[l.poset.index_of(x)]
+    return min(map(nu.vector.__getitem__, _indices(above & l._mmask)), default=1.0)
 
 
 def _require_distributive(l: Lattice):
@@ -201,60 +218,53 @@ def reconstruct_chain(
     if n.kind != "vee":
         raise InvalidNegation("chain reconstruction expects a vee-negation")
 
-    values = dict(pi.pi) if isinstance(pi, PossibilityDistribution) else dict(pi)
-    values = _checked_distribution(l, values, l.joinirr, "pi", tol)
-    count = len(l.joinirr)
-    if count == 0:
+    if isinstance(pi, PossibilityDistribution):
+        pi = pi.pi  # checked again under this tol, on this lattice
+    values = PossibilityDistribution._vector(l, pi, tol)
+    if not l._jmask:
         raise InvalidDistribution("the lattice has no join-irreducibles")
 
-    ordered = sorted(l.joinirr, key=lambda j: (values[j], l.poset.index_of(j)))
+    names, down, up, join_t = l.elements, l.poset._down, l.poset._up, l._join
+    ordered = sorted(_indices(l._jmask), key=lambda j: (values[j], j))
     for a, b in zip(ordered, ordered[1:]):
         if abs(values[a] - values[b]) <= tol:
-            raise TiesInDistribution(a, b, values[a])
+            raise TiesInDistribution(names[a], names[b], values[a])
     if abs(values[ordered[-1]] - 1.0) > tol:
         raise TopValueNotOne(f"largest pi value is {values[ordered[-1]]!r}, expected 1")
-    for a, b in itertools.permutations(l.joinirr, 2):
-        if values[a] > values[b] and l.leq(a, b):
-            raise InvalidDistribution(f"pi is not isotone: {a} <= {b} but "
-                                      f"pi({a}) = {values[a]!r} > pi({b}) = {values[b]!r}")
+    for a in _indices(l._jmask):
+        for b in _indices(up[a] & l._jmask):
+            if values[a] > values[b]:
+                a, b, va, vb = names[a], names[b], values[a], values[b]
+                raise InvalidDistribution(f"pi is not isotone: {a} <= {b} but "
+                                          f"pi({a}) = {va!r} > pi({b}) = {vb!r}")
 
-    all_ji = frozenset(l.joinirr)
-    etas = {j: eta(l, n(j)) for j in ordered}
-    # prefix[t] is the intersection of etas over the t smallest j
-    prefix = [all_ji]
-    for j in ordered:
-        prefix.append(prefix[-1] & etas[j])
+    etas = [down[n.image[j]] & l._jmask for j in ordered]  # eta(n(j)) as bitsets
+    prefix = [l._jmask]  # prefix[t] is the intersection of etas over the t smallest j
+    for e in etas:
+        prefix.append(prefix[-1] & e)
 
-    def by_index(xs):
-        return sorted(xs, key=l.poset.index_of)
-
-    iota: list[str] = []
-    chain: list[str] = []
+    chain: list[int] = []
     steps: list[ReconstructionStep] = []
-    for k in range(count, 0, -1):
-        jk = ordered[k - 1]
-        candidates = prefix[k - 1] - etas[jk]
-        if len(candidates) != 1:
-            raise SelectionFailed(k, by_index(candidates))
-        (pick,) = candidates
-        element = pick if not chain else l.join(chain[-1], pick)
-        if chain and element == chain[-1]:
-            raise SelectionFailed(k, (pick,), detail=f"step {k}: chain stalled at {element!r}")
-        iota.append(pick)
-        chain.append(element)
-        steps.append(
-            ReconstructionStep(
-                k=k, x=jk, nx=n(jk), eta_nx=tuple(by_index(etas[jk])),
-                iota=pick, chain_element=element,
-            )
-        )
-    if chain[-1] != l.top:
-        raise SelectionFailed(0, (chain[-1],), detail="chain did not reach the top")
-
     masses = [0.0] * len(l)
-    for pos, element in enumerate(chain):
-        k = count - pos
-        previous = values[ordered[k - 2]] if k >= 2 else 0.0
-        masses[l.poset.index_of(element)] = values[ordered[k - 1]] - previous
+    for k in range(len(ordered), 0, -1):
+        jk = ordered[k - 1]
+        candidates = prefix[k - 1] & ~etas[k - 1]
+        if candidates.bit_count() != 1:
+            raise SelectionFailed(k, _names(l, *_indices(candidates)))
+        pick = candidates.bit_length() - 1
+        element = join_t[chain[-1]][pick] if chain else pick
+        if chain and element == chain[-1]:
+            raise SelectionFailed(k, (names[pick],),
+                                  detail=f"step {k}: chain stalled at {names[element]!r}")
+        chain.append(element)
+        masses[element] = values[jk] - (values[ordered[k - 2]] if k >= 2 else 0.0)
+        steps.append(ReconstructionStep(
+            k=k, x=names[jk], nx=names[n.image[jk]], eta_nx=_names(l, *_indices(etas[k - 1])),
+            iota=names[pick], chain_element=names[element],
+        ))
+    if chain[-1] != l._order[-1]:
+        raise SelectionFailed(0, (names[chain[-1]],), detail="chain did not reach the top")
+
     mass = MassAllocation(l, _Vector(masses), tol=2 * tol)
-    return FocalChain(chain=tuple(chain), mass=mass, iota=tuple(iota), steps=tuple(steps))
+    return FocalChain(chain=_names(l, *chain), mass=mass, iota=tuple(s.iota for s in steps),
+                      steps=tuple(steps))

@@ -22,7 +22,8 @@ from .lattice import Lattice, _cached, _indices
 
 
 class _Vector(tuple):
-    """Values in lattice input order: a stored function, or a result the library built."""
+    """Values in lattice input order (a function's floats, a negation's image
+    indices): stored, or a result the library built, so not looked up by name."""
 
     __slots__ = ()
 
@@ -69,7 +70,7 @@ class SetFunction:
         return self.values.items()
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.values!r})"
+        return f"{type(self).__name__}({dict(self.items())!r})"
 
 
 class MobiusMatrix:

@@ -5,6 +5,8 @@ import pathlib
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import latbel as lb
 from latbel.cli import main
@@ -390,6 +392,19 @@ def test_bel_reconstruct_rejects_ties(diamond_bundle, tmp_path, capsys):
     assert "TiesInDistribution" in capsys.readouterr().err
 
 
+def test_bel_reconstruct_refuses_a_top_value_below_one_as_a_property(diamond_bundle, tmp_path,
+                                                                    capsys):
+    """A pi that never reaches 1 fails the chain's precondition (exit 1); it
+    is not malformed input (exit 2), although a PossibilityDistribution
+    built from it would be refused as one."""
+    lattice, negation, pi = diamond_bundle
+    given = json.loads(pathlib.Path(pi).read_text("utf-8"))["pi"]
+    halved = write(tmp_path / "halved.json", {"v": 1, "pi": {j: v / 2 for j, v in given.items()}})
+    assert main(["bel", "reconstruct", "--lattice", lattice,
+                 "--negation", negation, "--pi", halved]) == 1
+    assert capsys.readouterr().err.startswith("TopValueNotOne: largest pi value is 0.5")
+
+
 def test_bel_conjugate(b2, tmp_path, capsys):
     neg = write(tmp_path / "neg.json", {"v": 1, "map": {
         "{}": "{1,2}", "{1}": "{2}", "{2}": "{1}", "{1,2}": "{}"}})
@@ -604,3 +619,63 @@ def test_function_commands_print_the_recorded_bytes(label, b2, diamond_bundle, t
     assert sorted(commands) == sorted(GOLDEN)
     code = main(commands[label])
     assert {"code": code, "out": capsys.readouterr().out} == GOLDEN[label]
+
+
+# -- fuzzed artifacts --------------------------------------------------------------
+
+B2_NAMES = ["{}", "{1}", "{2}", "{1,2}"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([10**400, -(10**400), 2**64])
+    | st.floats(allow_nan=False, allow_infinity=False) | st.floats(0, 1)
+    | st.text(max_size=4) | st.sampled_from(B2_NAMES),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=5,
+)
+
+
+@st.composite
+def mutated(draw, doc):
+    """A copy of a one-field artifact document with up to three edits to its
+    mapping (a value of any JSON type set, a key dropped or a key added, any
+    name or none of the lattice's), or with the field itself of another type,
+    renamed or gone."""
+    (field, body), = ((k, dict(v)) for k, v in doc.items() if k != "v")
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(B2_NAMES) | st.text(max_size=4))
+        if draw(st.booleans()):
+            body.pop(key, None)
+        else:
+            body[key] = draw(st.floats(-0.5, 1.5) | st.sampled_from(B2_NAMES) | JSON_VALUES)
+    whole = draw(st.sampled_from(["mapping", "mapping", "mapping", "type", "rename", "drop"]))
+    if whole == "type":
+        return {"v": 1, field: draw(JSON_VALUES)}
+    if whole == "rename":
+        return {"v": 1, {"map": "pi", "pi": "nu", "values": "map"}[field]: body}
+    return {"v": 1} if whole == "drop" else {"v": 1, field: body}
+
+
+NEGATION = {"v": 1, "map": {"{}": "{1,2}", "{1}": "{1}", "{2}": "{2}", "{1,2}": "{}"}}
+PI = {"v": 1, "pi": {"{1}": 0.4, "{2}": 1}}
+WEIGHTS = {"v": 1, "values": {"{1}": 0.5, "{2}": 2}}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(negation=mutated(NEGATION), pi=mutated(PI), weights=mutated(WEIGHTS))
+def test_mutated_artifacts_exit_0_1_or_2_without_a_traceback(b2, tmp_path, capsys, negation, pi,
+                                                              weights):
+    """Negation, possibility and weight files of any shape end in the exit-code
+    contract: main returns 0, 1 or 2 and names an error, never raising."""
+    files = {name: write(tmp_path / f"{name}.json", doc) for name, doc in
+             [("neg", negation), ("pi", pi), ("w", weights), ("good_neg", NEGATION),
+              ("good_pi", PI), ("f", {"v": 1, "values": dict(zip(B2_NAMES, [0, 0.3, 0.2, 1]))})]}
+    for argv in (["conjugate", files["f"], "--negation", files["neg"]],
+                 ["reconstruct", "--negation", files["neg"], "--pi", files["good_pi"]],
+                 ["reconstruct", "--negation", files["good_neg"], "--pi", files["pi"]],
+                 ["reconstruct", "--pi", files["pi"]],
+                 ["recombine", files["w"]]):
+        code = main(["bel", argv[0], "--lattice", b2, *argv[1:]])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2) and "Traceback" not in err
+        assert (code == 0) == (err == ""), (argv, err)

@@ -156,6 +156,26 @@ def test_both_kinds_report_a_bad_map_itself(image):
                          else "image ['{2}'] of '{1}' is not a lattice element")
 
 
+def test_a_negation_cannot_be_changed_through_its_maps():
+    l = bool_lattice(2)
+    n = lb.find_negations(l, limit=1)[0]  # fixes both atoms
+    f = lb.SetFunction(l, {"{}": 0.0, "{1}": 0.25, "{2}": 0.5, "{1,2}": 1.0})
+    vee, wedge, image = lb.conjugate(f, n, "vee"), lb.conjugate(f, n, "wedge"), n.image
+    n.map["{1}"] = "{2}"  # no longer a bijection, were it stored
+    n.inverse_map["{1}"] = "{2}"
+    assert n.image == image and n("{1}") == n.map["{1}"] == n.inverse("{1}") == "{1}"
+    assert lb.conjugate(f, n, "vee").vector == vee.vector == (0.0, 0.75, 0.5, 1.0)
+    assert lb.conjugate(f, n, "wedge").vector == wedge.vector
+    assert lb.is_involutive(n) and lb.verify_vee_negation(l, n.map)
+    with pytest.raises(TypeError):
+        n.image[0] = 1
+    for name in ("nope", ["x"], None):
+        with pytest.raises(lb.errors.UnknownElement):
+            n.inverse(name)
+        with pytest.raises(lb.errors.UnknownElement):
+            n(name)
+
+
 def test_negation_from_irreducible_map_on_chain_diamond():
     n = chain_diamond_negation()
     l = chain_diamond().lattice
@@ -180,6 +200,12 @@ def test_irreducible_map_must_be_injective():
         lb.negation_from_irreducible_map(
             l, {"{1}": "{2,3}", "{2}": "{2,3}", "{3}": "{1,2}"}
         )
+
+
+@pytest.mark.parametrize("image", [["x"], {"x": 1}, None, 3, "nope", "{}"])
+def test_irreducible_map_refuses_images_that_are_not_meet_irreducible(image):
+    with pytest.raises(NotABijection, match="is not meet-irreducible"):
+        lb.negation_from_irreducible_map(bool_lattice(2), {"{1}": image, "{2}": "{1}"})
 
 
 def test_irreducible_map_with_no_consistent_extension():

@@ -336,6 +336,18 @@ def test_support_weights_refuse_unknown_names():
             w[name]
 
 
+def test_support_weights_cannot_be_changed_through_their_dict():
+    l = bool_lattice(2)
+    w = lb.SupportWeights(l, {"{1}": 0.5, "{2}": 0.25})
+    m = lb.recombine(w)
+    w.weights["{1}"] = -1.0  # a nonpositive weight, were it stored
+    dict(w.items())["{2}"] = 2.0
+    assert w.weights == {"{1}": 0.5, "{2}": 0.25} and w.vector == (1.0, 0.5, 0.25, 1.0)
+    assert lb.recombine(w).vector == m.vector
+    with pytest.raises(TypeError):
+        w.vector[1] = 1.0
+
+
 def test_combine_requires_one_lattice():
     rng = random.Random(81)
     with pytest.raises(lb.errors.LatticeMismatch):

@@ -167,6 +167,41 @@ def test_distribution_validation():
         lb.NecessityDistribution(l, {"{1,2}": 0.2})  # wrong domain and no zero
 
 
+def test_a_distribution_cannot_be_changed_through_its_dicts():
+    l = bool_lattice(2)  # join- and meet-irreducibles are both {1} and {2}
+    pi = lb.PossibilityDistribution(l, {"{1}": 0.4, "{2}": 1.0})
+    nu = lb.NecessityDistribution(l, {"{1}": 0.0, "{2}": 0.6})
+    pi.pi["{2}"] = float("nan")
+    dict(pi.items())["{1}"] = 5.0
+    nu.nu["{1}"] = float("nan")
+    assert pi.pi == {"{1}": 0.4, "{2}": 1.0} and nu.nu == {"{1}": 0.0, "{2}": 0.6}
+    assert [lb.eval_possibility(pi, x) for x in l.elements] == [0.0, 0.4, 1.0, 1.0]
+    assert [lb.eval_necessity(nu, x) for x in l.elements] == [0.0, 0.0, 0.6, 1.0]
+    with pytest.raises(TypeError):
+        pi.vector[1] = 0.0
+
+
+def test_distributions_refuse_names_outside_their_domain():
+    l = bool_lattice(2)
+    pi = lb.PossibilityDistribution(l, {"{1}": 0.4, "{2}": 1.0})
+    nu = lb.NecessityDistribution(l, {"{1}": 0.0, "{2}": 0.6})
+    assert (pi["{1}"], nu["{2}"]) == (0.4, 0.6)
+    for d, name in [(pi, "nope"), (pi, ["x"]), (pi, l.bottom), (nu, l.top), (nu, None)]:
+        with pytest.raises(lb.errors.UnknownElement):
+            d[name]
+
+
+@pytest.mark.parametrize("bad", [None, "abc", 10**400, [0.5], {"x": 1}],
+                         ids=["None", "text", "huge-int", "list", "dict"])
+def test_distribution_values_must_be_numbers(bad):
+    l = bool_lattice(2)
+    for build in (lb.PossibilityDistribution, lb.NecessityDistribution):
+        with pytest.raises(InvalidDistribution, match="is not a number"):
+            build(l, {"{1}": bad, "{2}": 1.0})
+    with pytest.raises(InvalidDistribution, match="is not a number"):
+        lb.reconstruct_chain(l, lb.find_negations(l)[0], {"{1}": bad, "{2}": 1.0})
+
+
 # -- chain reconstruction ------------------------------------------------------------------
 
 def reference_pi():
@@ -280,7 +315,7 @@ def test_reconstruct_input_validation():
     with pytest.raises(TiesInDistribution):
         lb.reconstruct_chain(dl.lattice, n, tied)
     capped = {k: v * 0.5 for k, v in pi.items()}
-    with pytest.raises((TopValueNotOne, InvalidDistribution)):
+    with pytest.raises(TopValueNotOne):
         lb.reconstruct_chain(dl.lattice, n, capped)
     # the diamond is autodual but not distributive
     cycle = lb.negation_from_map(

@@ -169,16 +169,15 @@ def dot_export(l: Lattice) -> str:
     # escaping backslash and quote keeps distinct names distinct DOT IDs
     q = {x: '"' + x.replace("\\", "\\\\").replace('"', '\\"') + '"' for x in l.elements}
     lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=ellipse];"]
+    by_height: dict[int, list[str]] = {}
     for i, x in enumerate(l.elements):
+        by_height.setdefault(l._h[i], []).append(x)
         if l._jmask >> i & 1:
             lines.append(f"  {q[x]} [style=filled, fillcolor=black, fontcolor=white];")
         else:
             lines.append(f"  {q[x]};")
     for a, b in l.covers:
         lines.append(f"  {q[a]} -> {q[b]};")
-    by_height: dict[int, list[str]] = {}
-    for x in l.elements:
-        by_height.setdefault(l.heights[x], []).append(x)
     for h in sorted(by_height):
         row = "; ".join(q[x] for x in by_height[h])
         lines.append(f"  {{ rank=same; {row}; }}")

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import types
 import warnings
 from dataclasses import dataclass, fields
 from operator import itemgetter
@@ -230,13 +231,12 @@ class Lattice:
     :func:`_columns`; the pair scan runs only to name the failing pair.
     """
 
-    __slots__ = ("poset", "bottom", "top", "joinirr", "meetirr", "heights",
+    __slots__ = ("poset", "bottom", "top", "joinirr", "meetirr",
                  "_join", "_meet", "_order", "_jmask", "_mmask", "_h", "_coh", "_cache")
 
     def __init__(self, poset: Poset):
         self.poset = poset
         n = len(poset)
-        names = poset.elements
         up, down = poset._up, poset._down
 
         # With a unique minimal element, a join pass without a miss shows that
@@ -264,7 +264,6 @@ class Lattice:
             coh[i] = 1 + max((coh[s] for s in poset._cov_up[i]), default=-1)
         self._h = h
         self._coh = coh
-        self.heights = dict(zip(names, h))
         self._cache: dict = {}
 
     # -- delegation ---------------------------------------------------------
@@ -300,8 +299,13 @@ class Lattice:
         return p.elements[self._meet[p.index_of(x)][p.index_of(y)]]
 
     @property
+    def heights(self) -> dict[str, int]:
+        """A new dict from each element to its height."""
+        return dict(zip(self.elements, self._h))
+
+    @property
     def atoms(self) -> tuple[str, ...]:
-        return tuple(x for x in self.joinirr if self.heights[x] == 1)
+        return _names(self, *(i for i in _indices(self._jmask) if self._h[i] == 1))
 
     def height(self, x: str) -> int:
         return self._h[self.poset.index_of(x)]
@@ -457,7 +461,7 @@ class StructureProfile:
     is_complemented: bool
     is_atomistic: bool
     is_autodual: bool
-    witnesses: dict
+    witnesses: types.MappingProxyType
 
     def flags(self) -> dict[str, bool]:
         """Every flag, in declaration order."""
@@ -495,14 +499,14 @@ def is_lower_semimodular(l: Lattice) -> bool:
 
 
 def _distributive_witness(l: Lattice):
-    """Birkhoff: L is distributive iff eta(x v y) = eta(x) | eta(y) for every
-    pair, eta(x) being the bitset of join-irreducibles below x.  On failure,
-    the first triple (x, y, z) in input order breaking
-    (x v y) ^ z = (x ^ z) v (y ^ z).
+    """The first triple (x, y, z) in input order breaking
+    (x v y) ^ z = (x ^ z) v (y ^ z), or None.  It does not decide the flag
+    (the locally distributive witnesses do); it runs only to name a failure.
 
-    A pair (x, y) has such a z exactly when it fails Birkhoff's test (a
-    join-irreducible in the difference is one), and the first failing pair
-    over all ordered pairs has x < y, so the scan below finds it."""
+    A pair (x, y) has such a z exactly when it fails Birkhoff's test
+    eta(x v y) = eta(x) | eta(y), eta(x) being the bitset of join-irreducibles
+    below x (a join-irreducible in the difference is one), and the first
+    failing pair over all ordered pairs has x < y, so the scan below finds it."""
     p = l.poset
     n = len(p)
     join_t, meet_t = l._join, l._meet
@@ -525,8 +529,6 @@ def _locally_distributive_witness(l: Lattice, upper: bool):
     1985; Edelman 1980); upper: the dual, with [x, x⁺].  Run only on lower
     (upper) semimodular lattices, where the interval is Boolean iff it has
     2^k elements, k the number of lower (upper) covers of x."""
-    if is_distributive(l):
-        return None
     p = l.poset
     inside, outside = (p._up, p._down) if upper else (p._down, p._up)
     for x, covers in enumerate(p._cov_up if upper else p._cov_down):
@@ -553,9 +555,9 @@ def _complement_witness(l: Lattice):
 
 
 def _atomistic_witness(l: Lattice):
-    for j in l.joinirr:
-        if l.heights[j] != 1:
-            return (j,)
+    for j in _indices(l._jmask):
+        if l._h[j] != 1:
+            return _names(l, j)
     return None
 
 
@@ -577,18 +579,25 @@ def _ranked_witness(l: Lattice):
 
 
 _WITNESSES = {
-    "is_linear": _linear_witness,
+    # a chain: every element but the bottom has exactly one lower cover
+    "is_linear": lambda l: (None if l._jmask.bit_count() == len(l) - 1
+                            else _linear_witness(l)),
     "is_ranked": _ranked_witness,
     "is_lower_semimodular": lambda l: _semimodular_witness(l, False),
     "is_upper_semimodular": lambda l: _semimodular_witness(l, True),
     "is_modular": lambda l: (_witness(l, "is_lower_semimodular")
                              or _witness(l, "is_upper_semimodular")),
-    "is_distributive": _distributive_witness,
+    # distributive iff locally distributive both ways (Dilworth 1940; Monjardet 1985)
+    "is_distributive": lambda l: (
+        (_witness(l, "is_lower_locally_distributive")
+         or _witness(l, "is_upper_locally_distributive")) and _distributive_witness(l)),
     "is_lower_locally_distributive": lambda l: (
         _witness(l, "is_lower_semimodular") or _locally_distributive_witness(l, False)),
     "is_upper_locally_distributive": lambda l: (
         _witness(l, "is_upper_semimodular") or _locally_distributive_witness(l, True)),
-    "is_complemented": _complement_witness,
+    # a distributive lattice is complemented iff it is Boolean, iff atomistic
+    "is_complemented": lambda l: (
+        (_witness(l, "is_distributive") or _witness(l, "is_atomistic")) and _complement_witness(l)),
     "is_atomistic": _atomistic_witness,
 }
 
@@ -607,7 +616,8 @@ def profile(l: Lattice) -> StructureProfile:
         return StructureProfile(
             is_lattice=True,
             is_autodual=bool(find_negations(l, limit=1)),
-            witnesses={flag: w for flag, w in found.items() if w is not None},
+            witnesses=types.MappingProxyType(
+                {flag: w for flag, w in found.items() if w is not None}),
             **{flag: w is None for flag, w in found.items()},
         )
 
@@ -627,8 +637,8 @@ class DownsetLattice:
     """
 
     lattice: Lattice
-    downset: dict
-    principal: dict
+    downset: types.MappingProxyType
+    principal: types.MappingProxyType
 
 
 def downset_lattice(p: Poset, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> DownsetLattice:
@@ -664,7 +674,8 @@ def downset_lattice(p: Poset, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Do
     lat = Lattice(Poset(names, covers, max_elements=max_elements))
     back = {name[d]: frozenset(p.elements[i] for i in members[d]) for d in downsets}
     principal = {x: name[p._down[i]] for i, x in enumerate(p.elements)}
-    return DownsetLattice(lattice=lat, downset=back, principal=principal)
+    return DownsetLattice(lattice=lat, downset=types.MappingProxyType(back),
+                          principal=types.MappingProxyType(principal))
 
 
 def boolean_lattice(atom_names) -> Lattice:

@@ -18,6 +18,7 @@ from latbel.errors import (
     SizeLimitExceeded,
     UnknownElement,
 )
+from latbel.io import dot_export
 
 from conftest import (
     autodual8,
@@ -350,6 +351,34 @@ def test_profile_implications_hold_on_corpus():
         for flag, value in prof.flags().items():
             if not value and flag != "is_autodual":
                 assert flag in prof.witnesses, (name, flag)
+
+
+def test_heights_witnesses_and_downset_maps_cannot_be_changed():
+    """Name-keyed views are fresh copies or read-only: a write into one
+    changes nothing or is refused."""
+    dl = lb.downset_lattice(lb.build_poset(["1", "2"], []))
+    l = dl.lattice
+    l.heights["{1}"] = 2
+    assert l.heights["{1}"] == 1
+    assert l.atoms == ("{1}", "{2}") and lb.profile(l).is_atomistic
+    assert '{ rank=same; "{1}"; "{2}"; }' in dot_export(l)
+
+    prof = lb.profile(m3())
+    want = dict(prof.witnesses)
+    with pytest.raises(AttributeError):
+        prof.witnesses.clear()
+    with pytest.raises(TypeError):
+        prof.witnesses["is_distributive"] = None
+    with pytest.raises(TypeError):
+        del prof.witnesses["is_distributive"]
+    assert lb.profile(m3()).witnesses == want != {}
+
+    for view, key in ((dl.downset, "{1}"), (dl.principal, "1")):
+        with pytest.raises(TypeError):
+            view[key] = "{2}"
+        with pytest.raises(AttributeError):
+            view.clear()
+    assert dl.downset["{1}"] == {"1"} and dl.principal["1"] == "{1}"
 
 
 # -- downsets, Birkhoff, chains ---------------------------------------------------

@@ -60,7 +60,7 @@ def check_capacity(f: SetFunction, tol: float = DEFAULT_TOL) -> CheckResult:
     l, fv = f.lattice, f.vector
     upto = [0.0] * len(fv)  # the largest value on each down-set
     for y in l._order:
-        below = max(map(upto.__getitem__, l.poset._cov_down[y]), default=-math.inf)
+        below = max(map(upto.__getitem__, l._cov_down[y]), default=-math.inf)
         if below > fv[y] + tol:
             return _isotone_scan(l, fv, tol)
         upto[y] = max(below, fv[y])
@@ -69,7 +69,7 @@ def check_capacity(f: SetFunction, tol: float = DEFAULT_TOL) -> CheckResult:
 
 def _isotone_scan(l, fv, tol) -> CheckResult:
     """The first comparable pair, in index order, with f(lower) > f(upper) + tol."""
-    down = l.poset._down
+    down = l._down
     for x, y in itertools.combinations(range(len(l)), 2):
         lo, hi = (x, y) if down[y] >> x & 1 else (y, x) if down[x] >> y & 1 else (None, None)
         if lo is not None and fv[lo] > fv[hi] + tol:
@@ -107,7 +107,7 @@ def _sweep(f: SetFunction, k: int, tol: float, max_families: int, op: str = "<")
     m[l._order[0]] = 0.0
     can_fail = fails(sum(v for v in m if v < 0)) or fails(sum(v for v in m if v > 0))
     risky = sum(1 << i for i, v in enumerate(m) if v < 0 or op == "!=" and v)
-    down, up, join_t, built = l.poset._down, l.poset._up, l._join, 0
+    down, up, join_t, built = l._down, l._up, l._join, 0
     for j in range(2, k + 1 if can_fail else 2):
         stack, found = [((), l._order[0], 0, (1 << len(l)) - 1)], False  # from bottom
         while stack:

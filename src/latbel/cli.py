@@ -10,12 +10,13 @@ property fails (a witness is printed), 2 on malformed input.
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 
 from . import capacity, duality, evidence, io, lattice as lat, possibilistic, transforms
 from .errors import (
     DecompositionNotUnique,
+    FormatError,
     LatBelError,
     NonPositiveWeight,
     NotABelief,
@@ -51,11 +52,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        limits = io.Limits.from_env()
-        limits.tolerance = args.tolerance
-        if args.limit is not None:
-            limits.max_chains = limits.max_families = args.limit
-        return args.handler(args, limits)
+        cap = os.environ.get("LATBEL_MAX_ELEMENTS")
+        try:
+            args.max_elements = lat.DEFAULT_MAX_ELEMENTS if cap is None else int(cap)
+        except ValueError:
+            raise FormatError(f"LATBEL_MAX_ELEMENTS must be an integer, got {cap!r}") from None
+        args.max_chains = lat.DEFAULT_MAX_CHAINS if args.limit is None else args.limit
+        args.max_families = capacity.DEFAULT_MAX_FAMILIES if args.limit is None else args.limit
+        return args.handler(args)
     except _PROPERTY_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -187,15 +191,15 @@ def _tolerance(text: str) -> float:
 
 
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, ensure_ascii=False, indent=2))
+    sys.stdout.write(io.dumps(doc))
 
 
-def _lattice(args, limits):
-    return io.load_lattice(args.lattice, max_elements=limits.max_elements)
+def _lattice(args):
+    return io.load_lattice(args.lattice, max_elements=args.max_elements)
 
 
-def _function(args, limits):
-    return io.load_function(args.function, _lattice(args, limits))
+def _function(args):
+    return io.load_function(args.function, _lattice(args))
 
 
 def _write_function(args, f) -> None:
@@ -223,8 +227,8 @@ def _report(args, label: str, res) -> int:
     return _print_check(label, res)
 
 
-def _cmd_check(args, limits) -> int:
-    p = io.load_poset(args.lattice, max_elements=limits.max_elements)
+def _cmd_check(args) -> int:
+    p = io.load_poset(args.lattice, max_elements=args.max_elements)
     try:
         l = lat.lattice_from_poset(p)
     except NotALattice as exc:
@@ -249,10 +253,10 @@ def _cmd_check(args, limits) -> int:
     return 0
 
 
-def _cmd_birkhoff(args, limits) -> int:
-    p = io.load_poset(args.poset, max_elements=limits.max_elements)
-    result = lat.downset_lattice(p, max_elements=limits.max_elements)
-    doc = io.poset_to_dict(result.lattice.poset)
+def _cmd_birkhoff(args) -> int:
+    p = io.load_poset(args.poset, max_elements=args.max_elements)
+    result = lat.downset_lattice(p, max_elements=args.max_elements)
+    doc = io.poset_to_dict(result.lattice)
     if args.out:
         io.save(args.out, doc)
         print(f"{len(result.lattice)} downsets written to {args.out}")
@@ -261,12 +265,12 @@ def _cmd_birkhoff(args, limits) -> int:
     return 0
 
 
-def _cmd_mobius(args, limits) -> int:
-    l = _lattice(args, limits)
+def _cmd_mobius(args) -> int:
+    l = _lattice(args)
     rows = transforms.mobius_function(l)._rows
     names = l.elements
     mu = {x: {names[j]: row.get(j, 0) for j in lat._indices(up)}
-          for x, row, up in zip(names, rows, l.poset._up)}
+          for x, row, up in zip(names, rows, l._up)}
     if args.json:
         _emit({"v": 1, "mu": mu})
     else:
@@ -289,18 +293,18 @@ def _emit_table(args, f, header: str = "", rows=None) -> int:
     return 0
 
 
-def _cmd_transform(args, limits) -> int:
+def _cmd_transform(args) -> int:
     op = {
         "mobius": transforms.mobius_transform,
         "zeta": transforms.zeta_transform,
         "comobius": transforms.comobius_transform,
         "inverse-comobius": transforms.mass_from_comobius,
     }[args.direction]
-    return _emit_table(args, op(_function(args, limits)))
+    return _emit_table(args, op(_function(args)))
 
 
-def _cmd_negations(args, limits) -> int:
-    l = _lattice(args, limits)
+def _cmd_negations(args) -> int:
+    l = _lattice(args)
     limit = None if args.all else (args.limit if args.limit is not None else 1)
     found = duality.find_negations(l, limit=limit)
     if args.json:
@@ -311,8 +315,8 @@ def _cmd_negations(args, limits) -> int:
     return 0 if found else 1
 
 
-def _cmd_chains(args, limits) -> int:
-    chains = lat.maximal_chains(_lattice(args, limits), max_chains=limits.max_chains)
+def _cmd_chains(args) -> int:
+    chains = lat.maximal_chains(_lattice(args), max_chains=args.max_chains)
     if args.json:
         _emit({"v": 1, "chains": [list(c) for c in chains]})
     else:
@@ -321,19 +325,19 @@ def _cmd_chains(args, limits) -> int:
     return 0
 
 
-def _cmd_dot(args, limits) -> int:
-    sys.stdout.write(io.dot_export(_lattice(args, limits)))
+def _cmd_dot(args) -> int:
+    sys.stdout.write(io.dot_export(_lattice(args)))
     return 0
 
 
-def _cmd_bel_check(args, limits) -> int:
-    f = _function(args, limits)
-    tol = limits.tolerance
+def _cmd_bel_check(args) -> int:
+    f = _function(args)
+    tol = args.tolerance
     cap = capacity.check_capacity(f, tol)
     bel = capacity.check_belief(f, tol)
     nec = possibilistic.check_necessity(f, tol)
     try:
-        max_k = capacity._max_k(f, tol, limits.max_families) if args.max_k else None
+        max_k = capacity._max_k(f, tol, args.max_families) if args.max_k else None
     except SizeLimitExceeded as exc:
         max_k = None
         print(f"max_k_monotone: not decided, {exc}", file=sys.stderr)
@@ -352,23 +356,23 @@ def _cmd_bel_check(args, limits) -> int:
     return 0 if bel.ok else 1
 
 
-def _cmd_bel_kmono(args, limits) -> int:
-    f = _function(args, limits)
+def _cmd_bel_kmono(args) -> int:
+    f = _function(args)
     if args.k == "total":
-        res = capacity.check_total_monotone(f, limits.tolerance, limits.max_families)
+        res = capacity.check_total_monotone(f, args.tolerance, args.max_families)
         return _report(args, "totally-monotone", res)
-    res = capacity.check_k_monotone(f, int(args.k), limits.tolerance, limits.max_families)
+    res = capacity.check_k_monotone(f, int(args.k), args.tolerance, args.max_families)
     return _report(args, f"{args.k}-monotone", res)
 
 
-def _cmd_bel_valuation(args, limits) -> int:
-    res = capacity.check_k_valuation(_function(args, limits), args.k, limits.tolerance,
-                                     limits.max_families)
+def _cmd_bel_valuation(args) -> int:
+    res = capacity.check_k_valuation(_function(args), args.k, args.tolerance,
+                                     args.max_families)
     return _report(args, f"{args.k}-valuation", res)
 
 
-def _cmd_bel_conjugate(args, limits) -> int:
-    f = _function(args, limits)
+def _cmd_bel_conjugate(args) -> int:
+    f = _function(args)
     n = io.load_negation(args.negation, f.lattice)
     return _emit_table(args, capacity.conjugate(f, n, args.variant))
 
@@ -377,30 +381,30 @@ def _emit_mass(args, m) -> int:
     return _emit_table(args, m, "focal element\tmass", m.focal_elements())
 
 
-def _cmd_bel_combine(args, limits) -> int:
-    l = _lattice(args, limits)
-    m1 = io.load_mass(args.mass1, l, tol=limits.tolerance)
-    m2 = io.load_mass(args.mass2, l, tol=limits.tolerance)
-    return _emit_mass(args, evidence.combine(m1, m2, args.policy, tol=limits.tolerance))
+def _cmd_bel_combine(args) -> int:
+    l = _lattice(args)
+    m1 = io.load_mass(args.mass1, l, tol=args.tolerance)
+    m2 = io.load_mass(args.mass2, l, tol=args.tolerance)
+    return _emit_mass(args, evidence.combine(m1, m2, args.policy, tol=args.tolerance))
 
 
-def _cmd_bel_decompose(args, limits) -> int:
-    weights = evidence.decompose(_function(args, limits), tol=limits.tolerance)
+def _cmd_bel_decompose(args) -> int:
+    weights = evidence.decompose(_function(args), tol=args.tolerance)
     return _emit_table(args, weights, "focus\tweight", weights.weights)
 
 
-def _cmd_bel_recombine(args, limits) -> int:
-    weights = io.load_weights(args.weights, _lattice(args, limits))
+def _cmd_bel_recombine(args) -> int:
+    weights = io.load_weights(args.weights, _lattice(args))
     return _emit_mass(args, evidence.recombine(weights))
 
 
-def _cmd_bel_min_max(args, limits) -> int:
-    res = args.check(_function(args, limits), limits.tolerance)
+def _cmd_bel_min_max(args) -> int:
+    res = args.check(_function(args), args.tolerance)
     return _report(args, args.bel_command, res)
 
 
-def _cmd_bel_reconstruct(args, limits) -> int:
-    l = _lattice(args, limits)
+def _cmd_bel_reconstruct(args) -> int:
+    l = _lattice(args)
     if args.negation:
         n = io.load_negation(args.negation, l)
     else:
@@ -409,7 +413,7 @@ def _cmd_bel_reconstruct(args, limits) -> int:
             raise NotAutodual("the lattice admits no negation; supply --negation")
         n = found[0]
     pi = io.load_distribution(args.pi, "pi")
-    result = possibilistic.reconstruct_chain(l, n, pi, tol=limits.tolerance)
+    result = possibilistic.reconstruct_chain(l, n, pi, tol=args.tolerance)
     if args.json:
         _emit({
             "v": 1,

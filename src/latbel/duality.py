@@ -53,8 +53,7 @@ class Negation:
             res = verify_vee_negation(lattice, vee)
             if not res:
                 raise InvalidNegation(res.detail)
-            index = lattice.poset._index
-            mapping = _Vector(index[mapping[x]] for x in lattice.elements)
+            mapping = _Vector(lattice._index[mapping[x]] for x in lattice.elements)
         self.lattice = lattice
         self.kind = kind
         self.image = mapping
@@ -70,8 +69,8 @@ class Negation:
         return invert(self).map
 
     def __call__(self, x: str) -> str:
-        p = self.lattice.poset
-        return p.elements[self.image[p.index_of(x)]]
+        l = self.lattice
+        return l.elements[self.image[l.index_of(x)]]
 
     def inverse(self, x: str) -> str:
         return invert(self)(x)
@@ -105,7 +104,7 @@ def verify_vee_negation(l: Lattice, mapping) -> CheckResult:
         return res
     if mapping[l.top] != l.bottom:
         return CheckResult(False, (l.top,), f"n(top) = {mapping[l.top]!r}, expected bottom")
-    names, index = l.elements, l.poset._index
+    names, index = l.elements, l._index
     image = [index[mapping[x]] for x in names]
     join_t, meet_t = l._join, l._meet
     for i, j in itertools.combinations_with_replacement(range(len(names)), 2):
@@ -154,18 +153,17 @@ def find_negations(l: Lattice, limit: int | None = 1) -> list[Negation]:
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be at least 1")
-    p = l.poset
-    n = len(p)
-    down, up = p._down, p._up
+    n = len(l)
+    down, up = l._down, l._up
     candidates: dict[tuple, list[int]] = {}
     for c in range(n):
-        key = (l._h[c], l._coh[c], len(p._cov_up[c]), len(p._cov_down[c]))
+        key = (l._h[c], l._coh[c], len(l._cov_up[c]), len(l._cov_down[c]))
         candidates.setdefault(key, []).append(c)
     image_bit = [0] * n  # 1 << the image of each assigned element, 0 otherwise
     images = 0  # bitset of all assigned images
 
     def fits(i):
-        key = (l._coh[i], l._h[i], len(p._cov_down[i]), len(p._cov_up[i]))
+        key = (l._coh[i], l._h[i], len(l._cov_down[i]), len(l._cov_up[i]))
         assigned = (1 << i) - 1
         above = sum(map(image_bit.__getitem__, _indices(down[i] & assigned)))
         below = sum(map(image_bit.__getitem__, _indices(up[i] & assigned)))
@@ -222,17 +220,16 @@ def negation_from_irreducible_map(l: Lattice, jmap) -> Negation:
     missing = [j for j in l.joinirr if j not in jmap]
     if missing:
         raise NotABijection(f"no image for join-irreducible {missing[0]!r}")
-    p = l.poset
     for j in l.joinirr:
-        if jmap[j] not in l or not l._mmask >> p._index[jmap[j]] & 1:
+        if jmap[j] not in l or not l._mmask >> l._index[jmap[j]] & 1:
             raise NotABijection(f"image {jmap[j]!r} of {j!r} is not meet-irreducible")
-    send = {p._index[j]: p._index[jmap[j]] for j in l.joinirr}  # as indices
+    send = {l._index[j]: l._index[jmap[j]] for j in l.joinirr}  # as indices
     if len(set(send.values())) != len(send):
         raise NotABijection("two join-irreducibles share one image")
 
     top, meet_t = l._order[-1], l._meet
     image = [functools.reduce(lambda a, j: meet_t[a][send[j]], _indices(below & l._jmask), top)
-             for below in p._down]
+             for below in l._down]
     mapping = dict(zip(l.elements, _names(l, *image)))
     try:
         return Negation(l, mapping, "vee")

@@ -122,7 +122,7 @@ def simple_support(l: Lattice, y: str, w: float) -> MassAllocation:
     if y == l.bottom and y != l.top:
         raise FocusIsBottom("a simple support function cannot focus on bottom")
     vals = [0.0] * len(l)
-    vals[l.poset.index_of(y)] += 1.0 - float(w)
+    vals[l.index_of(y)] += 1.0 - float(w)
     vals[l._order[-1]] += float(w)
     return MassAllocation(l, _Vector(vals), check=False)
 

@@ -1,4 +1,4 @@
-"""File formats, command line limits, and DOT export.
+"""File formats and DOT export.
 
 One canonical JSON document per artifact kind, each carrying a format
 version field "v": 1.
@@ -18,45 +18,15 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from dataclasses import dataclass
 
-from .capacity import DEFAULT_MAX_FAMILIES, DEFAULT_TOL
+from .capacity import DEFAULT_TOL
 from .duality import Negation, negation_from_map
 from .errors import FormatError
 from .evidence import MassAllocation, SupportWeights
-from .lattice import (
-    DEFAULT_MAX_CHAINS,
-    DEFAULT_MAX_ELEMENTS,
-    Lattice,
-    Poset,
-    lattice_from_poset,
-)
+from .lattice import DEFAULT_MAX_ELEMENTS, Lattice, Poset, lattice_from_poset
 from .transforms import SetFunction
 
 FORMAT_VERSION = 1
-
-
-@dataclass
-class Limits:
-    """Tolerances and enumeration caps used by the command line front end."""
-
-    max_elements: int = DEFAULT_MAX_ELEMENTS
-    max_chains: int = DEFAULT_MAX_CHAINS
-    max_families: int = DEFAULT_MAX_FAMILIES
-    tolerance: float = DEFAULT_TOL
-
-    @classmethod
-    def from_env(cls, environ=None) -> "Limits":
-        env = os.environ if environ is None else environ
-        limits = cls()
-        cap = env.get("LATBEL_MAX_ELEMENTS")
-        if cap is not None:
-            try:
-                limits.max_elements = int(cap)
-            except ValueError:
-                raise FormatError(f"LATBEL_MAX_ELEMENTS must be an integer, got {cap!r}")
-        return limits
 
 
 def _load_document(path) -> dict:

@@ -12,7 +12,9 @@ operations", TOPLAS 1989).  Element names appear only at the API edge.
 The join and meet tables are filled column by column along a linear
 extension, composing the columns of each element's covers; only a poset
 found not to be a lattice is scanned pair by pair, to name its first pair
-without a join or a meet.
+without a join or a meet.  A Lattice is a Poset that takes over the arrays
+of the poset it is built from by reference, so the order queries are the
+poset's own; ``dual`` and ``restrict`` on a lattice give posets.
 
 Poset and Lattice are immutable once built, except that ``Lattice._cache``
 is filled lazily with derived results such as the structural profile and
@@ -25,8 +27,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-import types
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from operator import itemgetter
 
@@ -222,11 +224,12 @@ def build_poset(elements, covers, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -
     return Poset(elements, covers, max_elements=max_elements)
 
 
-class Lattice:
+class Lattice(Poset):
     """A finite lattice: a poset whose binary join and meet are total.
 
-    Raises :class:`NotALattice` otherwise, naming the first pair in input
-    order without a join or a meet.  ``_join``/``_meet`` are the operations'
+    Shares the arrays of ``poset``, which it keeps.  Raises
+    :class:`NotALattice` otherwise, naming the first pair in input order
+    without a join or a meet.  ``_join``/``_meet`` are the operations'
     index tables, filled along the linear extension ``_order`` by
     :func:`_columns`; the pair scan runs only to name the failing pair.
     """
@@ -235,68 +238,45 @@ class Lattice:
                  "_join", "_meet", "_order", "_jmask", "_mmask", "_h", "_coh", "_cache")
 
     def __init__(self, poset: Poset):
+        for slot in Poset.__slots__:  # taken over: rebuilding would redo the closure
+            setattr(self, slot, getattr(poset, slot))
         self.poset = poset
-        n = len(poset)
-        up, down = poset._up, poset._down
+        n, up, down = len(self), self._up, self._down
 
         # With a unique minimal element, a join pass without a miss shows that
         # every pair has a join, so P is a lattice and the meet pass cannot miss.
         self._order = order = sorted(range(n), key=lambda i: down[i].bit_count())
-        one_minimal = sum(not c for c in poset._cov_down) == 1
-        join_t = _columns(order, poset._cov_down, up) if one_minimal else None
+        one_minimal = sum(not c for c in self._cov_down) == 1
+        join_t = _columns(order, self._cov_down, up) if one_minimal else None
         if join_t is None:
             raise _first_failing_pair(poset)
         self._join = join_t
-        self._meet = _columns(order[::-1], poset._cov_up, down)
+        self._meet = _columns(order[::-1], self._cov_up, down)
 
-        self.bottom = poset.minimal_elements()[0]
-        self.top = poset.maximal_elements()[0]
-        self._jmask = sum(1 << i for i, c in enumerate(poset._cov_down) if len(c) == 1)
-        self._mmask = sum(1 << i for i, c in enumerate(poset._cov_up) if len(c) == 1)
+        self.bottom, self.top = self.elements[order[0]], self.elements[order[-1]]
+        self._jmask = sum(1 << i for i, c in enumerate(self._cov_down) if len(c) == 1)
+        self._mmask = sum(1 << i for i, c in enumerate(self._cov_up) if len(c) == 1)
         self.joinirr = _names(self, *_indices(self._jmask))
         self.meetirr = _names(self, *_indices(self._mmask))
 
         h = [0] * n
         for i in order:
-            h[i] = 1 + max((h[p] for p in poset._cov_down[i]), default=-1)
+            h[i] = 1 + max((h[p] for p in self._cov_down[i]), default=-1)
         coh = [0] * n
         for i in reversed(order):
-            coh[i] = 1 + max((coh[s] for s in poset._cov_up[i]), default=-1)
+            coh[i] = 1 + max((coh[s] for s in self._cov_up[i]), default=-1)
         self._h = h
         self._coh = coh
         self._cache: dict = {}
 
-    # -- delegation ---------------------------------------------------------
-
-    @property
-    def elements(self) -> tuple[str, ...]:
-        return self.poset.elements
-
-    @property
-    def covers(self) -> tuple[tuple[str, str], ...]:
-        return self.poset.covers
-
-    def __len__(self) -> int:
-        return len(self.poset)
-
-    def __contains__(self, name) -> bool:
-        return name in self.poset
-
     def __repr__(self) -> str:
         return f"Lattice({len(self)} elements, bottom={self.bottom!r}, top={self.top!r})"
 
-    def leq(self, x: str, y: str) -> bool:
-        p = self.poset
-        i, j = p.index_of(x), p.index_of(y)
-        return self._join[i][j] == j
-
     def join(self, x: str, y: str) -> str:
-        p = self.poset
-        return p.elements[self._join[p.index_of(x)][p.index_of(y)]]
+        return self.elements[self._join[self.index_of(x)][self.index_of(y)]]
 
     def meet(self, x: str, y: str) -> str:
-        p = self.poset
-        return p.elements[self._meet[p.index_of(x)][p.index_of(y)]]
+        return self.elements[self._meet[self.index_of(x)][self.index_of(y)]]
 
     @property
     def heights(self) -> dict[str, int]:
@@ -308,11 +288,11 @@ class Lattice:
         return _names(self, *(i for i in _indices(self._jmask) if self._h[i] == 1))
 
     def height(self, x: str) -> int:
-        return self._h[self.poset.index_of(x)]
+        return self._h[self.index_of(x)]
 
     def coheight(self, x: str) -> int:
         """Length of a longest chain from x up to the top."""
-        return self._coh[self.poset.index_of(x)]
+        return self._coh[self.index_of(x)]
 
 
 def _columns(order, lower, up):
@@ -361,7 +341,7 @@ def _first_failing_pair(poset: Poset) -> NotALattice:
 
 
 def lattice_from_poset(p: Poset) -> Lattice:
-    """Check that ``p`` carries total join/meet and wrap it as a Lattice."""
+    """Check that ``p`` carries total join/meet and build its Lattice."""
     return Lattice(p)
 
 
@@ -376,7 +356,7 @@ def meet(l: Lattice, xs) -> str:
 
 
 def _fold(l, xs, table):
-    items = {l.poset.index_of(x) for x in xs}
+    items = {l.index_of(x) for x in xs}
     if not items:
         raise ValueError("join/meet of an empty collection")
     return l.elements[functools.reduce(lambda a, b: table[a][b], items)]
@@ -386,14 +366,12 @@ def _fold(l, xs, table):
 
 def eta(l: Lattice, x: str) -> frozenset[str]:
     """Normal decomposition: all join-irreducibles <= x."""
-    p = l.poset
-    return frozenset(_names(l, *_indices(p._down[p.index_of(x)] & l._jmask)))
+    return frozenset(_names(l, *_indices(l._down[l.index_of(x)] & l._jmask)))
 
 
 def mu_set(l: Lattice, x: str) -> frozenset[str]:
     """All meet-irreducibles >= x."""
-    p = l.poset
-    return frozenset(_names(l, *_indices(p._up[p.index_of(x)] & l._mmask)))
+    return frozenset(_names(l, *_indices(l._up[l.index_of(x)] & l._mmask)))
 
 
 def eta_star(l: Lattice, x: str) -> frozenset[str]:
@@ -422,16 +400,15 @@ def mu_star(l: Lattice, x: str) -> frozenset[str]:
 
 
 def _minimal_decomposition(l: Lattice, x: str, upper: bool) -> frozenset[str]:
-    p = l.poset
-    i = p.index_of(x)
-    sets, irr = (p._up, l._mmask) if upper else (p._down, l._jmask)
+    i = l.index_of(x)
+    sets, irr = (l._up, l._mmask) if upper else (l._down, l._jmask)
     return frozenset(_names(l, *_indices(sets[i] & ~sets[_cover_bound(l, i, upper)] & irr)))
 
 
 def _cover_bound(l: Lattice, x: int, upper: bool) -> int:
     """x⁻, the meet of the lower covers of x, or (upper) x⁺, the join of its
     upper covers; x itself when it has none."""
-    covers = (l.poset._cov_up if upper else l.poset._cov_down)[x]
+    covers = (l._cov_up if upper else l._cov_down)[x]
     table = l._join if upper else l._meet
     return functools.reduce(lambda a, c: table[a][c], covers, covers[0] if covers else x)
 
@@ -461,11 +438,33 @@ class StructureProfile:
     is_complemented: bool
     is_atomistic: bool
     is_autodual: bool
-    witnesses: types.MappingProxyType
+    witnesses: Mapping
 
     def flags(self) -> dict[str, bool]:
         """Every flag, in declaration order."""
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "witnesses"}
+
+
+class _ReadOnly(Mapping):
+    """A read-only view of a dict that, unlike ``types.MappingProxyType``,
+    can be copied and deep-copied."""
+
+    __slots__ = ("_d",)
+
+    def __init__(self, d: dict):
+        self._d = d
+
+    def __getitem__(self, key):
+        return self._d[key]
+
+    def __iter__(self):
+        return iter(self._d)
+
+    def __len__(self) -> int:
+        return len(self._d)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._d!r})"
 
 
 def _cached(l: Lattice, key: str, compute):
@@ -475,16 +474,15 @@ def _cached(l: Lattice, key: str, compute):
 
 
 def _names(l: Lattice, *idx) -> tuple[str, ...]:
-    return tuple(map(l.poset.elements.__getitem__, idx))
+    return tuple(map(l.elements.__getitem__, idx))
 
 
 def _semimodular_witness(l: Lattice, upper: bool):
     """Upper: if x and y both cover x ^ y, x v y covers both; lower is the
     dual.  Distinct upper covers of m meet in m, so only pairs of covers of
     one element can fail; the first witness is the smallest failing pair."""
-    p = l.poset
-    covers, table = (p._cov_up, l._join) if upper else (p._cov_down, l._meet)
-    back = [set(c) for c in (p._cov_down if upper else p._cov_up)]
+    covers, table = (l._cov_up, l._join) if upper else (l._cov_down, l._meet)
+    back = [set(c) for c in (l._cov_down if upper else l._cov_up)]
     fails = [(x, y) for cs in covers for x, y in itertools.combinations(cs, 2)
              if not back[table[x][y]] >= {x, y}]
     return _names(l, *min(fails)) if fails else None
@@ -507,10 +505,9 @@ def _distributive_witness(l: Lattice):
     eta(x v y) = eta(x) | eta(y), eta(x) being the bitset of join-irreducibles
     below x (a join-irreducible in the difference is one), and the first
     failing pair over all ordered pairs has x < y, so the scan below finds it."""
-    p = l.poset
-    n = len(p)
+    n = len(l)
     join_t, meet_t = l._join, l._meet
-    eta_mask = [d & l._jmask for d in p._down]
+    eta_mask = [d & l._jmask for d in l._down]
     for x, join_x in enumerate(join_t):
         for y in range(x + 1, n):
             if eta_mask[join_x[y]] != eta_mask[x] | eta_mask[y]:
@@ -529,9 +526,8 @@ def _locally_distributive_witness(l: Lattice, upper: bool):
     1985; Edelman 1980); upper: the dual, with [x, x⁺].  Run only on lower
     (upper) semimodular lattices, where the interval is Boolean iff it has
     2^k elements, k the number of lower (upper) covers of x."""
-    p = l.poset
-    inside, outside = (p._up, p._down) if upper else (p._down, p._up)
-    for x, covers in enumerate(p._cov_up if upper else p._cov_down):
+    inside, outside = (l._up, l._down) if upper else (l._down, l._up)
+    for x, covers in enumerate(l._cov_up if upper else l._cov_down):
         if (inside[x] & outside[_cover_bound(l, x, upper)]).bit_count() != 1 << len(covers):
             return _names(l, x)
     return None
@@ -546,8 +542,7 @@ def is_upper_locally_distributive(l: Lattice) -> bool:
 
 
 def _complement_witness(l: Lattice):
-    p = l.poset
-    bottom, top = p.index_of(l.bottom), p.index_of(l.top)
+    bottom, top = l._order[0], l._order[-1]
     for x, (meet_x, join_x) in enumerate(zip(l._meet, l._join)):
         if not any(m == bottom and j == top for m, j in zip(meet_x, join_x)):
             return _names(l, x)
@@ -571,7 +566,7 @@ def _linear_witness(l: Lattice):
 
 def _ranked_witness(l: Lattice):
     h = l._h
-    for a, ups in enumerate(l.poset._cov_up):
+    for a, ups in enumerate(l._cov_up):
         for b in ups:
             if h[b] != h[a] + 1:
                 return _names(l, a, b)
@@ -616,8 +611,7 @@ def profile(l: Lattice) -> StructureProfile:
         return StructureProfile(
             is_lattice=True,
             is_autodual=bool(find_negations(l, limit=1)),
-            witnesses=types.MappingProxyType(
-                {flag: w for flag, w in found.items() if w is not None}),
+            witnesses=_ReadOnly({flag: w for flag, w in found.items() if w is not None}),
             **{flag: w is None for flag, w in found.items()},
         )
 
@@ -637,8 +631,8 @@ class DownsetLattice:
     """
 
     lattice: Lattice
-    downset: types.MappingProxyType
-    principal: types.MappingProxyType
+    downset: Mapping
+    principal: Mapping
 
 
 def downset_lattice(p: Poset, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> DownsetLattice:
@@ -674,8 +668,7 @@ def downset_lattice(p: Poset, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Do
     lat = Lattice(Poset(names, covers, max_elements=max_elements))
     back = {name[d]: frozenset(p.elements[i] for i in members[d]) for d in downsets}
     principal = {x: name[p._down[i]] for i, x in enumerate(p.elements)}
-    return DownsetLattice(lattice=lat, downset=types.MappingProxyType(back),
-                          principal=types.MappingProxyType(principal))
+    return DownsetLattice(lattice=lat, downset=_ReadOnly(back), principal=_ReadOnly(principal))
 
 
 def boolean_lattice(atom_names) -> Lattice:
@@ -685,7 +678,7 @@ def boolean_lattice(atom_names) -> Lattice:
 
 def maximal_chains(l: Lattice, *, max_chains: int = DEFAULT_MAX_CHAINS) -> list[tuple[str, ...]]:
     """All maximal chains from bottom to top, each as an ordered element tuple."""
-    cov_up, top = l.poset._cov_up, l._order[-1]
+    cov_up, top = l._cov_up, l._order[-1]
     out: list[tuple[str, ...]] = []
     stack = [(l._order[0],)]  # index paths up from bottom
     while stack:
@@ -701,4 +694,4 @@ def maximal_chains(l: Lattice, *, max_chains: int = DEFAULT_MAX_CHAINS) -> list[
 
 def dual_lattice(l: Lattice) -> Lattice:
     """The same elements with all covers reversed."""
-    return Lattice(l.poset.dual())
+    return Lattice(l.dual())

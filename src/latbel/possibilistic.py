@@ -44,7 +44,7 @@ class _Distribution:
     def __init__(self, lattice: Lattice, values, *, tol: float = DEFAULT_TOL):
         self.lattice = lattice
         self.vector = self._vector(lattice, values, tol)
-        index, domain = lattice.poset._index, getattr(lattice, self._domain)
+        index, domain = lattice._index, getattr(lattice, self._domain)
         if not any(abs(self.vector[index[x]] - self._attained) <= tol for x in domain):
             raise InvalidDistribution(self._unattained)
 
@@ -59,7 +59,7 @@ class _Distribution:
         if len(values) > len(domain):  # so some key lies outside the domain
             extra = next(x for x in values if x not in domain)
             raise InvalidDistribution(f"{label} defined on non-irreducible {extra!r}")
-        vector, index = [None] * len(l), l.poset._index
+        vector, index = [None] * len(l), l._index
         for x in domain:
             try:
                 v = float(values[x])
@@ -71,7 +71,7 @@ class _Distribution:
         return tuple(vector)
 
     def __getitem__(self, x: str) -> float:
-        v = self.vector[self.lattice.poset.index_of(x)]
+        v = self.vector[self.lattice.index_of(x)]
         if v is None:
             raise UnknownElement(x)
         return v
@@ -141,7 +141,7 @@ def _min_max_check(f, tol, want_min):
     if bad is not None:
         return bad
     l = f.lattice
-    table, cuts, pick = (l._meet, l.poset._up, min) if want_min else (l._join, l.poset._down, max)
+    table, cuts, pick = (l._meet, l._up, min) if want_min else (l._join, l._down, max)
     fv = list(f.vector)  # a list's item getter sorts faster than a tuple's
     order = sorted(range(len(fv)), key=fv.__getitem__, reverse=want_min)
     seen, a, last = 0, order[0], fv[order[0]]
@@ -178,14 +178,14 @@ def necessity_distribution(f, *, tol: float = DEFAULT_TOL) -> NecessityDistribut
 def eval_possibility(pi: PossibilityDistribution, x: str) -> float:
     """Largest pi value among the join-irreducibles below x (0 at bottom)."""
     l = pi.lattice
-    below = l.poset._down[l.poset.index_of(x)]
+    below = l._down[l.index_of(x)]
     return max(map(pi.vector.__getitem__, _indices(below & l._jmask)), default=0.0)
 
 
 def eval_necessity(nu: NecessityDistribution, x: str) -> float:
     """Smallest nu value among the meet-irreducibles above x (1 at top)."""
     l = nu.lattice
-    above = l.poset._up[l.poset.index_of(x)]
+    above = l._up[l.index_of(x)]
     return min(map(nu.vector.__getitem__, _indices(above & l._mmask)), default=1.0)
 
 
@@ -224,7 +224,7 @@ def reconstruct_chain(
     if not l._jmask:
         raise InvalidDistribution("the lattice has no join-irreducibles")
 
-    names, down, up, join_t = l.elements, l.poset._down, l.poset._up, l._join
+    names, down, up, join_t = l.elements, l._down, l._up, l._join
     ordered = sorted(_indices(l._jmask), key=lambda j: (values[j], j))
     for a, b in zip(ordered, ordered[1:]):
         if abs(values[a] - values[b]) <= tol:
@@ -265,6 +265,6 @@ def reconstruct_chain(
     if chain[-1] != l._order[-1]:
         raise SelectionFailed(0, (names[chain[-1]],), detail="chain did not reach the top")
 
-    mass = MassAllocation(l, _Vector(masses), tol=2 * tol)
+    mass = MassAllocation(l, _Vector(masses), check=False)
     return FocalChain(chain=_names(l, *chain), mass=mass, iota=tuple(s.iota for s in steps),
                       steps=tuple(steps))

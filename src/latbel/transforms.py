@@ -63,7 +63,7 @@ class SetFunction:
         return dict(zip(self.lattice.elements, self.vector))
 
     def __getitem__(self, x: str) -> float:
-        return self.vector[self.lattice.poset.index_of(x)]
+        return self.vector[self.lattice.index_of(x)]
 
     def items(self):
         """(element, value) pairs in lattice input order."""
@@ -89,11 +89,10 @@ class MobiusMatrix:
     __slots__ = ("poset", "_rows")
 
     def __init__(self, lattice: Lattice):
-        p = lattice.poset
-        self.poset = p
+        self.poset = lattice.poset
         join = lattice._join
         rows = []
-        for x, covers in enumerate(p._cov_up):
+        for x, covers in enumerate(lattice._cov_up):
             d = {x: 1}
             for a in covers:
                 join_a = join[a]
@@ -124,7 +123,7 @@ def mobius_transform(f: SetFunction) -> SetFunction:
 
 def _members(l: Lattice, side: str) -> list[tuple[int, ...]]:
     """Ascending indices of each element's down-set or up-set, cached."""
-    masks = l.poset._down if side == "down" else l.poset._up
+    masks = l._down if side == "down" else l._up
     return _cached(l, side, lambda: [tuple(_indices(mask)) for mask in masks])
 
 

@@ -380,6 +380,21 @@ def test_bel_reconstruct_finds_negation_when_omitted(b2, tmp_path, capsys):
     assert doc["chain"][-1] == "{1,2}"
 
 
+def test_bel_reconstruct_at_tolerance_zero(tmp_path, capsys):
+    """Masses summing to 1 - 2**-53 are not refused when pi tops out at 1."""
+    names = [f"c{i}" for i in range(5)]
+    chain = write(tmp_path / "chain5.json",
+                  {"v": 1, "elements": names, "covers": [list(c) for c in zip(names, names[1:])]})
+    pi = write(tmp_path / "pi.json", {"v": 1, "pi": {
+        "c1": 0.02512991957976821, "c2": 0.4777619630230422, "c3": 0.6516121773992284, "c4": 1.0,
+    }})
+    assert main(["bel", "reconstruct", "--lattice", chain, "--pi", pi,
+                 "--tolerance", "0", "--json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["chain"] == names[1:]
+
+
 def test_bel_reconstruct_rejects_ties(diamond_bundle, tmp_path, capsys):
     lattice, negation, _ = diamond_bundle
     dl = chain_diamond()

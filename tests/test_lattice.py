@@ -1,5 +1,7 @@
 """Poset/lattice construction, irreducibles, profiles, downsets and chains."""
 
+import copy
+import dataclasses
 import gc
 import itertools
 import random
@@ -29,6 +31,7 @@ from conftest import (
     corpus,
     distributive_corpus,
     m3,
+    moore_lattice,
     n5,
 )
 
@@ -351,6 +354,40 @@ def test_profile_implications_hold_on_corpus():
         for flag, value in prof.flags().items():
             if not value and flag != "is_autodual":
                 assert flag in prof.witnesses, (name, flag)
+
+
+def test_lattice_is_its_poset():
+    """A lattice shares its poset's arrays, not copies of them; the inherited
+    leq agrees with the join table, and the inherited queries with the poset's."""
+    rng = random.Random(14)
+    bases = [l for _, l in corpus()] + [moore_lattice(rng) for _ in range(40)]
+    for l in bases + [lb.dual_lattice(l) for l in bases]:
+        p = l.poset
+        assert isinstance(l, lb.Poset) and type(p) is lb.Poset
+        for slot in lb.Poset.__slots__:
+            assert getattr(l, slot) is getattr(p, slot)
+        assert l._down is p._down and len(l) == len(p)
+        for x, y in itertools.product(l.elements, repeat=2):
+            assert l.leq(x, y) == (l.join(x, y) == y) == p.leq(x, y)
+        for x in l.elements:
+            assert l.below(x) == p.below(x) and l.above(x) == p.above(x)
+            assert l.covered_by(x) == p.covered_by(x)
+        dual = l.dual()
+        assert type(dual) is lb.Poset and dual.covers == p.dual().covers
+        assert l.restrict(l.joinirr).covers == p.restrict(l.joinirr).covers
+
+
+def test_profiles_and_downset_lattices_can_be_copied():
+    """Read-only views still deep-copy, and the copies compare equal."""
+    prof = lb.profile(m3())
+    assert copy.deepcopy(prof) == prof and prof.witnesses
+    assert dataclasses.asdict(prof) == {**prof.flags(), "witnesses": dict(prof.witnesses)}
+    dl = chain_diamond()
+    dup = copy.deepcopy(dl)
+    assert dup.downset == dl.downset and dup.principal == dl.principal
+    assert dup.lattice.elements == dl.lattice.elements
+    assert dup.lattice.covers == dl.lattice.covers
+    assert dup.lattice._join == dl.lattice._join and dup.lattice.poset is not dl.lattice.poset
 
 
 def test_heights_witnesses_and_downset_maps_cannot_be_changed():

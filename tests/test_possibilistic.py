@@ -333,6 +333,23 @@ def test_reconstruct_chain_is_maximal():
     assert fc.mass.is_nonnegative()
 
 
+@pytest.mark.parametrize("length, draws", [(4, 600), (16, 300)])
+def test_reconstruct_at_tolerance_zero_accepts_increasing_pi_on_chains(length, draws):
+    """The telescoped masses sum to the top pi value, already checked to be 1,
+    so a zero tolerance refuses no strictly increasing pi on a chain; the
+    masses are the steps of pi, the largest pi value's step on the bottom link."""
+    l = chain_lattice(length)
+    (n,) = lb.find_negations(l, limit=1)
+    rng = random.Random(length)
+    for _ in range(draws):
+        values = sorted(rng.uniform(0.01, 0.99) for _ in range(length - 1)) + [1.0]
+        pi = dict(zip(l.joinirr, values))
+        fc = lb.reconstruct_chain(l, n, pi, tol=0.0)
+        assert fc.chain == l.joinirr
+        steps = [b - a for a, b in zip([0.0] + values, values)]
+        assert [fc.mass[x] for x in fc.chain] == steps[::-1]
+
+
 def test_reconstruct_rejects_non_isotone_pi():
     """Strictly increasing, but pi(a) > pi(b) although a < b: refused as an
     invalid distribution instead of failing inside the selection."""

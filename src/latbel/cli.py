@@ -4,7 +4,8 @@ Every command is a thin adapter over the library: outputs are the
 serialized library results, elements always appear in input-file order, and
 re-running a command is deterministic.  Exit codes follow one contract:
 0 when the computation succeeds or the checked property holds, 1 when a
-property fails (a witness is printed), 2 on malformed input.
+property fails (a witness is printed, or the error is a ``PropertyFailure``),
+2 on malformed input (any other error).
 """
 
 from __future__ import annotations
@@ -14,38 +15,8 @@ import os
 import sys
 
 from . import capacity, duality, evidence, io, lattice as lat, possibilistic, transforms
-from .errors import (
-    DecompositionNotUnique,
-    FormatError,
-    LatBelError,
-    NonPositiveWeight,
-    NotABelief,
-    NotALattice,
-    NotAutodual,
-    NotDistributive,
-    SelectionFailed,
-    SizeLimitExceeded,
-    TiesInDistribution,
-    TopMassZero,
-    TopValueNotOne,
-    TotalConflict,
-)
-
-# Failures of a checked mathematical property: exit 1.  Anything else
-# raised by the library marks unusable input: exit 2.
-_PROPERTY_ERRORS = (
-    NotALattice,
-    NotABelief,
-    TopMassZero,
-    TotalConflict,
-    TiesInDistribution,
-    TopValueNotOne,
-    SelectionFailed,
-    NotDistributive,
-    NotAutodual,
-    DecompositionNotUnique,
-    NonPositiveWeight,
-)
+from .errors import (FormatError, LatBelError, NotALattice, NotAutodual, PropertyFailure,
+                     SizeLimitExceeded)
 
 
 def main(argv=None) -> int:
@@ -60,12 +31,9 @@ def main(argv=None) -> int:
         args.max_chains = lat.DEFAULT_MAX_CHAINS if args.limit is None else args.limit
         args.max_families = capacity.DEFAULT_MAX_FAMILIES if args.limit is None else args.limit
         return args.handler(args)
-    except _PROPERTY_ERRORS as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
     except (LatBelError, ValueError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, PropertyFailure) else 2
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -1,8 +1,16 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package.
+
+Errors that report a checked property failing on well-formed input derive
+from ``PropertyFailure``; every other ``LatBelError`` marks unusable input."""
 
 
 class LatBelError(Exception):
     """Base class for every error raised by this package."""
+
+
+class PropertyFailure(LatBelError):
+    """A checked property fails on well-formed input: the command line exits 1
+    on these and 2 on every other error."""
 
 
 class InvalidElementName(LatBelError):
@@ -29,7 +37,7 @@ class CycleDetected(LatBelError):
         super().__init__("cover cycle: " + " < ".join(self.cycle + (self.cycle[0],)))
 
 
-class NotALattice(LatBelError):
+class NotALattice(PropertyFailure):
     """A pair of elements has no join or no meet.
 
     ``reason`` is one of ``no-upper-bound``, ``no-least-upper-bound``,
@@ -42,7 +50,7 @@ class NotALattice(LatBelError):
         super().__init__(f"not a lattice: pair ({x}, {y}) has {reason}")
 
 
-class DecompositionNotUnique(LatBelError):
+class DecompositionNotUnique(PropertyFailure):
     """Irredundant irreducible decompositions are only unique in locally
     distributive lattices; refusing to pick one arbitrarily."""
 
@@ -75,15 +83,15 @@ class NoConsistentExtension(LatBelError):
     """No negation of the whole lattice extends the given irreducible map."""
 
 
-class NotAutodual(LatBelError):
+class NotAutodual(PropertyFailure):
     """The lattice admits no negation at all."""
 
 
-class NotDistributive(LatBelError):
+class NotDistributive(PropertyFailure):
     """Operation requires a distributive lattice."""
 
 
-class TotalConflict(LatBelError):
+class TotalConflict(PropertyFailure):
     """Dempster normalization impossible: all combined mass sits at bottom."""
 
 
@@ -91,17 +99,17 @@ class FocusIsBottom(LatBelError):
     """Simple support functions cannot be focused on the bottom element."""
 
 
-class NotABelief(LatBelError):
+class NotABelief(PropertyFailure):
     def __init__(self, witness=None, detail: str = ""):
         self.witness = witness
         super().__init__(detail or f"function is not a belief function (witness: {witness})")
 
 
-class TopMassZero(LatBelError):
+class TopMassZero(PropertyFailure):
     """Decomposition requires strictly positive mass at the top element."""
 
 
-class NonPositiveWeight(LatBelError):
+class NonPositiveWeight(PropertyFailure):
     """Support weights must be strictly positive."""
 
 
@@ -109,7 +117,7 @@ class InvalidDistribution(LatBelError):
     """A possibility/necessity distribution violates its range or boundary."""
 
 
-class TiesInDistribution(LatBelError):
+class TiesInDistribution(PropertyFailure):
     """Chain reconstruction needs strictly increasing distribution values."""
 
     def __init__(self, a: str, b: str, value: float):
@@ -118,11 +126,11 @@ class TiesInDistribution(LatBelError):
         super().__init__(f"tied distribution values: {a} and {b} both map to {value}")
 
 
-class TopValueNotOne(LatBelError):
+class TopValueNotOne(PropertyFailure):
     """The largest distribution value must be exactly 1."""
 
 
-class SelectionFailed(LatBelError):
+class SelectionFailed(PropertyFailure):
     """No unique irreducible satisfies the chain-selection conditions;
     some precondition (negation validity, distribution isotonicity) is violated."""
 

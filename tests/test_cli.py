@@ -1,5 +1,6 @@
 """Command line behaviour: exit codes, file round-trips, determinism."""
 
+import inspect
 import json
 import pathlib
 import time
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import latbel as lb
+from latbel import cli, errors
 from latbel.cli import main
 
 from conftest import chain_diamond, chain_diamond_negation
@@ -25,13 +27,16 @@ def three_chain(tmp_path):
                  {"v": 1, "elements": ["⊥", "a", "⊤"], "covers": [["⊥", "a"], ["a", "⊤"]]})
 
 
+B2 = {
+    "v": 1,
+    "elements": ["{}", "{1}", "{2}", "{1,2}"],
+    "covers": [["{}", "{1}"], ["{}", "{2}"], ["{1}", "{1,2}"], ["{2}", "{1,2}"]],
+}
+
+
 @pytest.fixture
 def b2(tmp_path):
-    return write(tmp_path / "b2.json", {
-        "v": 1,
-        "elements": ["{}", "{1}", "{2}", "{1,2}"],
-        "covers": [["{}", "{1}"], ["{}", "{2}"], ["{1}", "{1,2}"], ["{2}", "{1,2}"]],
-    })
+    return write(tmp_path / "b2.json", B2)
 
 
 @pytest.fixture
@@ -104,11 +109,11 @@ def test_transform_round_trip_is_byte_stable(three_chain, tmp_path, capsys):
     out2 = str(tmp_path / "f2.json")
     assert main(["transform", "zeta", "--lattice", three_chain, out1, "--out", out2]) == 0
     capsys.readouterr()
-    first = json.loads(open(out2, encoding="utf-8").read())
+    first = json.loads(pathlib.Path(out2).read_text("utf-8"))
     assert first == {"v": 1, "values": {"⊥": 0.0, "a": 0.25, "⊤": 1.0}}
     # running the same pipeline twice produces identical bytes
     assert main(["transform", "zeta", "--lattice", three_chain, out1, "--out", out2]) == 0
-    assert json.loads(open(out2, encoding="utf-8").read()) == first
+    assert json.loads(pathlib.Path(out2).read_text("utf-8")) == first
 
 
 def test_transform_boolean_mobius_masses(b2, tmp_path, capsys):
@@ -314,14 +319,14 @@ def test_bel_combine_against_commonality_product(b2, tmp_path, capsys):
     assert main(["bel", "combine", "--policy", "raw", "--lattice", b2, m1, m2,
                  "--out", out]) == 0
     capsys.readouterr()
-    combined = json.loads(open(out, encoding="utf-8").read())["values"]
+    combined = json.loads(pathlib.Path(out).read_text("utf-8"))["values"]
     # commonality of the combination is the product of the commonalities
     l = lb.lattice_from_poset(lb.build_poset(
         ["{}", "{1}", "{2}", "{1,2}"],
         [("{}", "{1}"), ("{}", "{2}"), ("{1}", "{1,2}"), ("{2}", "{1,2}")]))
     q = lb.comobius_transform(lb.SetFunction(l, combined))
-    q1 = lb.comobius_transform(lb.SetFunction(l, json.loads(open(m1).read())["values"]))
-    q2 = lb.comobius_transform(lb.SetFunction(l, json.loads(open(m2).read())["values"]))
+    q1, q2 = (lb.comobius_transform(lb.SetFunction(
+        l, json.loads(pathlib.Path(m).read_text("utf-8"))["values"])) for m in (m1, m2))
     for x in l.elements:
         assert q[x] == pytest.approx(q1[x] * q2[x], abs=1e-9)
 
@@ -335,7 +340,7 @@ def test_bel_decompose_recombine_files(b2, tmp_path, capsys):
     assert main(["bel", "recombine", "--lattice", b2, weights_path,
                  "--out", mass_path]) == 0
     capsys.readouterr()
-    masses = json.loads(open(mass_path, encoding="utf-8").read())["values"]
+    masses = json.loads(pathlib.Path(mass_path).read_text("utf-8"))["values"]
     assert masses["{1}"] == pytest.approx(0.3, abs=1e-8)
     assert masses["{1,2}"] == pytest.approx(0.4, abs=1e-8)
 
@@ -495,7 +500,7 @@ def test_bel_check_refuses_malformed_numbers(b2, tmp_path, capsys, literal):
 def test_files_refuse_any_version_but_the_integer_one(b2, tmp_path, capsys, version):
     # True == 1 == 1.0 in Python, so an equality test alone lets these through
     lattice = tmp_path / "lat.json"
-    lattice.write_text(open(b2, encoding="utf-8").read().replace('"v": 1', '"v": ' + version),
+    lattice.write_text(pathlib.Path(b2).read_text("utf-8").replace('"v": 1', '"v": ' + version),
                        encoding="utf-8")
     f = tmp_path / "f.json"
     f.write_text('{"v": %s, "values": %s}' % (version, B2_BEL % 1), encoding="utf-8")
@@ -571,6 +576,38 @@ def test_bel_check_max_k_says_when_the_meet_cap_stopped_it(tmp_path, capsys, jso
         assert json.loads(out)["max_k_monotone"] is None
     else:
         assert out.endswith("max_k_monotone: None\n")
+
+
+# -- exit-code contract ------------------------------------------------------------
+
+ERROR_TYPES = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.LatBelError)]
+PROPERTY_FAILURES = {"NotALattice", "NotABelief", "TopMassZero", "TotalConflict",
+                     "TiesInDistribution", "TopValueNotOne", "SelectionFailed", "NotDistributive",
+                     "NotAutodual", "DecompositionNotUnique", "NonPositiveWeight"}
+
+
+def test_the_property_failures_are_the_eleven_classes():
+    leaves = {c.__name__ for c in ERROR_TYPES} - {"LatBelError", "PropertyFailure"}
+    assert len(leaves) == 24
+    assert {n for n in leaves if issubclass(getattr(errors, n), errors.PropertyFailure)} \
+        == PROPERTY_FAILURES
+
+
+@pytest.mark.parametrize("error", ERROR_TYPES, ids=lambda c: c.__name__)
+def test_main_exits_1_on_a_property_failure_and_2_on_any_other_error(error, three_chain,
+                                                                     capsys, monkeypatch):
+    params = list(inspect.signature(error.__init__).parameters.values())[1:]
+    required = [p for p in params if p.default is p.empty and p.kind is p.POSITIONAL_OR_KEYWORD]
+    exc = error(*["x"] * max(len(required), 1))
+
+    def handler(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_dot", handler)
+    code = main(["dot", three_chain])
+    assert code == (1 if issubclass(error, errors.PropertyFailure) else 2)
+    assert capsys.readouterr().err == f"{error.__name__}: {exc}\n"
 
 
 # -- recorded output ---------------------------------------------------------------
@@ -670,27 +707,97 @@ def mutated(draw, doc):
     return {"v": 1} if whole == "drop" else {"v": 1, field: body}
 
 
+@st.composite
+def mutated_lattice(draw, doc):
+    """A copy of a lattice document with up to three edits to its element and
+    cover lists (an entry dropped, replaced or inserted: a name of the lattice
+    or not, a pair of names, or any JSON value), or with one list of another
+    type or gone."""
+    doc = {k: list(v) if isinstance(v, list) else v for k, v in doc.items()}
+    name = st.sampled_from(B2_NAMES) | st.text(max_size=4)
+    for _ in range(draw(st.integers(1, 3))):
+        items = doc[draw(st.sampled_from(["elements", "covers"]))]
+        i = draw(st.integers(0, len(items)))
+        edit = draw(st.sampled_from(["drop", "set", "insert"]))
+        entry = draw(name | st.lists(name, min_size=1, max_size=3) | JSON_VALUES)
+        if edit == "insert" or not items:
+            items.insert(i, entry)
+        elif edit == "drop":
+            del items[min(i, len(items) - 1)]
+        else:
+            items[min(i, len(items) - 1)] = entry
+    field = draw(st.sampled_from(["elements", "covers"]))
+    whole = draw(st.sampled_from(["lists", "lists", "lists", "type", "drop"]))
+    if whole == "type":
+        doc[field] = draw(JSON_VALUES)
+    elif whole == "drop":
+        del doc[field]
+    return doc
+
+
+def assert_exit_contract(code, out, err, fails_on_stdout=None):
+    """main returned 0, 1 or 2 without a traceback.  An error named on stderr
+    exits 1 if it is a PropertyFailure and 2 otherwise; with stderr empty the
+    command exits 0, or 1 when it reports a failing property on stdout (the
+    line given as fails_on_stdout)."""
+    assert "Traceback" not in err
+    if err:
+        error = getattr(errors, err.split(":", 1)[0], None)
+        property_failure = isinstance(error, type) and issubclass(error, errors.PropertyFailure)
+        assert code == (1 if property_failure else 2), err
+    else:
+        assert code == (1 if fails_on_stdout and fails_on_stdout in out else 0), out
+
+
 NEGATION = {"v": 1, "map": {"{}": "{1,2}", "{1}": "{1}", "{2}": "{2}", "{1,2}": "{}"}}
 PI = {"v": 1, "pi": {"{1}": 0.4, "{2}": 1}}
 WEIGHTS = {"v": 1, "values": {"{1}": 0.5, "{2}": 2}}
+BELIEF = {"v": 1, "values": dict(zip(B2_NAMES, [0, 0.3, 0.2, 1]))}
+MASS = {"v": 1, "values": dict(zip(B2_NAMES, [0, 0.3, 0.2, 0.5]))}
 
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(negation=mutated(NEGATION), pi=mutated(PI), weights=mutated(WEIGHTS))
+@given(negation=mutated(NEGATION), pi=mutated(PI), weights=mutated(WEIGHTS), f=mutated(BELIEF),
+       mass=mutated(MASS), policy=st.sampled_from(["raw", "zero-bottom", "normalize"]))
 def test_mutated_artifacts_exit_0_1_or_2_without_a_traceback(b2, tmp_path, capsys, negation, pi,
-                                                              weights):
-    """Negation, possibility and weight files of any shape end in the exit-code
-    contract: main returns 0, 1 or 2 and names an error, never raising."""
+                                                              weights, f, mass, policy):
+    """Negation, possibility, weight, function and mass files of any shape end
+    in the exit-code contract: main returns 0, 1 or 2 and names an error, never
+    raising; bel check may instead report on stdout that f is no belief."""
     files = {name: write(tmp_path / f"{name}.json", doc) for name, doc in
-             [("neg", negation), ("pi", pi), ("w", weights), ("good_neg", NEGATION),
-              ("good_pi", PI), ("f", {"v": 1, "values": dict(zip(B2_NAMES, [0, 0.3, 0.2, 1]))})]}
-    for argv in (["conjugate", files["f"], "--negation", files["neg"]],
-                 ["reconstruct", "--negation", files["neg"], "--pi", files["good_pi"]],
-                 ["reconstruct", "--negation", files["good_neg"], "--pi", files["pi"]],
-                 ["reconstruct", "--pi", files["pi"]],
-                 ["recombine", files["w"]]):
-        code = main(["bel", argv[0], "--lattice", b2, *argv[1:]])
-        err = capsys.readouterr().err
-        assert code in (0, 1, 2) and "Traceback" not in err
-        assert (code == 0) == (err == ""), (argv, err)
+             [("neg", negation), ("pi", pi), ("w", weights), ("f", f), ("m", mass),
+              ("good_neg", NEGATION), ("good_pi", PI), ("good_f", BELIEF), ("good_m", MASS)]}
+
+    def bel(command, *rest):
+        return ["bel", command, "--lattice", b2, *rest]
+
+    runs = [bel("conjugate", files["good_f"], "--negation", files["neg"]),
+            bel("reconstruct", "--negation", files["neg"], "--pi", files["good_pi"]),
+            bel("reconstruct", "--negation", files["good_neg"], "--pi", files["pi"]),
+            bel("reconstruct", "--pi", files["pi"]),
+            bel("recombine", files["w"]),
+            bel("check", files["f"]),
+            bel("decompose", files["f"]),
+            bel("combine", files["good_m"], files["m"], "--policy", policy),
+            ["transform", "zeta", "--lattice", b2, files["m"]]]
+    runs += [["transform", d, "--lattice", b2, files["f"]]
+             for d in ("mobius", "zeta", "comobius", "inverse-comobius")]
+    for argv in runs:
+        code = main(argv)
+        assert_exit_contract(code, *capsys.readouterr(),
+                             "is_belief: fails" if argv[:2] == ["bel", "check"] else None)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=mutated_lattice(B2))
+def test_mutated_lattices_keep_the_exit_contract(tmp_path, capsys, doc):
+    """Lattice files of any shape end in the exit-code contract through check:
+    a well-formed poset that is no lattice is reported on stdout with exit 1."""
+    path = write(tmp_path / "lat.json", doc)
+    for json_flag in ([], ["--json"]):
+        code = main(["check", path, *json_flag])
+        out, err = capsys.readouterr()
+        assert_exit_contract(code, out, err, '"is_lattice": false' if json_flag
+                             else "is_lattice: false")

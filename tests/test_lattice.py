@@ -1,5 +1,6 @@
 """Poset/lattice construction, irreducibles, profiles, downsets and chains."""
 
+import collections
 import copy
 import dataclasses
 import gc
@@ -265,6 +266,19 @@ def test_mu_star_dual_of_eta_star():
         d = lb.dual_lattice(l)
         for x in l.elements:
             assert lb.mu_star(l, x) == lb.eta_star(d, x)
+
+
+def test_mu_set_is_eta_of_the_dual():
+    """mu_set(x) is eta(x) in the dual lattice, and is every meet-irreducible
+    (an element with exactly one upper cover) above x."""
+    rng = random.Random(15)
+    for l in [l for _, l in corpus()] + [moore_lattice(rng) for _ in range(40)]:
+        d = lb.dual_lattice(l)
+        upper_covers = collections.Counter(a for a, _ in l.covers)
+        meetirr = {m for m, count in upper_covers.items() if count == 1}
+        for x in l.elements:
+            assert lb.mu_set(l, x) == lb.eta(d, x)
+            assert lb.mu_set(l, x) == {m for m in meetirr if l.leq(x, m)}
 
 
 @pytest.mark.parametrize("m", [3, 6, 12])

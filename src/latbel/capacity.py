@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidNegation, SizeLimitExceeded
-from .lattice import _indices
+from .lattice import _indices, _join_table, _meet_index
 from .transforms import SetFunction, _Vector, mobius_transform
 
 DEFAULT_TOL = 1e-9
@@ -107,7 +107,7 @@ def _sweep(f: SetFunction, k: int, tol: float, max_families: int, op: str = "<")
     m[l._order[0]] = 0.0
     can_fail = fails(sum(v for v in m if v < 0)) or fails(sum(v for v in m if v > 0))
     risky = sum(1 << i for i, v in enumerate(m) if v < 0 or op == "!=" and v)
-    down, up, join_t, built = l._down, l._up, l._join, 0
+    down, up, join_t, built = l._down, l._up, _join_table(l), 0
     for j in range(2, k + 1 if can_fail else 2):
         stack, found = [((), l._order[0], 0, (1 << len(l)) - 1)], False  # from bottom
         while stack:
@@ -133,9 +133,10 @@ def _sweep(f: SetFunction, k: int, tol: float, max_families: int, op: str = "<")
 
 def _witness(f: SetFunction, family: tuple, top: int, op: str) -> CheckResult:
     l, fv, rhs = f.lattice, f.vector, 0.0  # in the oracle's order, digit for digit
+    meet = functools.partial(_meet_index, l)
     for r in range(1, len(family) + 1):
         for sub in itertools.combinations(family, r):
-            rhs += (1.0 if r % 2 else -1.0) * fv[functools.reduce(lambda a, b: l._meet[a][b], sub)]
+            rhs += (1.0 if r % 2 else -1.0) * fv[functools.reduce(meet, sub)]
     return CheckResult(False, tuple(l.elements[i] for i in family),
                        f"f(join) = {fv[top]!r} {op} {rhs!r}")
 

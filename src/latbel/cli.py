@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--tolerance", type=_tolerance, default=capacity.DEFAULT_TOL,
                         metavar="EPS")
-    common.add_argument("--limit", type=int, default=None, metavar="N",
+    common.add_argument("--limit", type=_positive_int, default=None, metavar="N",
                         help="override the caps on maximal chains and k-families built")
 
     parser = argparse.ArgumentParser(prog="latbel",
@@ -155,6 +155,18 @@ def _tolerance(text: str) -> float:
         capacity._require_tol(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}") from None
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """A count of at least 1: every cap that --limit sets would refuse all
+    work at 0, and the negation search takes it as the number to find."""
+    try:
+        value = int(text)
+        if value < 1:
+            raise ValueError
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}") from None
     return value
 
 

@@ -24,7 +24,7 @@ from .errors import (
     NotABijection,
     NotDistributive,
 )
-from .lattice import Lattice, _indices, _names, is_distributive
+from .lattice import Lattice, _indices, _join_index, _meet_index, _names, is_distributive
 from .transforms import _Vector
 
 
@@ -95,8 +95,11 @@ def verify_vee_negation(l: Lattice, mapping) -> CheckResult:
     """True iff the map is a bijection sending top to bottom that satisfies
     n(x v y) = n(x) ^ n(y) on all pairs; the witness names the first failure.
 
-    Raises :class:`NotABijection` when the map is not even a total self-map
-    of the element set.
+    Such a bijection is exactly an anti-automorphism, and a bijection is one
+    iff it maps the upper covers of each x onto the lower covers of n(x), so
+    the covers decide; the pair scan runs only to name the first failing
+    pair.  Raises :class:`NotABijection` when the map is not even a total
+    self-map of the element set.
     """
     mapping = dict(mapping)
     res = _injective(l, mapping)
@@ -106,12 +109,14 @@ def verify_vee_negation(l: Lattice, mapping) -> CheckResult:
         return CheckResult(False, (l.top,), f"n(top) = {mapping[l.top]!r}, expected bottom")
     names, index = l.elements, l._index
     image = [index[mapping[x]] for x in names]
-    join_t, meet_t = l._join, l._meet
-    for i, j in itertools.combinations_with_replacement(range(len(names)), 2):
-        lhs, rhs = image[join_t[i][j]], meet_t[image[i]][image[j]]
-        if lhs != rhs:
-            x, y, lhs, rhs = names[i], names[j], names[lhs], names[rhs]
-            return CheckResult(False, (x, y), f"n({x} v {y}) = {lhs!r} but n({x}) ^ n({y}) = {rhs!r}")
+    lower = [set(c) for c in l._cov_down]
+    if not all({image[c] for c in ups} == lower[image[x]] for x, ups in enumerate(l._cov_up)):
+        for i, j in itertools.combinations_with_replacement(range(len(names)), 2):
+            lhs, rhs = image[_join_index(l, i, j)], _meet_index(l, image[i], image[j])
+            if lhs != rhs:
+                x, y, lhs, rhs = names[i], names[j], names[lhs], names[rhs]
+                return CheckResult(False, (x, y),
+                                   f"n({x} v {y}) = {lhs!r} but n({x}) ^ n({y}) = {rhs!r}")
     return CheckResult(True)
 
 
@@ -227,8 +232,8 @@ def negation_from_irreducible_map(l: Lattice, jmap) -> Negation:
     if len(set(send.values())) != len(send):
         raise NotABijection("two join-irreducibles share one image")
 
-    top, meet_t = l._order[-1], l._meet
-    image = [functools.reduce(lambda a, j: meet_t[a][send[j]], _indices(below & l._jmask), top)
+    top, meet = l._order[-1], functools.partial(_meet_index, l)
+    image = [functools.reduce(lambda a, j: meet(a, send[j]), _indices(below & l._jmask), top)
              for below in l._down]
     mapping = dict(zip(l.elements, _names(l, *image)))
     try:

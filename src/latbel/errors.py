@@ -71,6 +71,11 @@ class IncompleteFunction(LatBelError):
         super().__init__("missing values for: " + ", ".join(self.missing))
 
 
+class InvalidFunction(LatBelError):
+    """Function values that are not finite numbers, one per element, or a
+    mass allocation whose total is not 1 or whose bottom mass is not 0."""
+
+
 class NotABijection(LatBelError):
     """A purported negation map is not a bijection on the element set."""
 

@@ -13,13 +13,14 @@ import math
 from .capacity import DEFAULT_TOL, _belief_mass, _require_tol
 from .errors import (
     FocusIsBottom,
+    InvalidFunction,
     LatticeMismatch,
     NonPositiveWeight,
     NotABelief,
     TopMassZero,
     TotalConflict,
 )
-from .lattice import Lattice
+from .lattice import Lattice, _meet_table
 from .transforms import SetFunction, _Vector, comobius_transform, mass_from_comobius
 
 COMBINE_POLICIES = ("raw", "zero-bottom", "normalize")
@@ -40,9 +41,9 @@ class MassAllocation(SetFunction):
         if check:
             total, bottom = sum(self.vector), self.vector[lattice._order[0]]
             if abs(total - 1.0) > tol:
-                raise ValueError(f"mass total is {total!r}, expected 1")
+                raise InvalidFunction(f"mass total is {total!r}, expected 1")
             if abs(bottom) > tol:
-                raise ValueError(f"mass at bottom is {bottom!r}, expected 0")
+                raise InvalidFunction(f"mass at bottom is {bottom!r}, expected 0")
 
     def focal_elements(self, tol: float = DEFAULT_TOL) -> tuple[str, ...]:
         """Elements carrying mass beyond the tolerance, in input order."""
@@ -99,7 +100,7 @@ def combine(
     l, bottom = m1.lattice, m1.lattice._order[0]
     out = [0.0] * len(l)
     second = [(j, v2) for j, v2 in enumerate(m2.vector) if v2 != 0.0]
-    for meet_i, v1 in zip(l._meet, m1.vector):
+    for meet_i, v1 in zip(_meet_table(l), m1.vector):
         if v1 != 0.0:
             for j, v2 in second:
                 out[meet_i[j]] += v1 * v2
@@ -170,5 +171,5 @@ def recombine(weights: SupportWeights) -> MassAllocation:
     try:
         q = _Vector(math.exp(total - v) for v in comobius_transform(log_w).vector)
     except OverflowError:
-        raise ValueError("the commonality of these weights exceeds the float range") from None
+        raise InvalidFunction("the commonality of these weights exceeds the float range") from None
     return MassAllocation(l, mass_from_comobius(SetFunction(l, q)).vector, check=False)

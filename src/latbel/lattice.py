@@ -9,16 +9,19 @@ Internally an element is its input index and a set of elements is a Python
 int used as a bitset, bit i standing for element i (the encoding of
 Ait-Kaci, Boyer, Lincoln & Nasr, "Efficient implementation of lattice
 operations", TOPLAS 1989).  Element names appear only at the API edge.
-The join and meet tables are filled column by column along a linear
-extension, composing the columns of each element's covers; only a poset
+A lattice keeps each up-set and down-set a second time, over positions in
+a linear extension, and answers a join or a meet from the lowest or
+highest set bit of an intersection: it builds no join or meet table, and
+recognising it checks only the joins that can be missing.  Only a poset
 found not to be a lattice is scanned pair by pair, to name its first pair
 without a join or a meet.  A Lattice is a Poset that takes over the arrays
 of the poset it is built from by reference, so the order queries are the
 poset's own; ``dual`` and ``restrict`` on a lattice give posets.
 
 Poset and Lattice are immutable once built, except that ``Lattice._cache``
-is filled lazily with derived results such as the structural profile and
-the Moebius coefficients.  Instances can be shared between threads: a
+is filled lazily with derived results such as the structural profile, the
+Moebius coefficients and, for callers that scan all pairs, the join or
+meet table.  Instances can be shared between threads: a
 concurrent first call may compute such a result twice, and the second store
 only replaces it with an equal value.  Construction is single-threaded.
 """
@@ -30,7 +33,7 @@ import itertools
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
-from operator import itemgetter
+from operator import itemgetter, or_
 
 from .errors import (
     CycleDetected,
@@ -229,29 +232,36 @@ class Lattice(Poset):
 
     Shares the arrays of ``poset``, which it keeps.  Raises
     :class:`NotALattice` otherwise, naming the first pair in input order
-    without a join or a meet.  ``_join``/``_meet`` are the operations'
-    index tables, filled along the linear extension ``_order`` by
-    :func:`_columns`; the pair scan runs only to name the failing pair.
+    without a join or a meet.  ``_pdown[i]`` holds element i's down-set a
+    second time, as a bitset over positions in the linear extension
+    ``_order``, and ``_pup[i]`` its up-set over positions in the reversed
+    extension (the dual's down-set).  So x ^ y is the element at the
+    highest set bit of ``_pdown[x] & _pdown[y]``, and x v y the one at the
+    highest set bit of ``_pup[x] & _pup[y]``, counted from the end of
+    ``_order``.  Construction fills no table; callers that scan all pairs
+    take one from :func:`_join_table` or :func:`_meet_table`.
     """
 
     __slots__ = ("poset", "bottom", "top", "joinirr", "meetirr",
-                 "_join", "_meet", "_order", "_jmask", "_mmask", "_h", "_coh", "_cache")
+                 "_order", "_pup", "_pdown", "_jmask", "_mmask", "_h", "_coh", "_cache")
 
     def __init__(self, poset: Poset):
         for slot in Poset.__slots__:  # taken over: rebuilding would redo the closure
             setattr(self, slot, getattr(poset, slot))
         self.poset = poset
-        n, up, down = len(self), self._up, self._down
+        n, down = len(self), self._down
 
-        # With a unique minimal element, a join pass without a miss shows that
-        # every pair has a join, so P is a lattice and the meet pass cannot miss.
         self._order = order = sorted(range(n), key=lambda i: down[i].bit_count())
+        pdown, pup = [0] * n, [0] * n
+        for p, i in enumerate(order):
+            pdown[i] = functools.reduce(or_, map(pdown.__getitem__, self._cov_down[i]), 1 << p)
+        for p, i in enumerate(reversed(order)):
+            pup[i] = functools.reduce(or_, map(pup.__getitem__, self._cov_up[i]), 1 << p)
+        self._pdown, self._pup = pdown, pup
+        # With a unique minimal element, P is a lattice iff every pair has a join.
         one_minimal = sum(not c for c in self._cov_down) == 1
-        join_t = _columns(order, self._cov_down, up) if one_minimal else None
-        if join_t is None:
+        if not (one_minimal and _joins_total(order, self._cov_down, pup)):
             raise _first_failing_pair(poset)
-        self._join = join_t
-        self._meet = _columns(order[::-1], self._cov_up, down)
 
         self.bottom, self.top = self.elements[order[0]], self.elements[order[-1]]
         self._jmask = sum(1 << i for i, c in enumerate(self._cov_down) if len(c) == 1)
@@ -261,10 +271,10 @@ class Lattice(Poset):
 
         h = [0] * n
         for i in order:
-            h[i] = 1 + max((h[p] for p in self._cov_down[i]), default=-1)
+            h[i] = 1 + max(map(h.__getitem__, self._cov_down[i]), default=-1)
         coh = [0] * n
         for i in reversed(order):
-            coh[i] = 1 + max((coh[s] for s in self._cov_up[i]), default=-1)
+            coh[i] = 1 + max(map(coh.__getitem__, self._cov_up[i]), default=-1)
         self._h = h
         self._coh = coh
         self._cache: dict = {}
@@ -273,10 +283,10 @@ class Lattice(Poset):
         return f"Lattice({len(self)} elements, bottom={self.bottom!r}, top={self.top!r})"
 
     def join(self, x: str, y: str) -> str:
-        return self.elements[self._join[self.index_of(x)][self.index_of(y)]]
+        return self.elements[_join_index(self, self.index_of(x), self.index_of(y))]
 
     def meet(self, x: str, y: str) -> str:
-        return self.elements[self._meet[self.index_of(x)][self.index_of(y)]]
+        return self.elements[_meet_index(self, self.index_of(x), self.index_of(y))]
 
     @property
     def heights(self) -> dict[str, int]:
@@ -295,14 +305,56 @@ class Lattice(Poset):
         return self._coh[self.index_of(x)]
 
 
+def _joins_total(order, lower, pup) -> bool:
+    """Whether every pair of a poset with one minimal element has a join.
+
+    Along ``order``, :func:`_columns` can miss a join only at a y with a
+    single lower cover c, for a z >= c not above y: there ``pup[z] &
+    pup[y]`` must be the up-set of the element at its highest bit.
+    """
+    up_at = [pup[i] for i in reversed(order)]  # by bit
+    for y, below in enumerate(lower):
+        if len(below) == 1:
+            up_y = pup[y]
+            rest = pup[below[0]] & ~up_y
+            rest ^= 1 << rest.bit_length() - 1  # c itself, the highest bit, joins y to y
+            for z in _indices(rest):
+                ub = up_at[z] & up_y
+                if up_at[ub.bit_length() - 1] != ub:  # also when ub is empty
+                    return False
+    return True
+
+
+def _join_index(l: Lattice, x: int, y: int) -> int:
+    """Index of x v y: the element at the highest set bit of the
+    intersection of their position up-sets, counted from the end."""
+    return l._order[-(l._pup[x] & l._pup[y]).bit_length()]
+
+
+def _meet_index(l: Lattice, x: int, y: int) -> int:
+    """Index of x ^ y: the element at the highest set bit of the
+    intersection of their position down-sets."""
+    return l._order[(l._pdown[x] & l._pdown[y]).bit_length() - 1]
+
+
+def _join_table(l: Lattice) -> list[list[int]]:
+    """The n x n join table, built on first use and cached, for callers that
+    scan all pairs; :func:`_meet_table` likewise."""
+    return _cached(l, "join", lambda: _columns(l._order, l._cov_down, l._up))
+
+
+def _meet_table(l: Lattice) -> list[list[int]]:
+    return _cached(l, "meet", lambda: _columns(l._order[::-1], l._cov_up, l._down))
+
+
 def _columns(order, lower, up):
-    """The join table, filled column by column along the linear extension
-    ``order`` from the lower covers ``lower[y]`` of each y; None as soon as
-    a pair is found to have no join.  Column y is row y: x v y = step[x v c]
-    for a lower cover c of y.  With a second lower cover c2, step is column
-    c2.  Otherwise step is the identity but for each z >= c not above y,
-    sent to z v y: the element whose up-set is up[z] & up[y].  Run on the
-    reversed order with upper covers and down-sets, it fills the meet table.
+    """The join table of a lattice, filled column by column along the linear
+    extension ``order`` from the lower covers ``lower[y]`` of each y.
+    Column y is row y: x v y = step[x v c] for a lower cover c of y.  With a
+    second lower cover c2, step is column c2.  Otherwise step is the
+    identity but for each z >= c not above y, sent to z v y: the element
+    whose up-set is up[z] & up[y].  Run on the reversed order with upper
+    covers and down-sets, it fills the meet table.
     """
     by_up = {u: i for i, u in enumerate(up)}
     identity = list(range(len(up)))
@@ -317,9 +369,7 @@ def _columns(order, lower, up):
         else:
             up_y, step = up[y], identity.copy()
             for z in _indices(up[below[0]] & ~up_y):
-                step[z] = by_up.get(up[z] & up_y)
-                if step[z] is None:
-                    return None
+                step[z] = by_up[up[z] & up_y]
         cols[y] = list(itemgetter(*cols[below[0]])(step))
     return cols
 
@@ -346,20 +396,20 @@ def lattice_from_poset(p: Poset) -> Lattice:
 
 
 def join(l: Lattice, xs) -> str:
-    """Join of a nonempty collection of elements (fold of the binary table)."""
-    return _fold(l, xs, l._join)
+    """Join of a nonempty collection of elements."""
+    return _fold(l, xs, _join_index)
 
 
 def meet(l: Lattice, xs) -> str:
     """Meet of a nonempty collection of elements."""
-    return _fold(l, xs, l._meet)
+    return _fold(l, xs, _meet_index)
 
 
-def _fold(l, xs, table):
+def _fold(l, xs, op):
     items = {l.index_of(x) for x in xs}
     if not items:
         raise ValueError("join/meet of an empty collection")
-    return l.elements[functools.reduce(lambda a, b: table[a][b], items)]
+    return l.elements[functools.reduce(functools.partial(op, l), items)]
 
 
 # -- irreducible decompositions ----------------------------------------------
@@ -409,8 +459,8 @@ def _cover_bound(l: Lattice, x: int, upper: bool) -> int:
     """x⁻, the meet of the lower covers of x, or (upper) x⁺, the join of its
     upper covers; x itself when it has none."""
     covers = (l._cov_up if upper else l._cov_down)[x]
-    table = l._join if upper else l._meet
-    return functools.reduce(lambda a, c: table[a][c], covers, covers[0] if covers else x)
+    op = functools.partial(_join_index if upper else _meet_index, l)
+    return functools.reduce(op, covers, covers[0] if covers else x)
 
 
 # -- structural predicates ----------------------------------------------------
@@ -481,10 +531,10 @@ def _semimodular_witness(l: Lattice, upper: bool):
     """Upper: if x and y both cover x ^ y, x v y covers both; lower is the
     dual.  Distinct upper covers of m meet in m, so only pairs of covers of
     one element can fail; the first witness is the smallest failing pair."""
-    covers, table = (l._cov_up, l._join) if upper else (l._cov_down, l._meet)
+    covers, op = (l._cov_up, _join_index) if upper else (l._cov_down, _meet_index)
     back = [set(c) for c in (l._cov_down if upper else l._cov_up)]
     fails = [(x, y) for cs in covers for x, y in itertools.combinations(cs, 2)
-             if not back[table[x][y]] >= {x, y}]
+             if not back[op(l, x, y)] >= {x, y}]
     return _names(l, *min(fails)) if fails else None
 
 
@@ -506,14 +556,13 @@ def _distributive_witness(l: Lattice):
     below x (a join-irreducible in the difference is one), and the first
     failing pair over all ordered pairs has x < y, so the scan below finds it."""
     n = len(l)
-    join_t, meet_t = l._join, l._meet
     eta_mask = [d & l._jmask for d in l._down]
-    for x, join_x in enumerate(join_t):
-        for y in range(x + 1, n):
-            if eta_mask[join_x[y]] != eta_mask[x] | eta_mask[y]:
-                meet_xy, meet_x, meet_y = meet_t[join_x[y]], meet_t[x], meet_t[y]
-                z = next(z for z in range(n) if meet_xy[z] != join_t[meet_x[z]][meet_y[z]])
-                return _names(l, x, y, z)
+    join, meet = functools.partial(_join_index, l), functools.partial(_meet_index, l)
+    for x, y in itertools.combinations(range(n), 2):
+        xy = join(x, y)
+        if eta_mask[xy] != eta_mask[x] | eta_mask[y]:
+            z = next(z for z in range(n) if meet(xy, z) != join(meet(x, z), meet(y, z)))
+            return _names(l, x, y, z)
     return None
 
 
@@ -542,9 +591,11 @@ def is_upper_locally_distributive(l: Lattice) -> bool:
 
 
 def _complement_witness(l: Lattice):
-    bottom, top = l._order[0], l._order[-1]
-    for x, (meet_x, join_x) in enumerate(zip(l._meet, l._join)):
-        if not any(m == bottom and j == top for m, j in zip(meet_x, join_x)):
+    """The first x with no y such that x ^ y is bottom and x v y is top,
+    each the lowest bit of its position bitsets."""
+    pairs = list(zip(l._pdown, l._pup))
+    for x, (down_x, up_x) in enumerate(pairs):
+        if not any(down_x & d == 1 and up_x & u == 1 for d, u in pairs):
             return _names(l, x)
     return None
 
@@ -557,10 +608,12 @@ def _atomistic_witness(l: Lattice):
 
 
 def _linear_witness(l: Lattice):
-    for x, join_x in enumerate(l._join):
-        for y in range(x + 1, len(join_x)):
-            if join_x[y] != x and join_x[y] != y:
-                return _names(l, x, y)
+    """The first incomparable pair, in input order."""
+    every = (1 << len(l)) - 1
+    for x, (down_x, up_x) in enumerate(zip(l._down, l._up)):
+        later = (every ^ (down_x | up_x)) >> x + 1
+        if later:
+            return _names(l, x, x + (later & -later).bit_length())
     return None
 
 

@@ -30,7 +30,8 @@ from .errors import (
 )
 from .duality import Negation
 from .evidence import MassAllocation
-from .lattice import Lattice, _indices, _names, is_distributive
+from .lattice import (Lattice, _indices, _join_index, _join_table, _meet_table, _names,
+                      is_distributive)
 from .transforms import _Vector
 
 
@@ -141,7 +142,8 @@ def _min_max_check(f, tol, want_min):
     if bad is not None:
         return bad
     l = f.lattice
-    table, cuts, pick = (l._meet, l._up, min) if want_min else (l._join, l._down, max)
+    table, cuts, pick = ((_meet_table(l), l._up, min) if want_min
+                         else (_join_table(l), l._down, max))
     fv = list(f.vector)  # a list's item getter sorts faster than a tuple's
     order = sorted(range(len(fv)), key=fv.__getitem__, reverse=want_min)
     seen, a, last = 0, order[0], fv[order[0]]
@@ -224,7 +226,7 @@ def reconstruct_chain(
     if not l._jmask:
         raise InvalidDistribution("the lattice has no join-irreducibles")
 
-    names, down, up, join_t = l.elements, l._down, l._up, l._join
+    names, down, up = l.elements, l._down, l._up
     ordered = sorted(_indices(l._jmask), key=lambda j: (values[j], j))
     for a, b in zip(ordered, ordered[1:]):
         if abs(values[a] - values[b]) <= tol:
@@ -252,7 +254,7 @@ def reconstruct_chain(
         if candidates.bit_count() != 1:
             raise SelectionFailed(k, _names(l, *_indices(candidates)))
         pick = candidates.bit_length() - 1
-        element = join_t[chain[-1]][pick] if chain else pick
+        element = _join_index(l, chain[-1], pick) if chain else pick
         if chain and element == chain[-1]:
             raise SelectionFailed(k, (names[pick],),
                                   detail=f"step {k}: chain stalled at {names[element]!r}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import IncompleteFunction, UnknownElement
+from .errors import IncompleteFunction, InvalidFunction, UnknownElement
 from .lattice import Lattice, _cached, _indices
 
 
@@ -48,12 +48,12 @@ class SetFunction:
         try:
             vector = _Vector(map(float, values))
         except (TypeError, OverflowError) as exc:
-            raise ValueError(f"function values must be finite numbers: {exc}") from None
+            raise InvalidFunction(f"function values must be finite numbers: {exc}") from None
         if len(vector) != len(lattice):
-            raise ValueError(f"{len(vector)} values for {len(lattice)} elements")
+            raise InvalidFunction(f"{len(vector)} values for {len(lattice)} elements")
         for x, v in zip(lattice.elements, vector):
             if not math.isfinite(v):
-                raise ValueError(f"value of {x!r} is not finite: {v!r}")
+                raise InvalidFunction(f"value of {x!r} is not finite: {v!r}")
         self.lattice = lattice
         self.vector = vector
 
@@ -80,24 +80,25 @@ class MobiusMatrix:
     combinatorial theory I"), mu(x, y) is the sum of (-1)^|S| over the sets S
     of upper covers of x with x v (join of S) = y.  Row x starts as {x: 1}
     and each upper cover a subtracts the row's push-forward under t -> t v a,
-    so the work follows the nonzeros met, not the up-set of x.  Only nonzero
-    values are stored: ``_rows[x]`` maps y to mu(x, y) in ascending index
-    order.  It keeps the poset, not the lattice, so caching it on the lattice
-    makes no reference cycle.
+    so the work follows the nonzeros met, not the up-set of x.  Each t v a
+    is read off the lattice's position up-sets, ``_pup[t] & _pup[a]`` (see
+    :class:`Lattice`).  Only nonzero values are stored: ``_rows[x]`` maps y
+    to mu(x, y) in ascending index order.  It keeps the poset, not the
+    lattice, so caching it on the lattice makes no reference cycle.
     """
 
     __slots__ = ("poset", "_rows")
 
     def __init__(self, lattice: Lattice):
         self.poset = lattice.poset
-        join = lattice._join
+        pup, order = lattice._pup, lattice._order
         rows = []
         for x, covers in enumerate(lattice._cov_up):
             d = {x: 1}
             for a in covers:
-                join_a = join[a]
+                up_a = pup[a]
                 for t, v in list(d.items()):
-                    y = join_a[t]
+                    y = order[-(pup[t] & up_a).bit_length()]
                     c = d.get(y, 0) - v
                     if c:
                         d[y] = c

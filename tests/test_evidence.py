@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latbel as lb
+from latbel import io
 from latbel.errors import (
     FocusIsBottom,
     NonPositiveWeight,
@@ -321,7 +322,7 @@ def test_recombine_rejects_nonpositive_weights():
 @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
 def test_support_weights_refuse_non_finite_weights(w):
     l = bool_lattice(2)
-    with pytest.raises(ValueError, match="not finite"):
+    with pytest.raises(lb.errors.InvalidFunction, match="not finite"):
         lb.SupportWeights(l, {"{1}": 0.5, "{2}": w})
     with pytest.raises(lb.errors.UnknownElement):
         lb.SupportWeights(l, {"{3}": w})
@@ -357,10 +358,25 @@ def test_combine_requires_one_lattice():
 
 def test_mass_allocation_validation():
     l = bool_lattice(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(lb.errors.InvalidFunction, match="mass total is 1.2, expected 1"):
         lb.MassAllocation(l, {"{}": 0.0, "{1}": 0.6, "{2}": 0.6, "{1,2}": 0.0})
-    with pytest.raises(ValueError):
+    with pytest.raises(lb.errors.InvalidFunction, match="mass at bottom is 0.5, expected 0"):
         lb.MassAllocation(l, {"{}": 0.5, "{1}": 0.5, "{2}": 0.0, "{1,2}": 0.0})
     signed = lb.MassAllocation(l, {"{}": 0.0, "{1}": -0.5, "{2}": 0.5, "{1,2}": 1.0})
     assert not signed.is_nonnegative()
     assert signed.focal_elements() == ("{1}", "{2}", "{1,2}")
+
+
+def test_a_bad_mass_file_raises_a_latbel_error(tmp_path):
+    """Refused data is an InvalidFunction, caught with every other LatBelError;
+    misuse of the API, such as an unknown policy, stays a ValueError."""
+    l = bool_lattice(2)
+    path = tmp_path / "mass.json"
+    path.write_text('{"v": 1, "values": {"{}": 0, "{1}": 0.5, "{2}": 0.25, "{1,2}": 0.125}}',
+                    "utf-8")
+    with pytest.raises(lb.errors.LatBelError, match="mass total is 0.875, expected 1") as exc:
+        io.load_mass(path, l)
+    assert type(exc.value) is lb.errors.InvalidFunction
+    m = lb.simple_support(l, "{1}", 0.5)
+    with pytest.raises(ValueError, match="unknown policy"):
+        lb.combine(m, m, "bogus")

@@ -401,7 +401,10 @@ def test_profiles_and_downset_lattices_can_be_copied():
     assert dup.downset == dl.downset and dup.principal == dl.principal
     assert dup.lattice.elements == dl.lattice.elements
     assert dup.lattice.covers == dl.lattice.covers
-    assert dup.lattice._join == dl.lattice._join and dup.lattice.poset is not dl.lattice.poset
+    pairs = list(itertools.product(dl.lattice.elements, repeat=2))
+    assert [(dup.lattice.join(x, y), dup.lattice.meet(x, y)) for x, y in pairs] == [
+        (dl.lattice.join(x, y), dl.lattice.meet(x, y)) for x, y in pairs]
+    assert dup.lattice.poset is not dl.lattice.poset
 
 
 def test_heights_witnesses_and_downset_maps_cannot_be_changed():

@@ -3,9 +3,12 @@ implementations.
 
 Every order oracle here rebuilds the order from the cover list by plain graph
 search and answers joins, meets and structural questions by brute force over
-element names, the way the definitions read.  The library's integer tables,
-structural profile (flags and first witnesses), Moebius coefficients and
-negation search must agree with them exactly.  The function-layer oracles
+element names, the way the definitions read.  The library's joins and meets,
+the tables its all-pairs callers build, structural profile (flags and first
+witnesses), Moebius coefficients, negation search and negation verification
+must agree with them exactly.  Lattice recognition must agree with the join
+table's column fill, which decided it before the library stopped building
+tables, and name the same failing pair.  The function-layer oracles
 compute the transforms, decomposition and combination from the Moebius
 coefficients and name-keyed loops, the way the formulas read; the library's
 substitution solves and log-space computations must agree with them to
@@ -469,6 +472,55 @@ def test_negation_search_matches_the_oracle(name, l):
     assert [n.map for n in lb.find_negations(l, limit=limit)] == want
 
 
+def vee_negation_oracle(o, mapping):
+    """The first pair, in combinations-with-replacement order, with
+    n(x v y) != n(x) ^ n(y): the scan that decided verification before the
+    covers did."""
+    for x, y in itertools.combinations_with_replacement(o.elements, 2):
+        lhs, rhs = mapping[o.join(x, y)], o.meet(mapping[x], mapping[y])
+        if lhs != rhs:
+            return CheckResult(False, (x, y),
+                               f"n({x} v {y}) = {lhs!r} but n({x}) ^ n({y}) = {rhs!r}")
+    return CheckResult(True)
+
+
+def maps_to_verify(l, rng):
+    """Negations, each also with two images swapped, and random bijections,
+    all sending top to bottom."""
+    found = [n.map for n in lb.find_negations(l, limit=3)]
+    rest = [x for x in l.elements if x != l.top]
+    out = list(found)
+    for m in found:
+        if len(rest) >= 2:
+            a, b = rng.sample(rest, 2)
+            out.append({**m, a: m[b], b: m[a]})
+    for _ in range(3):
+        images = [y for y in l.elements if y != l.bottom]
+        rng.shuffle(images)
+        out.append({l.top: l.bottom, **dict(zip(rest, images))})
+    return out
+
+
+def test_verification_by_covers_matches_the_pair_scan(monkeypatch):
+    rng, tally = random.Random(16), collections.Counter()
+    cases = [(l, maps_to_verify(l, rng)) for _, l in LATTICES]
+    for l, maps in cases:
+        o = oracle_of(l)
+        for m in maps:
+            res = lb.verify_vee_negation(l, m)
+            assert res == vee_negation_oracle(o, m)
+            tally[res.ok] += 1
+    assert tally[True] >= 30 and tally[False] >= 60, tally
+
+    def scan(*args):
+        raise LookupError("pair scan reached")
+
+    monkeypatch.setattr(lb.duality, "_join_index", scan)
+    for l, maps in cases:  # a negation passes on its covers alone
+        for n in lb.find_negations(l, limit=3):
+            assert lb.verify_vee_negation(l, n.map)
+
+
 def with_bounds(p, rng, bottom=True, top=True):
     """p with a new least and/or greatest element, in shuffled input order."""
     names, covers = list(p.elements), list(p.covers)
@@ -484,7 +536,7 @@ def with_bounds(p, rng, bottom=True, top=True):
 
 def test_non_lattices_fail_on_the_oracle_pair():
     # Several minimal elements send the poset straight to the pair scan; with
-    # one, the column fill itself must miss before the scan names the pair.
+    # one, the join check itself must miss before the scan names the pair.
     rng = random.Random(7)
     failures = collections.Counter()
     for _ in range(150):
@@ -512,7 +564,7 @@ def test_lattices_never_reach_the_pair_scan(monkeypatch):
         for q in (l.poset, l.poset.dual()):
             lb.lattice_from_poset(q)
     bowtie = lb.build_poset(list("abcd"), [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
-    with pytest.raises(LookupError):  # a bounded non-lattice reaches it after a fill miss
+    with pytest.raises(LookupError):  # a bounded non-lattice reaches it after a join miss
         lb.lattice_from_poset(with_bounds(bowtie, rng))
 
 
@@ -523,10 +575,101 @@ def test_tables_match_the_oracle_on_random_moore_families(l, dual):
         l = lb.dual_lattice(l)
     o = oracle_of(l)
     names = l.elements
-    assert [[names[k] for k in row] for row in l._join] == [
-        [o.join(x, y) for y in names] for x in names]
-    assert [[names[k] for k in row] for row in l._meet] == [
-        [o.meet(x, y) for y in names] for x in names]
+    joins = [[l.join(x, y) for y in names] for x in names]
+    meets = [[l.meet(x, y) for y in names] for x in names]
+    assert joins == [[o.join(x, y) for y in names] for x in names]
+    assert meets == [[o.meet(x, y) for y in names] for x in names]
+    # the tables that the all-pairs callers build on first use
+    assert [[names[k] for k in row] for row in lb.lattice._join_table(l)] == joins
+    assert [[names[k] for k in row] for row in lb.lattice._meet_table(l)] == meets
+
+
+def columns(order, lower, up):
+    """The join table, filled column by column along the linear extension
+    ``order`` from the lower covers ``lower[y]`` of each y; None as soon as
+    a pair is found to have no join.  Column y is row y: x v y = step[x v c]
+    for a lower cover c of y.  With a second lower cover c2, step is column
+    c2.  Otherwise step is the identity but for each z >= c not above y,
+    sent to z v y: the element whose up-set is up[z] & up[y].  Run on the
+    reversed order with upper covers and down-sets, it fills the meet table.
+    """
+    by_up = {u: i for i, u in enumerate(up)}
+    identity = list(range(len(up)))
+    cols = [None] * len(up)
+    for y in order:
+        below = lower[y]
+        if not below:
+            cols[y] = identity
+            continue
+        if len(below) > 1:
+            step = cols[below[1]]
+        else:
+            up_y, step = up[y], identity.copy()
+            for z in lb.lattice._indices(up[below[0]] & ~up_y):
+                step[z] = by_up.get(up[z] & up_y)
+                if step[z] is None:
+                    return None
+        cols[y] = [step[k] for k in cols[below[0]]]
+    return cols
+
+
+def linear_extension(p):
+    return sorted(range(len(p)), key=lambda i: p._down[i].bit_count())
+
+
+def join_table(p):
+    """Index join table of a lattice or poset by the column fill; None when
+    some pair has no join."""
+    return columns(linear_extension(p), p._cov_down, p._up)
+
+
+def meet_table(p):
+    return columns(linear_extension(p)[::-1], p._cov_up, p._down)
+
+
+def recognition_oracle(p):
+    """None when p is a lattice, else the first failing (x, y, reason).
+
+    A poset with one minimal element is a lattice iff the join column fill
+    runs without a miss, and the name-keyed scan names the failing pair."""
+    one_minimal = sum(not c for c in p._cov_down) == 1
+    if one_minimal and join_table(p) is not None:
+        return None
+    want = Oracle(p.elements, p.covers).first_failure()
+    assert want is not None
+    return want
+
+
+@settings(max_examples=300, deadline=None)
+@given(rng=st.randoms(use_true_random=False), n=st.integers(1, 9),
+       density=st.floats(0.1, 0.7), bottom=st.booleans(), top=st.booleans())
+def test_recognition_matches_the_column_fill_on_random_posets(rng, n, density, bottom, top):
+    p = with_bounds(random_poset(rng, n, density), rng, bottom, top)
+    want = recognition_oracle(p)
+    if want is None:
+        l = lb.lattice_from_poset(p)
+        assert [[l.join(x, y) for y in l.elements] for x in l.elements] == [
+            [p.elements[k] for k in row] for row in join_table(p)]
+        assert [[l.meet(x, y) for y in l.elements] for x in l.elements] == [
+            [p.elements[k] for k in row] for row in meet_table(p)]
+    else:
+        with pytest.raises(NotALattice) as exc:
+            lb.lattice_from_poset(p)
+        assert (*exc.value.pair, exc.value.reason) == want
+
+
+def test_construction_and_order_analyses_build_no_table():
+    """Lattice(), profile() and mobius_function() answer joins and meets
+    from the position bitsets: nothing of n x n size is cached."""
+    l = lb.boolean_lattice(list("abcdef"))  # not the shared corpus copy: a fresh cache
+    n = len(l)
+    lb.profile(l)
+    mu = lb.mobius_function(l)
+    assert not {"join", "meet"} & set(l._cache)
+    assert not hasattr(l, "_join") and not hasattr(l, "_meet")
+    assert sum(map(len, mu._rows)) == 3**6 < n * n  # mu(x, y) != 0 iff [x, y] is Boolean
+    lb.combine(random_mass(l, random.Random(3)), random_mass(l, random.Random(4)))
+    assert len(l._cache["meet"]) == n and "join" not in l._cache  # built on first use
 
 
 @settings(max_examples=150, deadline=None)
@@ -692,7 +835,7 @@ def min_max_oracle(f, tol, want_min):
     if bad is not None:
         return bad
     l = f.lattice
-    table, pick = (l._meet, min) if want_min else (l._join, max)
+    table, pick = (meet_table(l), min) if want_min else (join_table(l), max)
     fv = list(f.values.values())
     for i, j in itertools.combinations(range(len(l)), 2):
         lhs, rhs = fv[table[i][j]], pick(fv[i], fv[j])
@@ -812,7 +955,7 @@ def k_family_sweep_oracle(f, k: int, tol: float, max_meets: int, op: str = "<"):
     fails = {"<": lambda lhs, rhs: lhs < rhs - tol,
              "!=": lambda lhs, rhs: abs(lhs - rhs) > tol}[op]
     fv = list(f.values.values())
-    join_t, meet_t = l._join, l._meet
+    join_t, meet_t = join_table(l), meet_table(l)
     for j in sizes:
         for family in itertools.combinations(range(n), j):
             top = family[0]

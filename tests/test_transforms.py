@@ -173,7 +173,7 @@ def test_set_function_totality():
                          ids=["nan", "inf", "-inf", "None", "huge-int"])
 def test_set_function_refuses_non_finite_values(bad):
     l = bool_lattice(1)
-    with pytest.raises(ValueError):
+    with pytest.raises(lb.errors.InvalidFunction):
         lb.SetFunction(l, {"{}": 0.0, "{1}": bad})
 
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidNegation, SizeLimitExceeded
-from .lattice import _indices, _join_table, _meet_index
+from .lattice import _indices, _meet_index
 from .transforms import SetFunction, _Vector, mobius_transform
 
 DEFAULT_TOL = 1e-9
@@ -107,25 +107,26 @@ def _sweep(f: SetFunction, k: int, tol: float, max_families: int, op: str = "<")
     m[l._order[0]] = 0.0
     can_fail = fails(sum(v for v in m if v < 0)) or fails(sum(v for v in m if v > 0))
     risky = sum(1 << i for i, v in enumerate(m) if v < 0 or op == "!=" and v)
-    down, up, join_t, built = l._down, l._up, _join_table(l), 0
+    down, up, order, pup, built = l._down, l._up, l._order, l._pup, 0
     for j in range(2, k + 1 if can_fail else 2):
-        stack, found = [((), l._order[0], 0, (1 << len(l)) - 1)], False  # from bottom
+        stack, found = [((), order[0], 0, (1 << len(l)) - 1)], False  # from bottom
         while stack:
             family, top, union, cand = stack.pop()
-            row, ys = join_t[top], _indices(cand)
+            up_top, ys = pup[top], _indices(cand)
             built += len(ys)  # families built, prefixes included, each size anew
             if built > max_families:
                 raise SizeLimitExceeded(f"{built} families exceed the cap of {max_families}; "
                                         "raise it with --limit")
             if len(family) + 1 < j:  # extend by incomparable members of larger index
-                stack += [(family + (y,), row[y], union | down[y],
+                stack += [(family + (y,), order[-(up_top & pup[y]).bit_length()], union | down[y],
                            cand & ~(down[y] | up[y]) >> y + 1 << y + 1) for y in reversed(ys)]
                 continue
             found = found or bool(ys)
             for y in ys:
-                rest = down[row[y]] & ~(union | down[y])  # below the join, under no member
+                join = order[-(up_top & pup[y]).bit_length()]
+                rest = down[join] & ~(union | down[y])  # below the join, under no member
                 if rest & risky and fails(sum(map(m.__getitem__, _indices(rest)))):
-                    return _witness(f, family + (y,), row[y], op)
+                    return _witness(f, family + (y,), join, op)
         if not found:  # no antichain of j elements, so none larger
             break
     return CheckResult(True)

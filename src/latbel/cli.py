@@ -31,7 +31,7 @@ def main(argv=None) -> int:
         args.max_chains = lat.DEFAULT_MAX_CHAINS if args.limit is None else args.limit
         args.max_families = capacity.DEFAULT_MAX_FAMILIES if args.limit is None else args.limit
         return args.handler(args)
-    except (LatBelError, ValueError, OSError) as exc:
+    except (LatBelError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, PropertyFailure) else 2
 
@@ -41,7 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--tolerance", type=_tolerance, default=capacity.DEFAULT_TOL,
                         metavar="EPS")
-    common.add_argument("--limit", type=_positive_int, default=None, metavar="N",
+    # at least 1: a cap of 0 refuses all work, and the negation search finds that many
+    common.add_argument("--limit", type=_integer(1), default=None, metavar="N",
                         help="override the caps on maximal chains and k-families built")
 
     parser = argparse.ArgumentParser(prog="latbel",
@@ -97,12 +98,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_bel_check)
 
     p = bel_parser("kmono", "k-monotonicity check")
-    p.add_argument("k", help="an integer >= 2, or 'total'")
+    p.add_argument("k", type=_integer(2, "total"), help="an integer >= 2, or 'total'")
     p.add_argument("function")
     p.set_defaults(handler=_cmd_bel_kmono)
 
     p = bel_parser("valuation", "k-valuation (equality) check")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=_integer(2), help="an integer >= 2")
     p.add_argument("function")
     p.set_defaults(handler=_cmd_bel_valuation)
 
@@ -158,16 +159,20 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    """A count of at least 1: every cap that --limit sets would refuse all
-    work at 0, and the negation search takes it as the number to find."""
-    try:
-        value = int(text)
-        if value < 1:
-            raise ValueError
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}") from None
-    return value
+def _integer(low: int, *words: str):
+    """An argument type taking an integer of at least ``low`` or one of ``words``."""
+    def parse(text: str):
+        if text in words:
+            return text
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        wanted = " or ".join([f"an integer >= {low}", *map(repr, words)])
+        raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
+
+    return parse
 
 
 def _emit(doc: dict) -> None:
@@ -337,12 +342,10 @@ def _cmd_bel_check(args) -> int:
 
 
 def _cmd_bel_kmono(args) -> int:
-    f = _function(args)
+    f, rest = _function(args), (args.tolerance, args.max_families)
     if args.k == "total":
-        res = capacity.check_total_monotone(f, args.tolerance, args.max_families)
-        return _report(args, "totally-monotone", res)
-    res = capacity.check_k_monotone(f, int(args.k), args.tolerance, args.max_families)
-    return _report(args, f"{args.k}-monotone", res)
+        return _report(args, "totally-monotone", capacity.check_total_monotone(f, *rest))
+    return _report(args, f"{args.k}-monotone", capacity.check_k_monotone(f, args.k, *rest))
 
 
 def _cmd_bel_valuation(args) -> int:

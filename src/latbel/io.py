@@ -35,11 +35,14 @@ def _load_document(path) -> dict:
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=refuse)
-    except OSError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+            text = fh.read()
+        doc = json.loads(text, parse_constant=refuse)
+        if "\\u" in text:  # an escape may leave a lone surrogate, which no output can encode
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (OSError, ValueError) as exc:  # also a byte that is not UTF-8, or too many digits
+        raise FormatError(f"{path}: {exc}") from exc
     except RecursionError:
         raise FormatError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict):

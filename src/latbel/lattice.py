@@ -10,7 +10,7 @@ int used as a bitset, bit i standing for element i (the encoding of
 Ait-Kaci, Boyer, Lincoln & Nasr, "Efficient implementation of lattice
 operations", TOPLAS 1989).  Element names appear only at the API edge.
 A lattice keeps each up-set and down-set a second time, over positions in
-a linear extension, and answers a join or a meet from the lowest or
+a linear extension and its reverse, and answers a join or a meet from the
 highest set bit of an intersection: it builds no join or meet table, and
 recognising it checks only the joins that can be missing.  Only a poset
 found not to be a lattice is scanned pair by pair, to name its first pair
@@ -20,10 +20,10 @@ poset's own; ``dual`` and ``restrict`` on a lattice give posets.
 
 Poset and Lattice are immutable once built, except that ``Lattice._cache``
 is filled lazily with derived results such as the structural profile, the
-Moebius coefficients and, for callers that scan all pairs, the join or
-meet table.  Instances can be shared between threads: a
-concurrent first call may compute such a result twice, and the second store
-only replaces it with an equal value.  Construction is single-threaded.
+Moebius coefficients and, for Dempster combination alone, the meet table.
+Instances can be shared between threads: a concurrent first call may
+compute such a result twice, and the second store only replaces it with an
+equal value.  Construction is single-threaded.
 """
 
 from __future__ import annotations
@@ -238,8 +238,8 @@ class Lattice(Poset):
     extension (the dual's down-set).  So x ^ y is the element at the
     highest set bit of ``_pdown[x] & _pdown[y]``, and x v y the one at the
     highest set bit of ``_pup[x] & _pup[y]``, counted from the end of
-    ``_order``.  Construction fills no table; callers that scan all pairs
-    take one from :func:`_join_table` or :func:`_meet_table`.
+    ``_order``.  Construction fills no table; Dempster combination, which
+    reads every pair of focal elements, takes one from :func:`_meet_table`.
     """
 
     __slots__ = ("poset", "bottom", "top", "joinirr", "meetirr",
@@ -308,9 +308,10 @@ class Lattice(Poset):
 def _joins_total(order, lower, pup) -> bool:
     """Whether every pair of a poset with one minimal element has a join.
 
-    Along ``order``, :func:`_columns` can miss a join only at a y with a
-    single lower cover c, for a z >= c not above y: there ``pup[z] &
-    pup[y]`` must be the up-set of the element at its highest bit.
+    Filling a join table along ``order``, as :func:`_meet_table` fills the
+    meet table down it, can miss a join only at a y with a single lower
+    cover c, for a z >= c not above y: there ``pup[z] & pup[y]`` must be
+    the up-set of the element at its highest bit.
     """
     up_at = [pup[i] for i in reversed(order)]  # by bit
     for y, below in enumerate(lower):
@@ -337,41 +338,31 @@ def _meet_index(l: Lattice, x: int, y: int) -> int:
     return l._order[(l._pdown[x] & l._pdown[y]).bit_length() - 1]
 
 
-def _join_table(l: Lattice) -> list[list[int]]:
-    """The n x n join table, built on first use and cached, for callers that
-    scan all pairs; :func:`_meet_table` likewise."""
-    return _cached(l, "join", lambda: _columns(l._order, l._cov_down, l._up))
-
-
 def _meet_table(l: Lattice) -> list[list[int]]:
-    return _cached(l, "meet", lambda: _columns(l._order[::-1], l._cov_up, l._down))
+    """The n x n meet table, cached for Dempster combination, the one caller
+    that reads every pair.  Column y, filled down the linear extension, is
+    row y: x ^ y = step[x ^ c] for an upper cover c of y, where step is the
+    column of a second upper cover, else the identity but for each z <= c
+    not below y, sent to the element whose down-set is down[z] & down[y]."""
+    def fill():
+        down = l._down
+        by_down = {d: i for i, d in enumerate(down)}
+        identity, cols = list(range(len(down))), [None] * len(down)
+        for y in reversed(l._order):
+            above = l._cov_up[y]
+            if not above:
+                cols[y] = identity
+                continue
+            if len(above) > 1:
+                step = cols[above[1]]
+            else:
+                down_y, step = down[y], identity.copy()
+                for z in _indices(down[above[0]] & ~down_y):
+                    step[z] = by_down[down[z] & down_y]
+            cols[y] = list(itemgetter(*cols[above[0]])(step))
+        return cols
 
-
-def _columns(order, lower, up):
-    """The join table of a lattice, filled column by column along the linear
-    extension ``order`` from the lower covers ``lower[y]`` of each y.
-    Column y is row y: x v y = step[x v c] for a lower cover c of y.  With a
-    second lower cover c2, step is column c2.  Otherwise step is the
-    identity but for each z >= c not above y, sent to z v y: the element
-    whose up-set is up[z] & up[y].  Run on the reversed order with upper
-    covers and down-sets, it fills the meet table.
-    """
-    by_up = {u: i for i, u in enumerate(up)}
-    identity = list(range(len(up)))
-    cols = [None] * len(up)
-    for y in order:
-        below = lower[y]
-        if not below:
-            cols[y] = identity
-            continue
-        if len(below) > 1:
-            step = cols[below[1]]
-        else:
-            up_y, step = up[y], identity.copy()
-            for z in _indices(up[below[0]] & ~up_y):
-                step[z] = by_up[up[z] & up_y]
-        cols[y] = list(itemgetter(*cols[below[0]])(step))
-    return cols
+    return _cached(l, "meet", fill)
 
 
 def _first_failing_pair(poset: Poset) -> NotALattice:

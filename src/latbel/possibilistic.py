@@ -30,8 +30,7 @@ from .errors import (
 )
 from .duality import Negation
 from .evidence import MassAllocation
-from .lattice import (Lattice, _indices, _join_index, _join_table, _meet_table, _names,
-                      is_distributive)
+from .lattice import Lattice, _indices, _join_index, _meet_index, _names, is_distributive
 from .transforms import _Vector
 
 
@@ -142,22 +141,22 @@ def _min_max_check(f, tol, want_min):
     if bad is not None:
         return bad
     l = f.lattice
-    table, cuts, pick = ((_meet_table(l), l._up, min) if want_min
-                         else (_join_table(l), l._down, max))
+    principal, bound, pick = ((set(l._up), _meet_index, min) if want_min
+                              else (set(l._down), _join_index, max))
     fv = list(f.vector)  # a list's item getter sorts faster than a tuple's
     order = sorted(range(len(fv)), key=fv.__getitem__, reverse=want_min)
-    seen, a, last = 0, order[0], fv[order[0]]
-    for i in order:  # seen is the cut of the values before fv[i], a its meet (join)
-        if fv[i] != last and seen != cuts[a]:
-            return _pair_scan(l, fv, tol, table, pick)
-        seen, a, last = seen | 1 << i, table[a][i], fv[i]
+    seen, last = 0, fv[order[0]]
+    for i in order:  # seen is the cut of the values before fv[i]
+        if fv[i] != last and seen not in principal:
+            return _pair_scan(l, fv, tol, bound, pick)
+        seen, last = seen | 1 << i, fv[i]
     return CheckResult(True)
 
 
-def _pair_scan(l, fv, tol, table, pick):
+def _pair_scan(l, fv, tol, bound, pick):
     """The first pair whose meet (join) value is off their min (max) by over tol."""
     for i, j in itertools.combinations(range(len(l)), 2):
-        lhs, rhs = fv[table[i][j]], pick(fv[i], fv[j])
+        lhs, rhs = fv[bound(l, i, j)], pick(fv[i], fv[j])
         if abs(lhs - rhs) > tol:
             x, y = l.elements[i], l.elements[j]
             op = pick.__name__

@@ -274,6 +274,22 @@ def test_bel_kmono_and_valuation(b2, tmp_path, capsys):
     assert "witness" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command, k, wanted", [
+    *[("kmono", k, "an integer >= 2 or 'total'") for k in ["x", "1", "0", "-2", "3.5", ""]],
+    *[("valuation", k, "an integer >= 2") for k in ["1", "total", "2.0"]],
+])
+def test_bad_k_is_refused_by_the_parser(b2, tmp_path, capsys, command, k, wanted):
+    prob = write(tmp_path / "p.json",
+                 {"v": 1, "values": {"{}": 0, "{1}": 0.4, "{2}": 0.6, "{1,2}": 1}})
+    with pytest.raises(SystemExit) as exc:
+        main(["bel", command, "--lattice", b2, k, prob])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument k: expected {wanted}, got '{k}'" in err
+    assert "Traceback" not in err and "ValueError" not in err
+    assert main(["bel", command, "--lattice", b2, "2", prob]) == 0
+
+
 def test_bel_check_max_k_stops_at_the_first_failing_size(tmp_path, capsys):
     b3 = lb.boolean_lattice(["1", "2", "3"])
     lattice = write(tmp_path / "b3.json", {
@@ -622,6 +638,18 @@ def test_main_exits_1_on_a_property_failure_and_2_on_any_other_error(error, thre
     assert capsys.readouterr().err == f"{error.__name__}: {exc}\n"
 
 
+@pytest.mark.parametrize("error", [ValueError, TypeError, KeyError])
+def test_main_lets_any_other_exception_through(error, three_chain, monkeypatch):
+    """Only latbel errors and OSError are input errors; anything else is a
+    fault of the program, which the fuzz must see as a traceback."""
+    def handler(args):
+        raise error("a fault of the program")
+
+    monkeypatch.setattr(cli, "_cmd_dot", handler)
+    with pytest.raises(error, match="a fault of the program"):
+        main(["dot", three_chain])
+
+
 # -- recorded output ---------------------------------------------------------------
 
 GOLDEN = json.loads(pathlib.Path(__file__).with_name("cli_golden.json").read_text("utf-8"))
@@ -721,12 +749,12 @@ def mutated(draw, doc):
 
 @st.composite
 def mutated_lattice(draw, doc):
-    """A copy of a lattice document with up to three edits to its element and
-    cover lists (an entry dropped, replaced or inserted: a name of the lattice
-    or not, a pair of names, or any JSON value), or with one list of another
-    type or gone."""
+    """A copy of a lattice or poset document with up to three edits to its
+    element and cover lists (an entry dropped, replaced or inserted: a name
+    of the document or not, a pair of names, or any JSON value), or with one
+    list of another type or gone."""
     doc = {k: list(v) if isinstance(v, list) else v for k, v in doc.items()}
-    name = st.sampled_from(B2_NAMES) | st.text(max_size=4)
+    name = st.sampled_from(doc["elements"]) | st.text(max_size=4)
     for _ in range(draw(st.integers(1, 3))):
         items = doc[draw(st.sampled_from(["elements", "covers"]))]
         i = draw(st.integers(0, len(items)))
@@ -813,3 +841,43 @@ def test_mutated_lattices_keep_the_exit_contract(tmp_path, capsys, doc):
         out, err = capsys.readouterr()
         assert_exit_contract(code, out, err, '"is_lattice": false' if json_flag
                              else "is_lattice: false")
+
+
+POSET = {"v": 1, "elements": ["a", "b", "c", "d"], "covers": [["a", "c"], ["b", "c"]]}
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=mutated_lattice(POSET))
+def test_mutated_posets_keep_the_exit_contract_through_birkhoff(tmp_path, capsys, doc):
+    """Poset files of any shape end in the exit-code contract through birkhoff,
+    printing the downset lattice or writing it to a file."""
+    path = write(tmp_path / "poset.json", doc)
+    for out in ([], ["--out", str(tmp_path / "downsets.json")]):
+        code = main(["birkhoff", path, *out])
+        assert_exit_contract(code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("raw", [
+    b"\xff",
+    b'{"v": 1, "elements": ["\xff"], "covers": []}',
+    b'{"v": 1, "elements": ["\xc3\x28"], "covers": []}',
+    b"\xfe\xff\x00{\x00}",
+    b'{"v": 1, "values": {"{}": 0, "\xe9": 1}}',
+    b'{"v": 1, "elements": ["\\ud800"], "covers": []}',
+    b'{"v": 1, "elements": [' + b"1" * 5000 + b"]}",
+], ids=["ff", "ff-name", "bad-pair", "utf16", "latin1-key", "lone-surrogate", "5000-digits"])
+def test_raw_bytes_that_are_no_json_text_exit_2_as_format_errors(b2, tmp_path, capsys, raw):
+    """Bytes that are not UTF-8, a string that no UTF-8 output can encode, and
+    an integer past the interpreter's digit limit, as a lattice or a function,
+    are format errors to a library caller and exit 2 on the command line."""
+    path = tmp_path / "raw.json"
+    path.write_bytes(raw)
+    with pytest.raises(errors.LatBelError) as exc:
+        lb.io.load_lattice(str(path))
+    assert type(exc.value) is errors.FormatError and str(exc.value).startswith(f"{path}: ")
+    for argv in (["check", str(path)], ["bel", "check", "--lattice", b2, str(path)]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert_exit_contract(code, out, err)
+        assert (code, out, err) == (2, "", f"FormatError: {exc.value}\n")

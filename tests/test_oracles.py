@@ -579,8 +579,7 @@ def test_tables_match_the_oracle_on_random_moore_families(l, dual):
     meets = [[l.meet(x, y) for y in names] for x in names]
     assert joins == [[o.join(x, y) for y in names] for x in names]
     assert meets == [[o.meet(x, y) for y in names] for x in names]
-    # the tables that the all-pairs callers build on first use
-    assert [[names[k] for k in row] for row in lb.lattice._join_table(l)] == joins
+    # the table that Dempster combination builds on first use
     assert [[names[k] for k in row] for row in lb.lattice._meet_table(l)] == meets
 
 
@@ -659,12 +658,24 @@ def test_recognition_matches_the_column_fill_on_random_posets(rng, n, density, b
 
 
 def test_construction_and_order_analyses_build_no_table():
-    """Lattice(), profile() and mobius_function() answer joins and meets
-    from the position bitsets: nothing of n x n size is cached."""
+    """Lattice(), profile(), mobius_function(), the necessity and possibility
+    checks and the k-family sweeps answer joins and meets from the position
+    bitsets: nothing of n x n size is cached until combine, which caches the
+    meet table."""
     l = lb.boolean_lattice(list("abcdef"))  # not the shared corpus copy: a fresh cache
-    n = len(l)
+    n, rng = len(l), random.Random(5)
     lb.profile(l)
     mu = lb.mobius_function(l)
+    nec = chain_necessity(l, rng)
+    pos = lb.conjugate(nec, lb.find_negations(l, limit=1)[0], "vee")
+    bel = lb.zeta_transform(random_mass(l, rng))
+    signed = normalized(l, {x: rng.random() for x in l.elements})
+    # the cut test passes, then fails into the pair scan; the sweeps visit families
+    assert lb.check_necessity(nec) and lb.check_possibility(pos)
+    assert not lb.check_necessity(bel) and not lb.check_possibility(bel)
+    assert lb.check_k_monotone(bel, 2) and lb.check_total_monotone(bel)
+    assert not lb.check_k_monotone(signed, 2) and not lb.check_total_monotone(signed)
+    assert not lb.check_k_valuation(bel, 2)
     assert not {"join", "meet"} & set(l._cache)
     assert not hasattr(l, "_join") and not hasattr(l, "_meet")
     assert sum(map(len, mu._rows)) == 3**6 < n * n  # mu(x, y) != 0 iff [x, y] is Boolean

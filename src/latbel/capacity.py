@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidNegation, SizeLimitExceeded
 from .lattice import _indices, _meet_index
-from .transforms import SetFunction, _Vector, mobius_transform
+from .transforms import SetFunction, _inverse, _Vector, mobius_transform
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_FAMILIES = 10**7
@@ -174,8 +174,7 @@ def conjugate(f: SetFunction, n, variant: str) -> SetFunction:
         raise InvalidNegation("negation and function live on different lattices")
     if n.kind != "vee":
         raise InvalidNegation("conjugation expects a join-reversing (vee) negation")
-    image = n.image  # a permutation of the indices; sorting them by it inverts it
-    send = image if variant == "vee" else sorted(range(len(image)), key=image.__getitem__)
+    send = n.image if variant == "vee" else _inverse(n.image)
     return SetFunction(f.lattice, _Vector(1.0 - f.vector[i] for i in send))
 
 

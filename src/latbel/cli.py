@@ -31,7 +31,7 @@ def main(argv=None) -> int:
         args.max_chains = lat.DEFAULT_MAX_CHAINS if args.limit is None else args.limit
         args.max_families = capacity.DEFAULT_MAX_FAMILIES if args.limit is None else args.limit
         return args.handler(args)
-    except (LatBelError, OSError) as exc:
+    except (LatBelError, OSError, UnicodeEncodeError) as exc:  # or stdout cannot encode a name
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, PropertyFailure) else 2
 

@@ -25,7 +25,7 @@ from .errors import (
     NotDistributive,
 )
 from .lattice import Lattice, _indices, _join_index, _meet_index, _names, is_distributive
-from .transforms import _Vector
+from .transforms import _inverse, _Vector
 
 
 class Negation:
@@ -33,10 +33,11 @@ class Negation:
     (kind "wedge"), held as ``image``: the index of each element's image,
     in lattice input order.  ``map`` and ``inverse_map`` return new dicts.
 
-    The constructor is where every negation is verified: a vee map must pass
-    :func:`verify_vee_negation`, a wedge map's inverse must.  Only the image
-    tuples the search and :func:`invert` build, negations by construction,
-    skip it.
+    The constructor is where every name-keyed map is verified: a vee map
+    must pass :func:`verify_vee_negation`, a wedge map's inverse must.  The
+    image tuples the search and :func:`invert` build, negations by
+    construction, and the image :func:`negation_from_irreducible_map` has
+    checked skip it.
     """
 
     __slots__ = ("lattice", "kind", "image")
@@ -45,15 +46,13 @@ class Negation:
         if kind not in ("vee", "wedge"):
             raise ValueError(f"kind must be 'vee' or 'wedge', got {kind!r}")
         if not isinstance(mapping, _Vector):
-            mapping = dict(mapping)
+            mapping = _image_of(lattice, mapping)
             res = _injective(lattice, mapping)
             if not res:
                 raise NotABijection(res.detail)
-            vee = mapping if kind == "vee" else {v: k for k, v in mapping.items()}
-            res = verify_vee_negation(lattice, vee)
+            res = _reverses_order(lattice, mapping if kind == "vee" else _inverse(mapping))
             if not res:
                 raise InvalidNegation(res.detail)
-            mapping = _Vector(lattice._index[mapping[x]] for x in lattice.elements)
         self.lattice = lattice
         self.kind = kind
         self.image = mapping
@@ -101,28 +100,14 @@ def verify_vee_negation(l: Lattice, mapping) -> CheckResult:
     pair.  Raises :class:`NotABijection` when the map is not even a total
     self-map of the element set.
     """
+    image = _image_of(l, mapping)
+    return _injective(l, image) and _reverses_order(l, image)
+
+
+def _image_of(l: Lattice, mapping) -> _Vector:
+    """The index of each element's image under a name-keyed map, in input
+    order; :class:`NotABijection` when the map is not a total self-map."""
     mapping = dict(mapping)
-    res = _injective(l, mapping)
-    if not res:
-        return res
-    if mapping[l.top] != l.bottom:
-        return CheckResult(False, (l.top,), f"n(top) = {mapping[l.top]!r}, expected bottom")
-    names, index = l.elements, l._index
-    image = [index[mapping[x]] for x in names]
-    lower = [set(c) for c in l._cov_down]
-    if not all({image[c] for c in ups} == lower[image[x]] for x, ups in enumerate(l._cov_up)):
-        for i, j in itertools.combinations_with_replacement(range(len(names)), 2):
-            lhs, rhs = image[_join_index(l, i, j)], _meet_index(l, image[i], image[j])
-            if lhs != rhs:
-                x, y, lhs, rhs = names[i], names[j], names[lhs], names[rhs]
-                return CheckResult(False, (x, y),
-                                   f"n({x} v {y}) = {lhs!r} but n({x}) ^ n({y}) = {rhs!r}")
-    return CheckResult(True)
-
-
-def _injective(l: Lattice, mapping: dict) -> CheckResult:
-    """Whether the map is injective, the witness the first pair with one
-    image; :class:`NotABijection` when it is not a total self-map."""
     for x in l.elements:
         if x not in mapping:
             raise NotABijection(f"map gives no image for {x!r}")
@@ -131,12 +116,35 @@ def _injective(l: Lattice, mapping: dict) -> CheckResult:
             raise NotABijection(f"map defined on foreign element {x!r}")
         if img not in l:
             raise NotABijection(f"image {img!r} of {x!r} is not a lattice element")
-    seen: dict[str, str] = {}
-    for x in l.elements:
-        img = mapping[x]
+    return _Vector(l._index[mapping[x]] for x in l.elements)
+
+
+def _injective(l: Lattice, image) -> CheckResult:
+    """Whether an index image is injective, the witness the first pair of
+    elements with one image."""
+    names, seen = l.elements, {}
+    for x, img in enumerate(image):
         if img in seen:
-            return CheckResult(False, (seen[img], x), f"both map to {img!r}")
+            return CheckResult(False, (names[seen[img]], names[x]), f"both map to {names[img]!r}")
         seen[img] = x
+    return CheckResult(True)
+
+
+def _reverses_order(l: Lattice, image) -> CheckResult:
+    """Whether an injective index image sends top to bottom and every join
+    to the meet of the images, decided by the covers as in
+    :func:`verify_vee_negation`."""
+    names, top = l.elements, l._order[-1]
+    if image[top] != l._order[0]:
+        return CheckResult(False, (l.top,), f"n(top) = {names[image[top]]!r}, expected bottom")
+    lower = [set(c) for c in l._cov_down]
+    if not all({image[c] for c in ups} == lower[image[x]] for x, ups in enumerate(l._cov_up)):
+        for i, j in itertools.combinations_with_replacement(range(len(names)), 2):
+            lhs, rhs = image[_join_index(l, i, j)], _meet_index(l, image[i], image[j])
+            if lhs != rhs:
+                x, y, lhs, rhs = names[i], names[j], names[lhs], names[rhs]
+                return CheckResult(False, (x, y),
+                                   f"n({x} v {y}) = {lhs!r} but n({x}) ^ n({y}) = {rhs!r}")
     return CheckResult(True)
 
 
@@ -201,9 +209,7 @@ def find_negations(l: Lattice, limit: int | None = 1) -> list[Negation]:
 def invert(n: Negation) -> Negation:
     """The inverse bijection, a meet-reversing (wedge) negation; applying
     invert twice returns the original."""
-    flipped = "wedge" if n.kind == "vee" else "vee"
-    image = n.image  # a permutation of the indices; sorting them by it inverts it
-    return Negation(n.lattice, _Vector(sorted(range(len(image)), key=image.__getitem__)), flipped)
+    return Negation(n.lattice, _inverse(n.image), "wedge" if n.kind == "vee" else "vee")
 
 
 def is_involutive(n: Negation) -> bool:
@@ -233,10 +239,9 @@ def negation_from_irreducible_map(l: Lattice, jmap) -> Negation:
         raise NotABijection("two join-irreducibles share one image")
 
     top, meet = l._order[-1], functools.partial(_meet_index, l)
-    image = [functools.reduce(lambda a, j: meet(a, send[j]), _indices(below & l._jmask), top)
-             for below in l._down]
-    mapping = dict(zip(l.elements, _names(l, *image)))
-    try:
-        return Negation(l, mapping, "vee")
-    except (InvalidNegation, NotABijection) as exc:
-        raise NoConsistentExtension(str(exc)) from None
+    image = _Vector(functools.reduce(lambda a, j: meet(a, send[j]), _indices(d & l._jmask), top)
+                    for d in l._down)
+    res = _injective(l, image) and _reverses_order(l, image)
+    if not res:
+        raise NoConsistentExtension(res.detail)
+    return Negation(l, image, "vee")

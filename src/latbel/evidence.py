@@ -20,7 +20,7 @@ from .errors import (
     TopMassZero,
     TotalConflict,
 )
-from .lattice import Lattice, _meet_table
+from .lattice import Lattice, _cached, _meet_row
 from .transforms import SetFunction, _Vector, comobius_transform, mass_from_comobius
 
 COMBINE_POLICIES = ("raw", "zero-bottom", "normalize")
@@ -87,6 +87,10 @@ def combine(
     """Dempster's rule: the combined mass of x collects m1(y1) m2(y2) over all
     pairs with y1 ^ y2 = x.
 
+    The meets are read from rows of the meet table cached on the lattice;
+    a row is built, from the position down-sets, the first time m1 has
+    mass at its element, so sparse masses never pay for the whole table.
+
     raw keeps the conflict mass at bottom (the commonality product identity
     then holds everywhere); zero-bottom discards it without renormalizing;
     normalize discards it and rescales by 1 - conflict, raising
@@ -100,8 +104,10 @@ def combine(
     l, bottom = m1.lattice, m1.lattice._order[0]
     out = [0.0] * len(l)
     second = [(j, v2) for j, v2 in enumerate(m2.vector) if v2 != 0.0]
-    for meet_i, v1 in zip(_meet_table(l), m1.vector):
+    rows = _cached(l, "meet", lambda: [None] * len(l))
+    for i, v1 in enumerate(m1.vector):
         if v1 != 0.0:
+            meet_i = rows[i] or _meet_row(l, rows, i)
             for j, v2 in second:
                 out[meet_i[j]] += v1 * v2
     conflict = out[bottom]

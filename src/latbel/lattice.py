@@ -20,10 +20,11 @@ poset's own; ``dual`` and ``restrict`` on a lattice give posets.
 
 Poset and Lattice are immutable once built, except that ``Lattice._cache``
 is filled lazily with derived results such as the structural profile, the
-Moebius coefficients and, for Dempster combination alone, the meet table.
-Instances can be shared between threads: a concurrent first call may
-compute such a result twice, and the second store only replaces it with an
-equal value.  Construction is single-threaded.
+Moebius coefficients and, for Dempster combination alone, the rows of the
+meet table that its masses have reached.  Instances can be shared between
+threads: a concurrent first call may compute such a result twice, and the
+second store only replaces it with an equal value.  Construction is
+single-threaded.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import itertools
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
-from operator import itemgetter, or_
+from operator import or_
 
 from .errors import (
     CycleDetected,
@@ -239,7 +240,8 @@ class Lattice(Poset):
     highest set bit of ``_pdown[x] & _pdown[y]``, and x v y the one at the
     highest set bit of ``_pup[x] & _pup[y]``, counted from the end of
     ``_order``.  Construction fills no table; Dempster combination, which
-    reads every pair of focal elements, takes one from :func:`_meet_table`.
+    reads every pair of focal elements, builds the meet rows of the first
+    mass's focal elements from ``_pdown`` with :func:`_meet_row`.
     """
 
     __slots__ = ("poset", "bottom", "top", "joinirr", "meetirr",
@@ -308,10 +310,10 @@ class Lattice(Poset):
 def _joins_total(order, lower, pup) -> bool:
     """Whether every pair of a poset with one minimal element has a join.
 
-    Filling a join table along ``order``, as :func:`_meet_table` fills the
-    meet table down it, can miss a join only at a y with a single lower
-    cover c, for a z >= c not above y: there ``pup[z] & pup[y]`` must be
-    the up-set of the element at its highest bit.
+    Filling a join table along ``order``, as the ``columns`` oracle in
+    ``tests/test_oracles.py`` does, can miss a join only at a y with a
+    single lower cover c, for a z >= c not above y: there
+    ``pup[z] & pup[y]`` must be the up-set of the element at its highest bit.
     """
     up_at = [pup[i] for i in reversed(order)]  # by bit
     for y, below in enumerate(lower):
@@ -338,31 +340,12 @@ def _meet_index(l: Lattice, x: int, y: int) -> int:
     return l._order[(l._pdown[x] & l._pdown[y]).bit_length() - 1]
 
 
-def _meet_table(l: Lattice) -> list[list[int]]:
-    """The n x n meet table, cached for Dempster combination, the one caller
-    that reads every pair.  Column y, filled down the linear extension, is
-    row y: x ^ y = step[x ^ c] for an upper cover c of y, where step is the
-    column of a second upper cover, else the identity but for each z <= c
-    not below y, sent to the element whose down-set is down[z] & down[y]."""
-    def fill():
-        down = l._down
-        by_down = {d: i for i, d in enumerate(down)}
-        identity, cols = list(range(len(down))), [None] * len(down)
-        for y in reversed(l._order):
-            above = l._cov_up[y]
-            if not above:
-                cols[y] = identity
-                continue
-            if len(above) > 1:
-                step = cols[above[1]]
-            else:
-                down_y, step = down[y], identity.copy()
-                for z in _indices(down[above[0]] & ~down_y):
-                    step[z] = by_down[down[z] & down_y]
-            cols[y] = list(itemgetter(*cols[above[0]])(step))
-        return cols
-
-    return _cached(l, "meet", fill)
+def _meet_row(l: Lattice, rows: list, x: int) -> list[int]:
+    """Row x of the meet table, each entry as in :func:`_meet_index`, stored
+    in ``rows`` (the list Dempster combination caches as "meet") and returned."""
+    order, down_x = l._order, l._pdown[x]
+    rows[x] = row = [order[(down_x & q).bit_length() - 1] for q in l._pdown]
+    return row
 
 
 def _first_failing_pair(poset: Poset) -> NotALattice:

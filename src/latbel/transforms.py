@@ -28,6 +28,11 @@ class _Vector(tuple):
     __slots__ = ()
 
 
+def _inverse(image) -> _Vector:
+    """The inverse of a permutation of the indices: sorting them by image inverts it."""
+    return _Vector(sorted(range(len(image)), key=image.__getitem__))
+
+
 class SetFunction:
     """A total assignment of finite real values to the elements of one lattice,
     stored only as ``vector``, one tuple in lattice input order, and never

@@ -2,7 +2,10 @@
 
 import inspect
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -881,3 +884,17 @@ def test_raw_bytes_that_are_no_json_text_exit_2_as_format_errors(b2, tmp_path, c
         out, err = capsys.readouterr()
         assert_exit_contract(code, out, err)
         assert (code, out, err) == (2, "", f"FormatError: {exc.value}\n")
+
+
+@pytest.mark.parametrize("command", ["dot", "chains"])
+def test_an_output_stream_that_cannot_encode_a_name_exits_2(three_chain, command):
+    """An element name the output encoding cannot represent is reported on
+    one stderr line, with exit 2 and no traceback."""
+    src = str(pathlib.Path(lb.__file__).parent.parent)
+    env = {**os.environ, "PYTHONIOENCODING": "ascii",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "latbel", command, three_chain],
+                          capture_output=True, text=True, env=env, timeout=60)
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
+    assert len(lines) == 1 and lines[0].startswith("UnicodeEncodeError: 'ascii' codec"), lines

@@ -109,6 +109,30 @@ def test_combine_commutative_associative_and_total_preserving():
         assert sum(v for _, v in abc.items()) == pytest.approx(1.0, abs=TOL)
 
 
+def test_combine_builds_only_the_meet_rows_of_the_first_masss_focal_elements():
+    l = lb.boolean_lattice(list("abcdefgh"))  # not the shared corpus copy: a fresh cache
+    rng = random.Random(83)
+    m1, m2, m3 = (random_mass(l, rng) for _ in range(3))
+    focal1 = {l.index_of(x) for x in m1.focal_elements()}
+    combined = lb.combine(m1, m2)
+    rows = l._cache["meet"]
+    assert len(rows) == 256
+    assert {i for i, row in enumerate(rows) if row is not None} == focal1
+    want = dict.fromkeys(l.elements, 0.0)
+    for y1, y2 in itertools.product(m1.focal_elements(), m2.focal_elements()):
+        want[l.meet(y1, y2)] += m1[y1] * m2[y2]
+    assert combined.values == pytest.approx(want, abs=TOL)
+
+    built = {i: rows[i] for i in focal1}
+    lb.combine(m1, m3)  # the same rows, not rebuilt
+    assert l._cache["meet"] is rows and all(rows[i] is row for i, row in built.items())
+    assert {i for i, row in enumerate(rows) if row is not None} == focal1
+    lb.combine(m3, m1)  # adds the rows of m3's focal elements only
+    focal3 = {l.index_of(x) for x in m3.focal_elements()}
+    assert {i for i, row in enumerate(rows) if row is not None} == focal1 | focal3
+    assert all(rows[i] is row for i, row in built.items())
+
+
 # -- simple supports ----------------------------------------------------------------
 
 def test_simple_support_shapes():

@@ -579,8 +579,10 @@ def test_tables_match_the_oracle_on_random_moore_families(l, dual):
     meets = [[l.meet(x, y) for y in names] for x in names]
     assert joins == [[o.join(x, y) for y in names] for x in names]
     assert meets == [[o.meet(x, y) for y in names] for x in names]
-    # the table that Dempster combination builds on first use
-    assert [[names[k] for k in row] for row in lb.lattice._meet_table(l)] == meets
+    # the rows that Dempster combination builds, each on first use
+    rows = [None] * len(l)
+    assert [[names[k] for k in lb.lattice._meet_row(l, rows, x)] for x in range(len(l))] == meets
+    assert [[names[k] for k in row] for row in rows] == meets
 
 
 def columns(order, lower, up):
@@ -661,7 +663,7 @@ def test_construction_and_order_analyses_build_no_table():
     """Lattice(), profile(), mobius_function(), the necessity and possibility
     checks and the k-family sweeps answer joins and meets from the position
     bitsets: nothing of n x n size is cached until combine, which caches the
-    meet table."""
+    meet rows of the first mass's focal elements."""
     l = lb.boolean_lattice(list("abcdef"))  # not the shared corpus copy: a fresh cache
     n, rng = len(l), random.Random(5)
     lb.profile(l)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from operator import or_
 
 from .capacity import CheckResult
 from .errors import (
@@ -161,8 +162,12 @@ def find_negations(l: Lattice, limit: int | None = 1) -> list[Negation]:
     invariants only shrink the search.  Elements are assigned in input
     order, and image c fits element i iff the assigned images above c are
     exactly the images of the assigned elements below i, and likewise with
-    above and below swapped.  Returns up to ``limit`` negations (all of them
-    when limit is None); the empty list means the lattice is not autodual.
+    above and below swapped.  Where input order runs up the lattice below
+    i (each y <= i comes after everything below y), the images of the
+    elements below i are the union of those kept for its lower covers, so
+    a chain in input order costs linear time; elsewhere they are summed bit
+    by bit.  Returns up to ``limit`` negations (all of them when limit is
+    None); the empty list means the lattice is not autodual.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be at least 1")
@@ -174,11 +179,18 @@ def find_negations(l: Lattice, limit: int | None = 1) -> list[Negation]:
         candidates.setdefault(key, []).append(c)
     image_bit = [0] * n  # 1 << the image of each assigned element, 0 otherwise
     images = 0  # bitset of all assigned images
+    above_of = [0] * n  # the images of the elements below each element reached
+    prefix = [False] * n  # whether each y <= x comes after everything below y
 
     def fits(i):
         key = (l._coh[i], l._h[i], len(l._cov_down[i]), len(l._cov_up[i]))
-        assigned = (1 << i) - 1
-        above = sum(map(image_bit.__getitem__, _indices(down[i] & assigned)))
+        assigned, covers = (1 << i) - 1, l._cov_down[i]
+        prefix[i] = down[i] >> i + 1 == 0 and all(map(prefix.__getitem__, covers))
+        if prefix[i]:  # every element below i is assigned, each lower cover's down-set too
+            above = functools.reduce(or_, (above_of[c] | image_bit[c] for c in covers), 0)
+        else:
+            above = sum(map(image_bit.__getitem__, _indices(down[i] & assigned)))
+        above_of[i] = above
         below = sum(map(image_bit.__getitem__, _indices(up[i] & assigned)))
         for c in candidates.get(key, ()):
             # an image already taken fails one of the two tests

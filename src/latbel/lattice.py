@@ -20,11 +20,11 @@ poset's own; ``dual`` and ``restrict`` on a lattice give posets.
 
 Poset and Lattice are immutable once built, except that ``Lattice._cache``
 is filled lazily with derived results such as the structural profile, the
-Moebius coefficients and, for Dempster combination alone, the rows of the
-meet table that its masses have reached.  Instances can be shared between
-threads: a concurrent first call may compute such a result twice, and the
-second store only replaces it with an equal value.  Construction is
-single-threaded.
+Moebius coefficients, the up-set members of the transforms and, for
+Dempster combination alone, the rows of the meet table that its sparse
+masses have reached.  Instances can be shared between threads: a
+concurrent first call may compute such a result twice, and the second store
+only replaces it with an equal value.  Construction is single-threaded.
 """
 
 from __future__ import annotations
@@ -239,9 +239,10 @@ class Lattice(Poset):
     extension (the dual's down-set).  So x ^ y is the element at the
     highest set bit of ``_pdown[x] & _pdown[y]``, and x v y the one at the
     highest set bit of ``_pup[x] & _pup[y]``, counted from the end of
-    ``_order``.  Construction fills no table; Dempster combination, which
-    reads every pair of focal elements, builds the meet rows of the first
-    mass's focal elements from ``_pdown`` with :func:`_meet_row`.
+    ``_order``.  Construction fills no table; Dempster combination, when
+    it sums over the pairs of focal elements, builds the meet rows of the
+    first mass's focal elements from ``_pdown`` with :func:`_meet_row`
+    (dense masses go through the commonality product instead).
     """
 
     __slots__ = ("poset", "bottom", "top", "joinirr", "meetirr",

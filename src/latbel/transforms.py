@@ -124,7 +124,7 @@ def mobius_function(l: Lattice) -> MobiusMatrix:
 
 def mobius_transform(f: SetFunction) -> SetFunction:
     """m with f(x) = sum of m(y) over y <= x."""
-    return _solve(f.lattice, "down", f)
+    return SetFunction(f.lattice, _Vector(_solve(f.lattice, "down", f.vector)))
 
 
 def _members(l: Lattice, side: str) -> list[tuple[int, ...]]:
@@ -152,17 +152,16 @@ def _sums(m: SetFunction, side: str) -> SetFunction:
 def mass_from_comobius(q: SetFunction) -> SetFunction:
     """Invert the co-Moebius transform: the m with q(x) = sum of m(y) over
     y >= x, so that comobius_transform(result) equals q."""
-    return _solve(q.lattice, "up", q)
+    return SetFunction(q.lattice, _Vector(_solve(q.lattice, "up", q.vector)))
 
 
-def _solve(l: Lattice, side: str, totals: SetFunction) -> SetFunction:
-    """The out with totals(x) = sum of out(y) over the down-set (up-set) of
+def _solve(l: Lattice, side: str, given) -> list[float]:
+    """The out with given[x] = sum of out[y] over the down-set (up-set) of
     x, by substitution along the lattice's linear extension (reversed for
     up-sets): out[x] depends only on x's strict members, which come first."""
     members = _members(l, side)
-    given = totals.vector
     out = [0.0] * len(l)
     get = out.__getitem__
     for x in l._order if side == "down" else reversed(l._order):
         out[x] = given[x] - sum(map(get, members[x]))  # out[x] itself is still 0
-    return SetFunction(l, _Vector(out))
+    return out

@@ -2,10 +2,14 @@
 extension from irreducible correspondences."""
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import latbel as lb
+from latbel.lattice import _indices
 from latbel.errors import NoConsistentExtension, NotABijection, NotDistributive
 
 from conftest import (
@@ -14,7 +18,9 @@ from conftest import (
     chain_diamond,
     chain_diamond_negation,
     chain_lattice,
+    corpus,
     m3,
+    moore_lattice,
     n5,
     nonautodual5,
     small_corpus,
@@ -105,6 +111,70 @@ def test_find_negations_agrees_with_brute_force():
         assert sorted(tuple(sorted(n.map.items())) for n in found) == sorted(
             tuple(sorted(im.items())) for im in oracle
         ), name
+
+
+def negations_by_sums(l, limit=None):
+    """The images of the negations, found by the search as it read before
+    it kept the images below each element: the images of the assigned
+    elements below (above) element i summed bit by bit for every i."""
+    n, down, up = len(l), l._down, l._up
+    candidates = {}
+    for c in range(n):
+        key = (l._h[c], l._coh[c], len(l._cov_up[c]), len(l._cov_down[c]))
+        candidates.setdefault(key, []).append(c)
+    image_bit, found = [0] * n, []
+
+    def extend(i, images):
+        if i == n:
+            found.append(tuple(b.bit_length() - 1 for b in image_bit))
+            return limit is not None and len(found) >= limit
+        key = (l._coh[i], l._h[i], len(l._cov_down[i]), len(l._cov_up[i]))
+        assigned = (1 << i) - 1
+        above = sum(image_bit[j] for j in _indices(down[i] & assigned))
+        below = sum(image_bit[j] for j in _indices(up[i] & assigned))
+        for c in candidates.get(key, ()):
+            if up[c] & images == above and down[c] & images == below:
+                image_bit[i] = 1 << c
+                if extend(i + 1, images | 1 << c):
+                    return True
+        image_bit[i] = 0
+        return False
+
+    extend(0, 0)
+    return found
+
+
+def shuffled(l, rng):
+    """The lattice with its elements declared in a random order."""
+    names = list(l.elements)
+    rng.shuffle(names)
+    return lb.lattice_from_poset(lb.build_poset(names, l.covers))
+
+
+def runs_up(l):
+    """Whether input order is a linear extension: each element's down-set
+    lies among the elements up to it."""
+    return all(d >> i + 1 == 0 for i, d in enumerate(l.poset._down))
+
+
+def test_negation_search_matches_the_sums_on_the_corpus():
+    rng, orders = random.Random(19), set()
+    for name, l in corpus():
+        for k in (l, shuffled(l, rng), shuffled(l, rng)):
+            want = negations_by_sums(k)
+            assert [n.image for n in lb.find_negations(k, limit=None)] == want, name
+            assert want, name
+            orders.add(runs_up(k))
+    assert orders == {True, False}
+
+
+@settings(max_examples=100, deadline=None)
+@given(l=st.randoms().map(moore_lattice), dual=st.booleans(), rng=st.randoms())
+def test_negation_search_matches_the_sums_on_random_moore_families(l, dual, rng):
+    if dual:
+        l = lb.dual_lattice(l)
+    for k in (l, shuffled(l, rng)):
+        assert [n.image for n in lb.find_negations(k, limit=None)] == negations_by_sums(k)
 
 
 def test_every_found_negation_is_consistent():

@@ -17,6 +17,7 @@ from latbel.errors import (
     TopMassZero,
     TotalConflict,
 )
+from latbel.evidence import COMBINE_POLICIES
 
 from conftest import (
     bool_lattice,
@@ -131,6 +132,123 @@ def test_combine_builds_only_the_meet_rows_of_the_first_masss_focal_elements():
     focal3 = {l.index_of(x) for x in m3.focal_elements()}
     assert {i for i, row in enumerate(rows) if row is not None} == focal1 | focal3
     assert all(rows[i] is row for i, row in built.items())
+
+
+def pair_sum(m1, m2, policy):
+    """Dempster's rule as it reads: m1(y1) m2(y2) summed into y1 ^ y2 over
+    the focal pairs in input order, then the policy applied."""
+    l = m1.lattice
+    out = dict.fromkeys(l.elements, 0.0)
+    for y1, y2 in itertools.product(m1.focal_elements(0.0), m2.focal_elements(0.0)):
+        out[l.meet(y1, y2)] += m1[y1] * m2[y2]
+    conflict = out[l.bottom]
+    if policy != "raw":
+        out[l.bottom] = 0.0
+    if policy == "normalize":
+        out = {x: v / (1.0 - conflict) for x, v in out.items()}
+    return [out[x] for x in l.elements]
+
+
+def by_commonality(l, m1, m2):
+    """Whether combine takes the commonality product for these masses: the
+    focal pairs outnumber twice the total up-set size plus 16 per element."""
+    pairs = len(m1.focal_elements(0.0)) * len(m2.focal_elements(0.0))
+    return pairs > 2 * sum(len(l.above(x)) for x in l.elements) + 16 * len(l)
+
+
+def focal_sets(l, rng, dense):
+    """The focal elements of two masses: for each, every element above
+    bottom where ``dense`` says so, else a random number of them."""
+    rest = [x for x in l.elements if x != l.bottom]
+    return [rest if d else rng.sample(rest, rng.randint(1, len(rest))) for d in dense]
+
+
+def assert_route(l, dense):
+    """A fresh lattice's cache shows the route combine took: the product
+    builds the up-set members and no meet rows, the pair sum the reverse."""
+    assert ("up" in l._cache, "meet" in l._cache) == (dense, not dense)
+
+
+def big_moore_lattice(rng):
+    """A Moore lattice on 7 or 8 points, large enough that about a quarter
+    of the draws below take the commonality product."""
+    return moore_lattice(rng, points=(7, 8), generators=(8, 16))
+
+
+@settings(max_examples=60, deadline=None)
+@given(l=st.randoms().map(big_moore_lattice), dual=st.booleans(),
+       dense=st.tuples(st.booleans(), st.booleans()), rng=st.randoms())
+def test_both_routes_match_the_pair_sum_on_random_moore_families(l, dual, dense, rng):
+    if dual:
+        l = lb.dual_lattice(l)
+    if len(l) < 2:
+        return
+    m1, m2 = (random_mass(l, rng, top_min=0.2, focal=f) for f in focal_sets(l, rng, dense))
+    route = by_commonality(l, m1, m2)
+    for policy in COMBINE_POLICIES:
+        got, want = lb.combine(m1, m2, policy).vector, pair_sum(m1, m2, policy)
+        if route:
+            assert got == pytest.approx(want, rel=0, abs=1e-12)
+        else:
+            assert list(got) == want
+    assert_route(l, route)
+
+
+def full_dyadic_mass(l, rng):
+    """A mass of 1024 units of 1/1024, at least one on every element above
+    bottom: its pair products and every sum of them are exact floats."""
+    units, spare = [0] * len(l), 1024 - (len(l) - 1)
+    for x in l._order[1:]:
+        units[x] = 1
+    for k in range(8):  # the spare units in eight lots
+        units[rng.choice(l._order[1:])] += spare // 8 + (k < spare % 8)
+    return lb.MassAllocation(l, dict(zip(l.elements, (u / 1024 for u in units))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(l=st.randoms().map(big_moore_lattice), dual=st.booleans(),
+       dense=st.tuples(st.booleans(), st.booleans()), rng=st.randoms())
+def test_both_routes_are_exact_on_dyadic_masses(l, dual, dense, rng):
+    if dual:
+        l = lb.dual_lattice(l)
+    if len(l) < 2:
+        return
+    m1, m2 = (full_dyadic_mass(l, rng) if d else dyadic_mass(l, rng) for d in dense)
+    for policy in COMBINE_POLICIES:
+        if policy == "normalize" and lb.combine(m1, m2)[l.bottom] == 1.0:
+            continue
+        assert list(lb.combine(m1, m2, policy).vector) == pair_sum(m1, m2, policy)
+    assert_route(l, by_commonality(l, m1, m2))
+
+
+def test_a_dense_boolean_combination_builds_no_meet_rows():
+    rng = random.Random(89)
+    l = lb.boolean_lattice(list("abcdefgh"))  # fresh caches
+    m1, m2 = (random_mass(l, rng, focal=f) for f in focal_sets(l, rng, (True, True)))
+    assert by_commonality(l, m1, m2)
+    for policy in COMBINE_POLICIES:
+        assert lb.combine(m1, m2, policy).vector == pytest.approx(
+            pair_sum(m1, m2, policy), rel=0, abs=1e-12)
+    assert_route(l, True)
+
+    l = lb.boolean_lattice(list("abcdefgh"))  # masses of at most 6 focal elements sum pairs
+    m1, m2 = random_mass(l, rng), random_mass(l, rng)
+    assert not by_commonality(l, m1, m2)
+    lb.combine(m1, m2)
+    assert_route(l, False)
+
+
+def test_a_dense_chain_combination_sums_pairs():
+    """On a 300-element chain the 299 x 299 focal pairs fall short of twice
+    its 45,150 up-set members plus 16 per element, so the up-set members,
+    which grow with the square of the length, are never built."""
+    rng = random.Random(97)
+    names = [f"c{i}" for i in range(300)]
+    l = lb.lattice_from_poset(lb.build_poset(names, list(zip(names, names[1:]))))
+    m1, m2 = (random_mass(l, rng, focal=f) for f in focal_sets(l, rng, (True, True)))
+    assert not by_commonality(l, m1, m2)
+    assert list(lb.combine(m1, m2).vector) == pair_sum(m1, m2, "raw")
+    assert_route(l, False)
 
 
 # -- simple supports ----------------------------------------------------------------

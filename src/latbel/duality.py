@@ -164,10 +164,13 @@ def find_negations(l: Lattice, limit: int | None = 1) -> list[Negation]:
     exactly the images of the assigned elements below i, and likewise with
     above and below swapped.  Where input order runs up the lattice below
     i (each y <= i comes after everything below y), the images of the
-    elements below i are the union of those kept for its lower covers, so
-    a chain in input order costs linear time; elsewhere they are summed bit
-    by bit.  Returns up to ``limit`` negations (all of them when limit is
-    None); the empty list means the lattice is not autodual.
+    elements below i are the union of those kept for its lower covers;
+    where it runs down the lattice above i (each y >= i comes after
+    everything above y), the images of the elements above i are the union
+    of those kept for its upper covers.  So a chain declared from either
+    end costs linear time; elsewhere the images are summed bit by bit.
+    Returns up to ``limit`` negations (all of them when limit is None); the
+    empty list means the lattice is not autodual.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be at least 1")
@@ -180,18 +183,24 @@ def find_negations(l: Lattice, limit: int | None = 1) -> list[Negation]:
     image_bit = [0] * n  # 1 << the image of each assigned element, 0 otherwise
     images = 0  # bitset of all assigned images
     above_of = [0] * n  # the images of the elements below each element reached
-    prefix = [False] * n  # whether each y <= x comes after everything below y
+    below_of = [0] * n  # the images of the elements above each element reached
+    prefix_down = [False] * n  # whether each y <= x comes after everything below y
+    prefix_up = [False] * n  # whether each y >= x comes after everything above y
 
     def fits(i):
         key = (l._coh[i], l._h[i], len(l._cov_down[i]), len(l._cov_up[i]))
-        assigned, covers = (1 << i) - 1, l._cov_down[i]
-        prefix[i] = down[i] >> i + 1 == 0 and all(map(prefix.__getitem__, covers))
-        if prefix[i]:  # every element below i is assigned, each lower cover's down-set too
-            above = functools.reduce(or_, (above_of[c] | image_bit[c] for c in covers), 0)
+        assigned, lower, upper = (1 << i) - 1, l._cov_down[i], l._cov_up[i]
+        prefix_down[i] = down[i].bit_length() <= i + 1 and all(map(prefix_down.__getitem__, lower))
+        if prefix_down[i]:  # every element below i is assigned, each lower cover's down-set too
+            above = functools.reduce(or_, (above_of[c] | image_bit[c] for c in lower), 0)
         else:
             above = sum(map(image_bit.__getitem__, _indices(down[i] & assigned)))
-        above_of[i] = above
-        below = sum(map(image_bit.__getitem__, _indices(up[i] & assigned)))
+        prefix_up[i] = up[i].bit_length() <= i + 1 and all(map(prefix_up.__getitem__, upper))
+        if prefix_up[i]:  # every element above i is assigned, each upper cover's up-set too
+            below = functools.reduce(or_, (below_of[c] | image_bit[c] for c in upper), 0)
+        else:
+            below = sum(map(image_bit.__getitem__, _indices(up[i] & assigned)))
+        above_of[i], below_of[i] = above, below
         for c in candidates.get(key, ()):
             # an image already taken fails one of the two tests
             if up[c] & images == above and down[c] & images == below:

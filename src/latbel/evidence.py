@@ -9,6 +9,7 @@ honest (nonnegative) one is a query, not a type constraint.
 from __future__ import annotations
 
 import math
+from operator import mul
 
 from .capacity import DEFAULT_TOL, _belief_mass, _require_tol
 from .errors import (
@@ -23,8 +24,8 @@ from .errors import (
 from .lattice import Lattice, _cached, _meet_row
 from .transforms import (
     SetFunction,
-    _members,
     _solve,
+    _sums,
     _Vector,
     comobius_transform,
     mass_from_comobius,
@@ -98,7 +99,7 @@ def combine(
     product q1(x) q2(x) (Kennes 1992, "Computational aspects of the Moebius
     transformation of graphs").  So when the focal pairs outnumber that
     product's work, twice the total up-set size plus 16 per element, the
-    masses are summed over the cached up-sets, multiplied, and the product
+    masses are summed along the cached up-set steps, multiplied, and the product
     is solved back to a mass along the reversed linear extension.  Otherwise
     the pairs are summed, reading their meets from rows of the meet table
     cached on the lattice; a row is built, from the position down-sets, the
@@ -150,9 +151,7 @@ def _by_pairs(l: Lattice, v1, v2) -> list[float]:
 
 def _by_commonality(l: Lattice, v1, v2) -> list[float]:
     """The raw combination as the mass whose commonality is q1 q2."""
-    ups = _members(l, "up")
-    get1, get2 = list(v1).__getitem__, list(v2).__getitem__
-    return _solve(l, "up", [sum(map(get1, u)) * sum(map(get2, u)) for u in ups])
+    return _solve(l, "up", list(map(mul, _sums(l, "up", v1), _sums(l, "up", v2))))
 
 
 def simple_support(l: Lattice, y: str, w: float) -> MassAllocation:

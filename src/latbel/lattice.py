@@ -20,9 +20,10 @@ poset's own; ``dual`` and ``restrict`` on a lattice give posets.
 
 Poset and Lattice are immutable once built, except that ``Lattice._cache``
 is filled lazily with derived results such as the structural profile, the
-Moebius coefficients, the up-set members of the transforms and, for
-Dempster combination alone, the rows of the meet table that its sparse
-masses have reached.  Instances can be shared between threads: a
+Moebius coefficients, the summation steps of the transforms (one per
+element and side, gathering only the indices its prefix cover's set
+lacks) and, for Dempster combination alone, the rows of the meet table
+that its sparse masses have reached.  Instances can be shared between threads: a
 concurrent first call may compute such a result twice, and the second store
 only replaces it with an equal value.  Construction is single-threaded.
 """
@@ -242,7 +243,11 @@ class Lattice(Poset):
     ``_order``.  Construction fills no table; Dempster combination, when
     it sums over the pairs of focal elements, builds the meet rows of the
     first mass's focal elements from ``_pdown`` with :func:`_meet_row`
-    (dense masses go through the commonality product instead).
+    (dense masses go through the commonality product instead).  The
+    transforms keep no member lists either: each set sum continues the sum
+    of a cover holding the set's lowest input indices where one does, so a
+    chain declared from its bottom sums each down-set in one addition
+    (see ``transforms._steps``).
     """
 
     __slots__ = ("poset", "bottom", "top", "joinirr", "meetirr",

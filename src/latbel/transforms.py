@@ -11,14 +11,31 @@ mu(x, y) themselves, exact integers, are computed on demand by
 ``mobius_function``, each row x by Rota's crosscut theorem over the upper
 covers of x (Rota 1964).  All other arithmetic is double precision, on
 each function's ``vector`` of values in lattice input order.
+
+Every set sum adds its values in ascending index order, left to right from
+0, as ``sum`` over the set would.  The sums share work without changing a
+bit: where a lower (upper) cover c of x holds the lowest indices of x's
+down-set (up-set), that is, c's own set ends at c and every other index of
+x's set lies above c, the sum over x's set is the sum over c's, already
+computed, continued over the rest (see :func:`_steps`).  CPython's float
+``sum`` before 3.12 adds left to right and a running sum from 0 is never
+-0.0, so continuing c's total gives the same float as summing x's whole set,
+signed zeros included.  Where ``sum`` compensates its rounding (3.12 on),
+no sum continues another.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from operator import itemgetter
 
 from .errors import IncompleteFunction, InvalidFunction, UnknownElement
-from .lattice import Lattice, _cached, _indices
+from .lattice import _BYTE_OF_DIGIT, Lattice, _cached, _indices
+
+# Whether ``sum`` adds floats left to right (CPython before 3.12), so that a
+# set's sum is its prefix's sum continued over the rest.
+_LEFT_TO_RIGHT = sum([1.0, 1e100, 1.0, -1e100]) == 0.0
 
 
 class _Vector(tuple):
@@ -56,9 +73,10 @@ class SetFunction:
             raise InvalidFunction(f"function values must be finite numbers: {exc}") from None
         if len(vector) != len(lattice):
             raise InvalidFunction(f"{len(vector)} values for {len(lattice)} elements")
-        for x, v in zip(lattice.elements, vector):
-            if not math.isfinite(v):
-                raise InvalidFunction(f"value of {x!r} is not finite: {v!r}")
+        if not math.isfinite(sum(vector)):  # a finite sum has finite terms; scan only if not
+            for x, v in zip(lattice.elements, vector):
+                if not math.isfinite(v):
+                    raise InvalidFunction(f"value of {x!r} is not finite: {v!r}")
         self.lattice = lattice
         self.vector = vector
 
@@ -128,25 +146,66 @@ def mobius_transform(f: SetFunction) -> SetFunction:
 
 
 def _members(l: Lattice, side: str) -> list[tuple[int, ...]]:
-    """Ascending indices of each element's down-set or up-set, cached."""
-    masks = l._down if side == "down" else l._up
-    return _cached(l, side, lambda: [tuple(_indices(mask)) for mask in masks])
+    """Ascending indices of each element's down-set or up-set (not cached:
+    the transforms sum along :func:`_steps`)."""
+    return [tuple(_indices(mask)) for mask in (l._down if side == "down" else l._up)]
+
+
+def _steps(l: Lattice, side: str) -> list[tuple]:
+    """The steps of the down-set (up-set) sums, cached: one ``(x, c, get)``
+    per element x along the linear extension (reversed for up-sets), so each
+    step comes after the steps of x's covers.
+
+    ``get`` gathers, in ascending index order, the values of the indices in
+    x's set that are not in c's set.  ``c`` is x's "prefix cover": a lower
+    (upper) cover whose own index is the highest in its set and lies below
+    every index of that rest, so that x's sum is c's continued over it.
+    Only the cover of lowest index can qualify, since any other cover would
+    lie among x's indices below it.  Down-sets have one where input order
+    runs up the lattice at x, up-sets where it runs down.  When none
+    qualifies, ``c`` is -1 and the rest is all of x's set.  A rest of
+    consecutive indices is gathered as one slice; the indices of any other
+    are drawn from one shared list of int objects.
+    """
+    return _cached(l, side, lambda: list(_each_step(l, side)))
+
+
+def _each_step(l: Lattice, side: str):
+    sets, covers = (l._down, l._cov_down) if side == "down" else (l._up, l._cov_up)
+    ids = list(range(len(l)))
+    for x in l._order if side == "down" else reversed(l._order):
+        rest, c = sets[x], -1
+        if covers[x] and _LEFT_TO_RIGHT:
+            low = min(covers[x])
+            if rest & (2 << low) - 1 == sets[low]:  # low's set is x's indices up to low
+                rest, c = rest ^ sets[low], low
+        first = (rest & -rest).bit_length() - 1
+        run = rest >> first  # the rest from its lowest index, so only its own bits are read
+        if run & run + 1:
+            bits = bin(run)[:1:-1].encode().translate(_BYTE_OF_DIGIT)  # lowest bit first
+            yield x, c, itemgetter(*itertools.compress(itertools.islice(ids, first, None), bits))
+        else:
+            yield x, c, itemgetter(slice(first, first + run.bit_length()))
 
 
 def zeta_transform(m: SetFunction) -> SetFunction:
     """f(x) = sum of m(y) over y <= x; inverse of the Moebius transform."""
-    return _sums(m, "down")
+    return SetFunction(m.lattice, _Vector(_sums(m.lattice, "down", m.vector)))
 
 
 def comobius_transform(m: SetFunction) -> SetFunction:
     """q(x) = sum of m(y) over y >= x (the commonality side)."""
-    return _sums(m, "up")
+    return SetFunction(m.lattice, _Vector(_sums(m.lattice, "up", m.vector)))
 
 
-def _sums(m: SetFunction, side: str) -> SetFunction:
-    """The sum of m over each element's down-set (up-set)."""
-    get = list(m.vector).__getitem__  # a list's item getter maps faster than a tuple's
-    return SetFunction(m.lattice, _Vector(sum(map(get, ms)) for ms in _members(m.lattice, side)))
+def _sums(l: Lattice, side: str, values) -> list[float]:
+    """The sum of the values over each element's down-set (up-set), each
+    one its prefix cover's sum continued over the rest (see :func:`_steps`)."""
+    total = [0] * (len(l) + 1)  # total[-1] = 0 starts a sum that continues no cover's
+    for x, c, get in _steps(l, side):
+        total[x] = sum(get(values), total[c])
+    total.pop()
+    return total
 
 
 def mass_from_comobius(q: SetFunction) -> SetFunction:
@@ -158,10 +217,14 @@ def mass_from_comobius(q: SetFunction) -> SetFunction:
 def _solve(l: Lattice, side: str, given) -> list[float]:
     """The out with given[x] = sum of out[y] over the down-set (up-set) of
     x, by substitution along the lattice's linear extension (reversed for
-    up-sets): out[x] depends only on x's strict members, which come first."""
-    members = _members(l, side)
+    up-sets): out[x] depends only on x's strict members, which come first.
+    Each element's sum over its whole set, out[x] included, is kept, so a
+    later sum continues it as :func:`_sums` does; it is read only where x
+    is a prefix cover, and then x is last in its set."""
     out = [0.0] * len(l)
-    get = out.__getitem__
-    for x in l._order if side == "down" else reversed(l._order):
-        out[x] = given[x] - sum(map(get, members[x]))  # out[x] itself is still 0
+    total = [0] * (len(l) + 1)
+    for x, c, get in _steps(l, side):
+        s = sum(get(out), total[c])  # out[x] itself is still 0.0
+        out[x] = v = given[x] - s
+        total[x] = s + v
     return out

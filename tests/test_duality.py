@@ -3,6 +3,7 @@ extension from irreducible correspondences."""
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -175,6 +176,55 @@ def test_negation_search_matches_the_sums_on_random_moore_families(l, dual, rng)
         l = lb.dual_lattice(l)
     for k in (l, shuffled(l, rng)):
         assert [n.image for n in lb.find_negations(k, limit=None)] == negations_by_sums(k)
+
+
+def reversed_declaration(l):
+    """The lattice with its elements declared in reversed input order."""
+    return lb.lattice_from_poset(lb.build_poset(l.elements[::-1], l.covers))
+
+
+def runs_down(l):
+    """Whether reversed input order is a linear extension: each element's
+    up-set lies among the elements up to it."""
+    return all(u >> i + 1 == 0 for i, u in enumerate(l.poset._up))
+
+
+def test_negation_search_matches_the_sums_declared_top_first():
+    for name, l in corpus():  # each declared from the bottom up, so reversed from the top down
+        k = reversed_declaration(l)
+        want = negations_by_sums(k)
+        assert [n.image for n in lb.find_negations(k, limit=None)] == want, name
+        assert want and runs_down(k), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(l=st.randoms().map(moore_lattice), dual=st.booleans())
+def test_negation_search_matches_the_sums_on_reversed_moore_families(l, dual):
+    if dual:
+        l = lb.dual_lattice(l)
+    k = reversed_declaration(lb.lattice_from_poset(lb.build_poset(
+        [l.elements[i] for i in l._order], l.covers)))  # declared from the top down
+    assert runs_down(k)
+    assert [n.image for n in lb.find_negations(k, limit=None)] == negations_by_sums(k)
+    k = reversed_declaration(l)
+    assert [n.image for n in lb.find_negations(k, limit=None)] == negations_by_sums(k)
+
+
+def test_a_chain_declared_from_either_end_sums_no_image_bit():
+    """The images below and above each element come from its covers' alone."""
+    names = [f"c{i}" for i in range(300)]
+    bottom_first = lb.lattice_from_poset(lb.build_poset(names, list(zip(names, names[1:]))))
+    summed = []
+
+    def counted(mask):
+        summed.append(mask.bit_count())
+        return _indices(mask)
+
+    for l in (bottom_first, reversed_declaration(bottom_first)):
+        summed.clear()
+        with mock.patch.object(lb.duality, "_indices", counted):
+            assert len(lb.find_negations(l, limit=None)) == 1
+        assert sum(summed) == 0
 
 
 def test_every_found_negation_is_consistent():

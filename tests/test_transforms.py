@@ -1,14 +1,18 @@
 """Moebius coefficients and the four transforms, anchored to brute-force
 subset sums and hand-solved small systems."""
 
+import contextlib
 import itertools
+import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latbel as lb
+from latbel.transforms import _Vector
 
 from conftest import bool_lattice, chain_lattice, corpus, moore_lattice, random_function
 
@@ -177,6 +181,24 @@ def test_set_function_refuses_non_finite_values(bad):
         lb.SetFunction(l, {"{}": 0.0, "{1}": bad})
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("at", [0, 2, 3], ids=["first", "middle", "last"])
+def test_set_function_names_the_first_non_finite_value(bad, at):
+    l = bool_lattice(2)
+    values = [0.25] * 4
+    values[at:] = [bad] + [float("nan")] * (3 - at)  # the later ones go unnamed
+    with pytest.raises(lb.errors.InvalidFunction) as err:
+        lb.SetFunction(l, dict(zip(l.elements, values)))
+    assert str(err.value) == f"value of {l.elements[at]!r} is not finite: {bad!r}"
+
+
+def test_a_finite_function_whose_sum_overflows_is_accepted():
+    l = bool_lattice(2)
+    f = lb.SetFunction(l, dict.fromkeys(l.elements, 1e308))
+    assert f.vector == (1e308,) * 4 and math.isinf(sum(f.vector))
+
+
 def test_a_function_cannot_be_changed_through_its_values():
     l = bool_lattice(2)
     f = lb.SetFunction(l, {"{}": 0.0, "{1}": 0.5, "{2}": 0.25, "{1,2}": 0.75})
@@ -226,3 +248,129 @@ def test_solves_are_equal_along_any_linear_extension():
             for x in order if side == "down" else reversed(order):
                 out[x] = given[x] - sum(out[y] for y in members[x])
             assert list(solve(f).values.values()) == out
+
+
+# -- the summation kernel -------------------------------------------------------------
+#
+# The transforms sum each set as the continuation of its prefix cover's sum.
+# The oracle below is the kernel before that: every set summed whole, in
+# ascending index order, and the inversion substituted element by element.
+
+def oracle_sums(l, side, values):
+    get = list(values).__getitem__
+    return [sum(map(get, ms)) for ms in lb.transforms._members(l, side)]
+
+
+def oracle_solve(l, side, given):
+    members = lb.transforms._members(l, side)
+    out = [0.0] * len(l)
+    get = out.__getitem__
+    for x in l._order if side == "down" else reversed(l._order):
+        out[x] = given[x] - sum(map(get, members[x]))
+    return out
+
+
+@contextlib.contextmanager
+def oracle_kernel():
+    """The library with the whole-set sums in place of the kernel."""
+    swap = {"_sums": oracle_sums, "_solve": oracle_solve}
+    with mock.patch.multiple(lb.transforms, **swap), mock.patch.multiple(lb.evidence, **swap):
+        yield
+
+
+def declared(l, how, rng):
+    """The lattice with its elements declared as given, reversed or shuffled."""
+    names = list(l.elements)
+    if how == "reversed":
+        names.reverse()
+    elif how == "shuffled":
+        rng.shuffle(names)
+    return lb.lattice_from_poset(lb.build_poset(names, l.covers))
+
+
+def awkward_value(rng):
+    return rng.choice([0.0, -0.0, 1e-17, 1 / 3, rng.uniform(-1.0, 1.0)])
+
+
+def kernel_outputs(l, rng):
+    """The four transforms, the commonality product of Dempster combination,
+    decompose and recombine on values drawn for this lattice, as vectors (a
+    refusal as its repr)."""
+    f = lb.SetFunction(l, _Vector(awkward_value(rng) for _ in l.elements))
+    g = [awkward_value(rng) for _ in l.elements]
+    mass = [0.0 if x == l._order[0] else abs(awkward_value(rng)) for x in range(len(l))]
+    mass[l._order[-1]] += 0.25
+    mass = [v / sum(mass) for v in mass]
+    weights = [rng.choice([1.0, 1 / 3, rng.uniform(0.1, 3.0)]) for _ in l.elements]
+    yield from (fn(f).vector for fn in (lb.zeta_transform, lb.mobius_transform,
+                                         lb.comobius_transform, lb.mass_from_comobius))
+    yield lb.evidence._by_commonality(l, f.vector, g)
+    bel = lb.zeta_transform(lb.SetFunction(l, _Vector(mass)))
+    try:
+        yield lb.decompose(bel, tol=1e-6).vector
+    except lb.errors.LatBelError as exc:  # the same refusal on both sides
+        yield repr(exc)
+    yield lb.recombine(lb.SupportWeights(l, _Vector(weights))).vector
+
+
+def hexed_outputs(l, seed):
+    return [vec if isinstance(vec, str) else [v.hex() for v in vec]
+            for vec in kernel_outputs(l, random.Random(seed))]
+
+
+def assert_kernel_matches_the_oracle(l, seed):
+    got = hexed_outputs(l, seed)
+    with oracle_kernel():
+        assert got == hexed_outputs(l, seed)
+
+
+def test_the_kernel_is_bit_identical_to_whole_set_sums_on_the_corpus():
+    rng, reused = random.Random(23), set()
+    for name, l in corpus():
+        for base in (l, lb.dual_lattice(l)):
+            for how in ("given", "reversed", "shuffled"):
+                k = declared(base, how, rng)
+                for _ in range(3):
+                    assert_kernel_matches_the_oracle(k, rng.random())
+                reused |= {side for side in ("down", "up")
+                           if any(c >= 0 for _, c, _ in lb.transforms._steps(k, side))}
+    assert reused == ({"down", "up"} if lb.transforms._LEFT_TO_RIGHT else set())
+
+
+@settings(max_examples=60, deadline=None)
+@given(l=st.randoms().map(moore_lattice), dual=st.booleans(),
+       how=st.sampled_from(["given", "reversed", "shuffled"]), rng=st.randoms())
+def test_the_kernel_is_bit_identical_to_whole_set_sums_on_random_moore_families(l, dual, how, rng):
+    if dual:
+        l = lb.dual_lattice(l)
+    assert_kernel_matches_the_oracle(declared(l, how, rng), rng.random())
+
+
+def gathered(l, side):
+    """The number of values the steps of one side gather."""
+    ids = list(range(len(l)))
+    return sum(len(get(ids)) for _, _, get in lb.transforms._steps(l, side))
+
+
+def whole(l, side):
+    """The number of values the whole-set sums of one side gather."""
+    return sum(map(len, lb.transforms._members(l, side)))
+
+
+def test_each_sum_gathers_only_what_its_prefix_cover_lacks():
+    reuse = lb.transforms._LEFT_TO_RIGHT
+    k = 8  # B8 by bitmask, as bench/gen.py declares it: each set extends its lowest cover's
+    names = [f"b{m:08b}" for m in range(1 << k)]
+    covers = [(names[m], names[m | 1 << i])
+              for m in range(1 << k) for i in range(k) if not m >> i & 1]
+    b8 = lb.lattice_from_poset(lb.build_poset(names, covers))
+    assert whole(b8, "down") == 6561
+    assert gathered(b8, "down") == (3281 if reuse else 6561)
+    names = [f"c{i}" for i in range(300)]
+    chain = lb.lattice_from_poset(lb.build_poset(names, list(zip(names, names[1:]))))
+    assert whole(chain, "down") == 45150
+    assert gathered(chain, "down") == (300 if reuse else 45150)
+    top_first = declared(chain, "reversed", None)
+    assert gathered(top_first, "up") == (300 if reuse else 45150)
+    for l, side in ((chain, "up"), (top_first, "down")):  # no cover holds the lowest indices
+        assert gathered(l, side) == whole(l, side)

@@ -9,6 +9,7 @@ honest (nonnegative) one is a query, not a type constraint.
 from __future__ import annotations
 
 import math
+from itertools import compress
 from operator import mul
 
 from .capacity import DEFAULT_TOL, _belief_mass, _require_tol
@@ -98,16 +99,35 @@ def combine(
     Since y1 ^ y2 >= x iff both yi >= x, the combined commonality is the
     product q1(x) q2(x) (Kennes 1992, "Computational aspects of the Moebius
     transformation of graphs").  So when the focal pairs outnumber that
-    product's work, twice the total up-set size plus 16 per element, the
-    masses are summed along the cached up-set steps, multiplied, and the product
-    is solved back to a mass along the reversed linear extension.  Otherwise
-    the pairs are summed, reading their meets from rows of the meet table
-    cached on the lattice; a row is built, from the position down-sets, the
-    first time m1 has mass at its element, so sparse masses never pay for
-    the whole table.  The two agree to rounding, but where the pair sum is
-    exactly 0.0 the product may leave a residue of rounding size: on B10,
-    two masses on every set holding one atom have a conflict at bottom of
-    about 1e-15, where the pairs give 0.0.
+    product's cost, 30 per element plus half the total up-set size, the
+    masses are summed along the cached up-set steps, multiplied, and the
+    product is solved back to a mass along the reversed linear extension.
+    Otherwise the pairs are summed, reading their meets from rows of the
+    meet table cached on the lattice; a row is built, from the position
+    down-sets, the first time m1 has mass at its element, so sparse masses
+    never pay for the whole table.
+
+    Costs are counted in pairs, one update of the combined mass each (about
+    50 ns).  Each of the product's three up-set passes costs about 10 pairs
+    per element, and each value its steps gather a third of a pair by index
+    or about a tenth as a slice; half the total up-set size stands in for
+    those values.  The constants fit these dense masses from
+    ``bench/gen.py``, in microseconds per call by pairs / by the product
+    (CPython 3.11 on a shared 2-core Xeon, ``timeit``, min of 5), with the
+    route the rule takes:
+
+        chain32     52 /   36  pairs      ref18   18 /  20  pairs
+        chain64    195 /   89  product    B3       5 /   9  pairs
+        chain128   819 /  254  product    B4      14 /  16  pairs
+        chain300  4366 / 1161  product    Pi4     13 /  14  pairs
+        B6         190 /   72  product    M16     18 /  17  pairs
+        B8        3116 /  441  product    Pi5    141 /  51  product
+        rand64     223 /  107  product    rand200 1961 / 462 product
+
+    The two routes agree to rounding, but where the pair sum is exactly 0.0
+    the product may leave a residue of rounding size: on B10, two masses on
+    every set holding one atom have a conflict at bottom of about 1e-15,
+    where the pairs give 0.0.
 
     raw keeps the conflict mass at bottom (the commonality product identity
     then holds everywhere); zero-bottom discards it without renormalizing;
@@ -122,7 +142,7 @@ def combine(
     l, bottom, n = m1.lattice, m1.lattice._order[0], len(m1.lattice)
     pairs = (n - m1.vector.count(0.0)) * (n - m2.vector.count(0.0))
     up_total = _cached(l, "up_total", lambda: sum(u.bit_count() for u in l._up))
-    if pairs > 2 * up_total + 16 * n:
+    if pairs > 30 * n + up_total / 2:
         out = _by_commonality(l, m1.vector, m2.vector)
     else:
         out = _by_pairs(l, m1.vector, m2.vector)
@@ -138,14 +158,13 @@ def combine(
 
 def _by_pairs(l: Lattice, v1, v2) -> list[float]:
     """The raw combination summed pair by pair over the meet rows."""
-    out = [0.0] * len(l)
-    second = [(j, b) for j, b in enumerate(v2) if b != 0.0]
+    out, ids = [0.0] * len(l), range(len(l))
+    second = [(j, v2[j]) for j in compress(ids, v2)]  # 0.0 and -0.0 are false
     rows = _cached(l, "meet", lambda: [None] * len(l))
-    for i, a in enumerate(v1):
-        if a != 0.0:
-            meet_i = rows[i] or _meet_row(l, rows, i)
-            for j, b in second:
-                out[meet_i[j]] += a * b
+    for i in compress(ids, v1):
+        a, meet_i = v1[i], rows[i] or _meet_row(l, rows, i)
+        for j, b in second:
+            out[meet_i[j]] += a * b
     return out
 
 

@@ -243,7 +243,8 @@ class Lattice(Poset):
     ``_order``.  Construction fills no table; Dempster combination, when
     it sums over the pairs of focal elements, builds the meet rows of the
     first mass's focal elements from ``_pdown`` with :func:`_meet_row`
-    (dense masses go through the commonality product instead).  The
+    (masses whose focal pairs outnumber the commonality product's cost,
+    dense chains' among them, go through that product instead).  The
     transforms keep no member lists either: each set sum continues the sum
     of a cover holding the set's lowest input indices where one does, so a
     chain declared from its bottom sums each down-set in one addition

@@ -31,7 +31,7 @@ import math
 from operator import itemgetter
 
 from .errors import IncompleteFunction, InvalidFunction, UnknownElement
-from .lattice import _BYTE_OF_DIGIT, Lattice, _cached, _indices
+from .lattice import _BYTE_OF_DIGIT, Lattice, _cached
 
 # Whether ``sum`` adds floats left to right (CPython before 3.12), so that a
 # set's sum is its prefix's sum continued over the rest.
@@ -40,7 +40,8 @@ _LEFT_TO_RIGHT = sum([1.0, 1e100, 1.0, -1e100]) == 0.0
 
 class _Vector(tuple):
     """Values in lattice input order (a function's floats, a negation's image
-    indices): stored, or a result the library built, so not looked up by name."""
+    indices): stored, or a result the library built, so neither looked up by
+    name nor converted."""
 
     __slots__ = ()
 
@@ -58,7 +59,9 @@ class SetFunction:
     __slots__ = ("lattice", "vector")
 
     def __init__(self, lattice: Lattice, values):
-        if not isinstance(values, _Vector):
+        if isinstance(values, _Vector):  # built by the library, of floats already
+            vector = values
+        else:
             vals = dict(values)
             extra = [x for x in vals if x not in lattice]
             if extra:
@@ -66,11 +69,10 @@ class SetFunction:
             missing = [x for x in lattice.elements if x not in vals]
             if missing:
                 raise IncompleteFunction(missing)
-            values = map(vals.__getitem__, lattice.elements)
-        try:
-            vector = _Vector(map(float, values))
-        except (TypeError, OverflowError) as exc:
-            raise InvalidFunction(f"function values must be finite numbers: {exc}") from None
+            try:
+                vector = _Vector(map(float, map(vals.__getitem__, lattice.elements)))
+            except (TypeError, OverflowError) as exc:
+                raise InvalidFunction(f"function values must be finite numbers: {exc}") from None
         if len(vector) != len(lattice):
             raise InvalidFunction(f"{len(vector)} values for {len(lattice)} elements")
         if not math.isfinite(sum(vector)):  # a finite sum has finite terms; scan only if not
@@ -143,12 +145,6 @@ def mobius_function(l: Lattice) -> MobiusMatrix:
 def mobius_transform(f: SetFunction) -> SetFunction:
     """m with f(x) = sum of m(y) over y <= x."""
     return SetFunction(f.lattice, _Vector(_solve(f.lattice, "down", f.vector)))
-
-
-def _members(l: Lattice, side: str) -> list[tuple[int, ...]]:
-    """Ascending indices of each element's down-set or up-set (not cached:
-    the transforms sum along :func:`_steps`)."""
-    return [tuple(_indices(mask)) for mask in (l._down if side == "down" else l._up)]
 
 
 def _steps(l: Lattice, side: str) -> list[tuple]:

@@ -151,9 +151,9 @@ def pair_sum(m1, m2, policy):
 
 def by_commonality(l, m1, m2):
     """Whether combine takes the commonality product for these masses: the
-    focal pairs outnumber twice the total up-set size plus 16 per element."""
+    focal pairs outnumber 30 per element plus half the total up-set size."""
     pairs = len(m1.focal_elements(0.0)) * len(m2.focal_elements(0.0))
-    return pairs > 2 * sum(len(l.above(x)) for x in l.elements) + 16 * len(l)
+    return pairs > 30 * len(l) + sum(len(l.above(x)) for x in l.elements) / 2
 
 
 def focal_sets(l, rng, dense):
@@ -170,7 +170,7 @@ def assert_route(l, dense):
 
 
 def big_moore_lattice(rng):
-    """A Moore lattice on 7 or 8 points, large enough that about a quarter
+    """A Moore lattice on 7 or 8 points, large enough that about one in six
     of the draws below take the commonality product."""
     return moore_lattice(rng, points=(7, 8), generators=(8, 16))
 
@@ -238,17 +238,60 @@ def test_a_dense_boolean_combination_builds_no_meet_rows():
     assert_route(l, False)
 
 
-def test_a_dense_chain_combination_sums_pairs():
-    """On a 300-element chain the 299 x 299 focal pairs fall short of twice
-    its 45,150 up-set members plus 16 per element, so the up-set members,
-    which grow with the square of the length, are never built."""
+def test_a_dense_chain_combination_takes_the_product():
+    """On a 300-element chain the 299 x 299 focal pairs outnumber 30 per
+    element plus half its 45,150 up-set members, and no meet row is built."""
     rng = random.Random(97)
     names = [f"c{i}" for i in range(300)]
     l = lb.lattice_from_poset(lb.build_poset(names, list(zip(names, names[1:]))))
     m1, m2 = (random_mass(l, rng, focal=f) for f in focal_sets(l, rng, (True, True)))
-    assert not by_commonality(l, m1, m2)
-    assert list(lb.combine(m1, m2).vector) == pair_sum(m1, m2, "raw")
-    assert_route(l, False)
+    assert by_commonality(l, m1, m2)
+    for policy in COMBINE_POLICIES:
+        assert lb.combine(m1, m2, policy).vector == pytest.approx(
+            pair_sum(m1, m2, policy), rel=0, abs=1e-12)
+    assert_route(l, True)
+
+
+def partitions(k):
+    """The partition lattice of k points: set partitions, named by their
+    blocks, each covered by merging two of its blocks."""
+    def refine(n):
+        if n == 0:
+            yield ()
+            return
+        for p in refine(n - 1):
+            yield (*p, (n,))
+            for b in range(len(p)):
+                yield (*p[:b], (*p[b], n), *p[b + 1:])
+
+    def name(blocks):
+        return "|".join(sorted("".join(map(str, sorted(b))) for b in blocks))
+
+    parts = sorted(refine(k), key=len, reverse=True)
+    covers = [(name(p), name([*p[:a], *p[a + 1:b], *p[b + 1:], p[a] + p[b]]))
+              for p in parts for a, b in itertools.combinations(range(len(p)), 2)]
+    return lb.lattice_from_poset(lb.build_poset(list(map(name, parts)), covers))
+
+
+def test_the_route_table():
+    """Dense masses take the product on chain128 and Pi5 and the pairs on
+    the small lattices of the CLI's inputs; masses of 3 focal elements take
+    the pairs everywhere.  Each combine runs on a fresh lattice, whose cache
+    shows the route."""
+    pi5 = partitions(5)
+    assert len(pi5) == 52 and len(pi5.atoms) == 10
+    table = [(chain_diamond().lattice, False), (bool_lattice(3), False), (bool_lattice(4), False),
+             (chain_lattice(127), True), (pi5, True)]
+    rng = random.Random(103)
+    for given, dense_route in table:
+        for dense, route in ((True, dense_route), (False, False)):
+            l = lb.lattice_from_poset(lb.build_poset(list(given.elements), given.covers))
+            rest = [x for x in l.elements if x != l.bottom]
+            m1, m2 = (random_mass(l, rng, focal=rest if dense else rng.sample(rest, 3))
+                      for _ in range(2))
+            assert by_commonality(l, m1, m2) == route
+            lb.combine(m1, m2)
+            assert_route(l, route)
 
 
 # -- simple supports ----------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latbel as lb
+from latbel.lattice import _indices
 from latbel.transforms import _Vector
 
 from conftest import bool_lattice, chain_lattice, corpus, moore_lattice, random_function
@@ -199,6 +200,17 @@ def test_a_finite_function_whose_sum_overflows_is_accepted():
     assert f.vector == (1e308,) * 4 and math.isinf(sum(f.vector))
 
 
+def test_a_library_built_vector_is_kept_and_named_values_become_floats():
+    l = bool_lattice(2)
+    v = _Vector((0.0, 0.5, 0.25, 0.75))
+    assert lb.SetFunction(l, v).vector is v
+    f = lb.SetFunction(l, {"{}": 0, "{1}": True, "{2}": False, "{1,2}": 3})
+    assert f.vector == (0.0, 1.0, 0.0, 3.0) and {type(x) for x in f.vector} == {float}
+    with pytest.raises(lb.errors.InvalidFunction) as err:  # still checked for finiteness
+        lb.SetFunction(l, _Vector((0.0, float("nan"), 0.25, 0.75)))
+    assert str(err.value) == "value of '{1}' is not finite: nan"
+
+
 def test_a_function_cannot_be_changed_through_its_values():
     l = bool_lattice(2)
     f = lb.SetFunction(l, {"{}": 0.0, "{1}": 0.5, "{2}": 0.25, "{1,2}": 0.75})
@@ -222,6 +234,11 @@ def test_set_function_refuses_unknown_and_unhashable_names():
             f[name]
 
 
+def set_members(l, side):
+    """Ascending indices of each element's down-set or up-set."""
+    return [tuple(_indices(mask)) for mask in (l._down if side == "down" else l._up)]
+
+
 def random_linear_extension(l, rng):
     """Element indices in a random order that lists every x before all y > x."""
     down, placed, order = l.poset._down, 0, []
@@ -242,7 +259,7 @@ def test_solves_are_equal_along_any_linear_extension():
         assert all(pos[l.poset.index_of(a)] < pos[l.poset.index_of(b)] for a, b in l.covers)
         f = random_function(l, rng)
         for side, solve in (("down", lb.mobius_transform), ("up", lb.mass_from_comobius)):
-            members = lb.transforms._members(l, side)
+            members = set_members(l, side)
             order = random_linear_extension(l, rng)
             out, given = [0.0] * len(l), list(f.values.values())
             for x in order if side == "down" else reversed(order):
@@ -258,11 +275,11 @@ def test_solves_are_equal_along_any_linear_extension():
 
 def oracle_sums(l, side, values):
     get = list(values).__getitem__
-    return [sum(map(get, ms)) for ms in lb.transforms._members(l, side)]
+    return [sum(map(get, ms)) for ms in set_members(l, side)]
 
 
 def oracle_solve(l, side, given):
-    members = lb.transforms._members(l, side)
+    members = set_members(l, side)
     out = [0.0] * len(l)
     get = out.__getitem__
     for x in l._order if side == "down" else reversed(l._order):
@@ -354,7 +371,7 @@ def gathered(l, side):
 
 def whole(l, side):
     """The number of values the whole-set sums of one side gather."""
-    return sum(map(len, lb.transforms._members(l, side)))
+    return sum(map(len, set_members(l, side)))
 
 
 def test_each_sum_gathers_only_what_its_prefix_cover_lacks():

@@ -22,7 +22,7 @@ from .errors import (
     TopMassZero,
     TotalConflict,
 )
-from .lattice import Lattice, _cached, _meet_row
+from .lattice import Lattice, _cached
 from .transforms import (
     SetFunction,
     _solve,
@@ -102,27 +102,28 @@ def combine(
     product's cost, 30 per element plus half the total up-set size, the
     masses are summed along the cached up-set steps, multiplied, and the
     product is solved back to a mass along the reversed linear extension.
-    Otherwise the pairs are summed, reading their meets from rows of the
-    meet table cached on the lattice; a row is built, from the position
-    down-sets, the first time m1 has mass at its element, so sparse masses
-    never pay for the whole table.
+    Otherwise the pairs are summed, each meet read from the position
+    down-sets, so that no call caches anything that grows with its inputs.
 
-    Costs are counted in pairs, one update of the combined mass each (about
-    50 ns).  Each of the product's three up-set passes costs about 10 pairs
-    per element, and each value its steps gather a third of a pair by index
-    or about a tenth as a slice; half the total up-set size stands in for
-    those values.  The constants fit these dense masses from
-    ``bench/gen.py``, in microseconds per call by pairs / by the product
-    (CPython 3.11 on a shared 2-core Xeon, ``timeit``, min of 5), with the
-    route the rule takes:
+    Costs are counted in pairs, one update of the combined mass each.  Each
+    of the product's three up-set passes costs about 10 pairs per element,
+    and each value its steps gather a third of a pair by index or about a
+    tenth as a slice; half the total up-set size stands in for those
+    values.  The constants were fit when a pair cost about 50 ns, its meet
+    read from a cached row of the meet table; read from the down-sets, it
+    costs 70-85 ns, so dense masses on ref18, B4, Pi4, M16 and chain32 sum
+    their pairs where the product is now the faster.  Microseconds per call
+    by pairs / by the product for dense masses from ``bench/gen.py``
+    (CPython 3.11 on a shared 2-core Xeon, ``timeit``, min of 5 in each of
+    three runs), with the route the rule takes:
 
-        chain32     52 /   36  pairs      ref18   18 /  20  pairs
-        chain64    195 /   89  product    B3       5 /   9  pairs
-        chain128   819 /  254  product    B4      14 /  16  pairs
-        chain300  4366 / 1161  product    Pi4     13 /  14  pairs
-        B6         190 /   72  product    M16     18 /  17  pairs
-        B8        3116 /  441  product    Pi5    141 /  51  product
-        rand64     223 /  107  product    rand200 1961 / 462 product
+        chain32     66 /   33  pairs      ref18   21 /  18  pairs
+        chain64    282 /   87  product    B3       6 /   8  pairs
+        chain128  1206 /  227  product    B4      18 /  15  pairs
+        chain300  6163 /  914  product    Pi4     16 /  13  pairs
+        B6         326 /   69  product    M16     21 /  14  pairs
+        B8        5537 /  413  product    Pi5    192 /  45  product
+        rand64     321 /   86  product    rand200 2847 / 392 product
 
     The two routes agree to rounding, but where the pair sum is exactly 0.0
     the product may leave a residue of rounding size: on B10, two masses on
@@ -157,14 +158,16 @@ def combine(
 
 
 def _by_pairs(l: Lattice, v1, v2) -> list[float]:
-    """The raw combination summed pair by pair over the meet rows."""
-    out, ids = [0.0] * len(l), range(len(l))
-    second = [(j, v2[j]) for j in compress(ids, v2)]  # 0.0 and -0.0 are false
-    rows = _cached(l, "meet", lambda: [None] * len(l))
+    """The raw combination summed pair by pair in input order, m1's focal
+    element outermost, each meet read from the position down-sets as in
+    ``lattice._meet_index``."""
+    out, ids, pdown = [0.0] * len(l), range(len(l)), l._pdown
+    at_length = (None, *l._order)  # the element at each bit length of a meet's down-set
+    second = [(pdown[j], v2[j]) for j in compress(ids, v2)]  # 0.0 and -0.0 are false
     for i in compress(ids, v1):
-        a, meet_i = v1[i], rows[i] or _meet_row(l, rows, i)
-        for j, b in second:
-            out[meet_i[j]] += a * b
+        a, down_i = v1[i], pdown[i]
+        for down_j, b in second:
+            out[at_length[(down_i & down_j).bit_length()]] += a * b
     return out
 
 
@@ -194,7 +197,9 @@ def decompose(bel: SetFunction, *, tol: float = DEFAULT_TOL) -> SupportWeights:
     the commonality of bel; requires positive mass at top so that every q(x)
     is positive.  In log space that product is the inverse co-Moebius
     transform, so log w = -mass_from_comobius(log q).  The vacuous weight at
-    top is omitted, as are weights equal to 1 up to 1e-12.
+    top is omitted, as are weights equal to 1 up to 1e-12.  A tiny mass at
+    top can push a weight beyond the float range, which raises
+    InvalidFunction.
     """
     res, m = _belief_mass(bel, tol)
     if not res:
@@ -207,7 +212,10 @@ def decompose(bel: SetFunction, *, tol: float = DEFAULT_TOL) -> SupportWeights:
     if low <= 0.0:  # reachable only through masses negative within the tolerance
         raise TopMassZero(f"commonality {low!r} is not positive; decomposition needs it positive")
     log_w = mass_from_comobius(SetFunction(l, _Vector(map(math.log, q.vector))))
-    w = [math.exp(-lw) for lw in log_w.vector]
+    try:
+        w = [math.exp(-lw) for lw in log_w.vector]
+    except OverflowError:
+        raise InvalidFunction("the weights of this decomposition exceed the float range") from None
     w[l._order[-1]] = 1.0
     return SupportWeights(l, _Vector(1.0 if abs(v - 1.0) <= 1e-12 else v for v in w))
 

@@ -20,12 +20,13 @@ poset's own; ``dual`` and ``restrict`` on a lattice give posets.
 
 Poset and Lattice are immutable once built, except that ``Lattice._cache``
 is filled lazily with derived results such as the structural profile, the
-Moebius coefficients, the summation steps of the transforms (one per
+Moebius coefficients and the summation steps of the transforms (one per
 element and side, gathering only the indices its prefix cover's set
-lacks) and, for Dempster combination alone, the rows of the meet table
-that its sparse masses have reached.  Instances can be shared between threads: a
-concurrent first call may compute such a result twice, and the second store
-only replaces it with an equal value.  Construction is single-threaded.
+lacks), each fixed by the lattice alone, so the cache does not grow with
+the inputs of later calls.  Instances can be shared between threads: a
+concurrent first call may compute such a result twice, and the second
+store only replaces it with an equal value.  Construction is
+single-threaded.
 """
 
 from __future__ import annotations
@@ -240,11 +241,7 @@ class Lattice(Poset):
     extension (the dual's down-set).  So x ^ y is the element at the
     highest set bit of ``_pdown[x] & _pdown[y]``, and x v y the one at the
     highest set bit of ``_pup[x] & _pup[y]``, counted from the end of
-    ``_order``.  Construction fills no table; Dempster combination, when
-    it sums over the pairs of focal elements, builds the meet rows of the
-    first mass's focal elements from ``_pdown`` with :func:`_meet_row`
-    (masses whose focal pairs outnumber the commonality product's cost,
-    dense chains' among them, go through that product instead).  The
+    ``_order``.  No join or meet table is ever filled.  The
     transforms keep no member lists either: each set sum continues the sum
     of a cover holding the set's lowest input indices where one does, so a
     chain declared from its bottom sums each down-set in one addition
@@ -345,14 +342,6 @@ def _meet_index(l: Lattice, x: int, y: int) -> int:
     """Index of x ^ y: the element at the highest set bit of the
     intersection of their position down-sets."""
     return l._order[(l._pdown[x] & l._pdown[y]).bit_length() - 1]
-
-
-def _meet_row(l: Lattice, rows: list, x: int) -> list[int]:
-    """Row x of the meet table, each entry as in :func:`_meet_index`, stored
-    in ``rows`` (the list Dempster combination caches as "meet") and returned."""
-    order, down_x = l._order, l._pdown[x]
-    rows[x] = row = [order[(down_x & q).bit_length() - 1] for q in l._pdown]
-    return row
 
 
 def _first_failing_pair(poset: Poset) -> NotALattice:

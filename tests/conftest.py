@@ -119,6 +119,18 @@ def random_mass(l, rng, *, top_min=0.0, focal=None):
     return lb.MassAllocation(l, vals)
 
 
+def diamond_belief_with_a_tiny_top_mass(n):
+    """On M_n: mass 1/64 on each atom, the rest on the first atom and 2^-29
+    at top.  A belief function whose decomposition weight at bottom, about
+    2^(23 (n - 1) - 2), leaves the float range for n >= 46."""
+    atoms = [f"m{i}" for i in range(n)]
+    l = lb.lattice_from_poset(lb.build_poset(
+        ["bot", *atoms, "top"], [("bot", a) for a in atoms] + [(a, "top") for a in atoms]))
+    m = {**dict.fromkeys(l.elements, 0.0), **dict.fromkeys(atoms, 1 / 64), "top": 2.0**-29}
+    m["m0"] += 1.0 - sum(m.values())
+    return lb.zeta_transform(lb.MassAllocation(l, m))
+
+
 def random_belief(l, rng, *, top_min=0.0):
     m = random_mass(l, rng, top_min=top_min)
     return lb.zeta_transform(m)

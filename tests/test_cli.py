@@ -16,7 +16,7 @@ import latbel as lb
 from latbel import cli, errors
 from latbel.cli import main
 
-from conftest import chain_diamond, chain_diamond_negation
+from conftest import chain_diamond, chain_diamond_negation, diamond_belief_with_a_tiny_top_mass
 
 
 def write(path, doc):
@@ -381,6 +381,18 @@ def test_bel_decompose_requires_top_mass(b2, tmp_path, capsys):
                 {"v": 1, "values": {"{}": 0, "{1}": 1, "{2}": 0, "{1,2}": 1}})
     assert main(["bel", "decompose", "--lattice", b2, bel]) == 1
     assert "TopMassZero" in capsys.readouterr().err
+
+
+def test_bel_decompose_refuses_weights_beyond_the_float_range(tmp_path, capsys):
+    f = diamond_belief_with_a_tiny_top_mass(48)
+    lattice = write(tmp_path / "m48.json", {
+        "v": 1, "elements": list(f.lattice.elements), "covers": [list(c) for c in f.lattice.covers]})
+    bel = write(tmp_path / "bel.json", {"v": 1, "values": f.values})
+    assert main(["bel", "decompose", "--lattice", lattice, bel]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("InvalidFunction: the weights of this decomposition exceed "
+                            "the float range\n")
 
 
 def test_bel_necessity_possibility(b2, tmp_path, capsys):

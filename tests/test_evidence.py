@@ -12,6 +12,7 @@ import latbel as lb
 from latbel import io
 from latbel.errors import (
     FocusIsBottom,
+    InvalidFunction,
     NonPositiveWeight,
     NotABelief,
     TopMassZero,
@@ -24,6 +25,7 @@ from conftest import (
     chain_diamond,
     chain_lattice,
     corpus,
+    diamond_belief_with_a_tiny_top_mass,
     moore_lattice,
     random_mass,
 )
@@ -110,28 +112,22 @@ def test_combine_commutative_associative_and_total_preserving():
         assert sum(v for _, v in abc.items()) == pytest.approx(1.0, abs=TOL)
 
 
-def test_combine_builds_only_the_meet_rows_of_the_first_masss_focal_elements():
+def test_combine_caches_nothing_that_grows_with_its_inputs():
+    """The pair sum reads each meet from the position down-sets: combining
+    sparse masses in either order leaves only the total up-set size, which
+    the route rule reads, in the lattice's cache."""
     l = lb.boolean_lattice(list("abcdefgh"))  # not the shared corpus copy: a fresh cache
     rng = random.Random(83)
     m1, m2, m3 = (random_mass(l, rng) for _ in range(3))
-    focal1 = {l.index_of(x) for x in m1.focal_elements()}
     combined = lb.combine(m1, m2)
-    rows = l._cache["meet"]
-    assert len(rows) == 256
-    assert {i for i, row in enumerate(rows) if row is not None} == focal1
     want = dict.fromkeys(l.elements, 0.0)
     for y1, y2 in itertools.product(m1.focal_elements(), m2.focal_elements()):
         want[l.meet(y1, y2)] += m1[y1] * m2[y2]
     assert combined.values == pytest.approx(want, abs=TOL)
-
-    built = {i: rows[i] for i in focal1}
-    lb.combine(m1, m3)  # the same rows, not rebuilt
-    assert l._cache["meet"] is rows and all(rows[i] is row for i, row in built.items())
-    assert {i for i, row in enumerate(rows) if row is not None} == focal1
-    lb.combine(m3, m1)  # adds the rows of m3's focal elements only
-    focal3 = {l.index_of(x) for x in m3.focal_elements()}
-    assert {i for i, row in enumerate(rows) if row is not None} == focal1 | focal3
-    assert all(rows[i] is row for i, row in built.items())
+    assert set(l._cache) == {"up_total"}
+    lb.combine(m1, m3)
+    lb.combine(m3, m1)
+    assert set(l._cache) == {"up_total"}
 
 
 def pair_sum(m1, m2, policy):
@@ -164,9 +160,9 @@ def focal_sets(l, rng, dense):
 
 
 def assert_route(l, dense):
-    """A fresh lattice's cache shows the route combine took: the product
-    builds the up-set members and no meet rows, the pair sum the reverse."""
-    assert ("up" in l._cache, "meet" in l._cache) == (dense, not dense)
+    """A fresh lattice's cache shows the route combine took: only the
+    product builds the up-set steps."""
+    assert ("up" in l._cache) == dense
 
 
 def big_moore_lattice(rng):
@@ -221,7 +217,7 @@ def test_both_routes_are_exact_on_dyadic_masses(l, dual, dense, rng):
     assert_route(l, by_commonality(l, m1, m2))
 
 
-def test_a_dense_boolean_combination_builds_no_meet_rows():
+def test_a_dense_boolean_combination_takes_the_product():
     rng = random.Random(89)
     l = lb.boolean_lattice(list("abcdefgh"))  # fresh caches
     m1, m2 = (random_mass(l, rng, focal=f) for f in focal_sets(l, rng, (True, True)))
@@ -240,7 +236,7 @@ def test_a_dense_boolean_combination_builds_no_meet_rows():
 
 def test_a_dense_chain_combination_takes_the_product():
     """On a 300-element chain the 299 x 299 focal pairs outnumber 30 per
-    element plus half its 45,150 up-set members, and no meet row is built."""
+    element plus half its 45,150 up-set members."""
     rng = random.Random(97)
     names = [f"c{i}" for i in range(300)]
     l = lb.lattice_from_poset(lb.build_poset(names, list(zip(names, names[1:]))))
@@ -292,6 +288,24 @@ def test_the_route_table():
             assert by_commonality(l, m1, m2) == route
             lb.combine(m1, m2)
             assert_route(l, route)
+
+
+def test_a_dense_mass_and_a_simple_support_sum_their_pairs_in_order():
+    """Dempster's rule with one simple support, the step of the decomposition
+    theorem: the focal pairs of a dense mass and a simple support take the
+    pair route, and their sum is the oracle's, float for float, when the
+    oracle visits the pairs in the same order with meets from l.meet."""
+    rng = random.Random(107)
+    for given in (lb.boolean_lattice(list("abcdefgh")), chain_lattice(127), partitions(5)):
+        l = lb.lattice_from_poset(lb.build_poset(list(given.elements), given.covers))
+        rest = [x for x in l.elements if x != l.bottom]
+        dense = random_mass(l, rng, focal=rest)
+        simple = lb.simple_support(l, rng.choice(rest), rng.random())
+        for m1, m2 in ((dense, simple), (simple, dense)):
+            assert not by_commonality(l, m1, m2)
+            for policy in COMBINE_POLICIES:
+                assert list(lb.combine(m1, m2, policy).vector) == pair_sum(m1, m2, policy)
+        assert_route(l, False)
 
 
 # -- simple supports ----------------------------------------------------------------
@@ -434,6 +448,15 @@ def test_decompose_refuses_a_non_positive_commonality():
     assert lb.check_belief(bel)
     with pytest.raises(TopMassZero, match="commonality"):
         lb.decompose(bel)
+
+
+def test_decompose_refuses_weights_beyond_the_float_range():
+    for n in (48, 60):
+        bel = diamond_belief_with_a_tiny_top_mass(n)
+        assert lb.check_belief(bel)
+        with pytest.raises(InvalidFunction, match="^the weights of this decomposition exceed "
+                                                  "the float range$"):
+            lb.decompose(bel)
 
 
 def test_decompose_matches_boolean_closed_form():

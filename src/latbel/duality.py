@@ -4,8 +4,9 @@ A vee-negation is a bijection n with n(x v y) = n(x) ^ n(y) and n(top) =
 bottom; such a map exists exactly when the lattice is isomorphic to its own
 order dual.  Negations need not be involutive and are rarely unique, so the
 search below enumerates them in a canonical order: the partial map is
-extended along the input element order, trying candidate images in input
-order, which makes "the first negation" stable across runs.
+extended along the lattice's linear extension ``_order`` (input order
+wherever that is one), trying candidate images in input order, which makes
+"the first negation" stable across runs.
 
 Like every validated structure in this package, a negation holds index
 tuples only: its ``image`` in lattice input order.  The name dicts it hands
@@ -159,22 +160,21 @@ def find_negations(l: Lattice, limit: int | None = 1) -> list[Negation]:
 
     A negation is exactly an anti-automorphism, so candidate images must
     swap height with coheight and up-degree with down-degree; those pruning
-    invariants only shrink the search.  Elements are assigned in input
-    order, and image c fits element i iff the assigned images above c are
-    exactly the images of the assigned elements below i, and likewise with
-    above and below swapped.  Where input order runs up the lattice below
-    i (each y <= i comes after everything below y), the images of the
-    elements below i are the union of those kept for its lower covers;
-    where it runs down the lattice above i (each y >= i comes after
-    everything above y), the images of the elements above i are the union
-    of those kept for its upper covers.  So a chain declared from either
-    end costs linear time; elsewhere the images are summed bit by bit.
-    Returns up to ``limit`` negations (all of them when limit is None); the
-    empty list means the lattice is not autodual.
+    invariants only shrink the search.  Elements are assigned along the
+    linear extension ``l._order``, trying candidate images in input order.
+    When element i is reached, every element below it has an image and no
+    element above it has one, so image c fits i iff the assigned images
+    above c are exactly the images of the elements below i, which is the
+    union of those kept for its lower covers, and no assigned image lies
+    below c.  Each element's test costs one union over its lower covers,
+    whatever order the elements are declared in.  Returns up to ``limit``
+    negations (all of them when limit is None), sorted by image whenever
+    the search runs to its end; the empty list means the lattice is not
+    autodual.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be at least 1")
-    n = len(l)
+    n, order = len(l), l._order
     down, up = l._down, l._up
     candidates: dict[tuple, list[int]] = {}
     for c in range(n):
@@ -183,48 +183,35 @@ def find_negations(l: Lattice, limit: int | None = 1) -> list[Negation]:
     image_bit = [0] * n  # 1 << the image of each assigned element, 0 otherwise
     images = 0  # bitset of all assigned images
     above_of = [0] * n  # the images of the elements below each element reached
-    below_of = [0] * n  # the images of the elements above each element reached
-    prefix_down = [False] * n  # whether each y <= x comes after everything below y
-    prefix_up = [False] * n  # whether each y >= x comes after everything above y
 
     def fits(i):
         key = (l._coh[i], l._h[i], len(l._cov_down[i]), len(l._cov_up[i]))
-        assigned, lower, upper = (1 << i) - 1, l._cov_down[i], l._cov_up[i]
-        prefix_down[i] = down[i].bit_length() <= i + 1 and all(map(prefix_down.__getitem__, lower))
-        if prefix_down[i]:  # every element below i is assigned, each lower cover's down-set too
-            above = functools.reduce(or_, (above_of[c] | image_bit[c] for c in lower), 0)
-        else:
-            above = sum(map(image_bit.__getitem__, _indices(down[i] & assigned)))
-        prefix_up[i] = up[i].bit_length() <= i + 1 and all(map(prefix_up.__getitem__, upper))
-        if prefix_up[i]:  # every element above i is assigned, each upper cover's up-set too
-            below = functools.reduce(or_, (below_of[c] | image_bit[c] for c in upper), 0)
-        else:
-            below = sum(map(image_bit.__getitem__, _indices(up[i] & assigned)))
-        above_of[i], below_of[i] = above, below
+        above_of[i] = above = functools.reduce(
+            or_, (above_of[c] | image_bit[c] for c in l._cov_down[i]), 0)
         for c in candidates.get(key, ()):
-            # an image already taken fails one of the two tests
-            if up[c] & images == above and down[c] & images == below:
+            # an image already taken fails the second test
+            if up[c] & images == above and not down[c] & images:
                 yield c
 
     results: list[Negation] = []
-    stack = [fits(0)]  # stack[i] yields the images that fit element i
+    stack = [fits(order[0])]  # stack[p] yields the images that fit element order[p]
     while stack:
-        i = len(stack) - 1
+        i = order[len(stack) - 1]
         images ^= image_bit[i]  # release element i's image before its next try
         image_bit[i] = 0
-        c = next(stack[i], None)
+        c = next(stack[-1], None)
         if c is None:
             stack.pop()
             continue
         image_bit[i] = 1 << c
         images |= image_bit[i]
-        if i + 1 < n:
-            stack.append(fits(i + 1))
+        if len(stack) < n:
+            stack.append(fits(order[len(stack)]))
             continue
         results.append(Negation(l, _Vector(b.bit_length() - 1 for b in image_bit), "vee"))
         if limit is not None and len(results) >= limit:
-            break
-    return results
+            return results
+    return sorted(results, key=lambda neg: neg.image)
 
 
 def invert(n: Negation) -> Negation:

@@ -33,10 +33,18 @@ def _load_document(path) -> dict:
     def refuse(name):
         raise FormatError(f"{path}: non-finite number {name} is not allowed")
 
+    def unique(pairs):  # a repeated key would otherwise keep its last value
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise FormatError(f"{path}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        doc = json.loads(text, parse_constant=refuse)
+        doc = json.loads(text, parse_constant=refuse, object_pairs_hook=unique)
         if "\\u" in text:  # an escape may leave a lone surrogate, which no output can encode
             json.dumps(doc, ensure_ascii=False).encode("utf-8")
     except json.JSONDecodeError as exc:

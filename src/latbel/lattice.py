@@ -32,6 +32,7 @@ single-threaded.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import warnings
 from collections.abc import Mapping
@@ -69,9 +70,11 @@ class Poset:
     a :class:`RedundantCovers` warning; the stored ``covers`` are always the
     irredundant covering relation of the closure.  ``_down[i]`` and
     ``_up[i]`` are the bitsets of the elements below and above element i.
+    ``_order`` is the linear extension that takes the lowest free input
+    index first: the identity wherever input order is itself one.
     """
 
-    __slots__ = ("elements", "covers", "_index", "_down", "_up", "_cov_down", "_cov_up")
+    __slots__ = ("elements", "covers", "_index", "_down", "_up", "_cov_down", "_cov_up", "_order")
 
     def __init__(self, elements, covers, *, max_elements: int = DEFAULT_MAX_ELEMENTS):
         names = list(elements)
@@ -108,7 +111,7 @@ class Poset:
             succ[a].append(b)
             pred[b].append(a)
 
-        topo = _topological_order(n, succ, pred, names)
+        self._order = topo = _topological_order(n, succ, pred, names)
 
         down = [0] * n
         for i in topo:
@@ -205,12 +208,15 @@ class Poset:
 
 def _topological_order(n, succ, pred, names):
     indeg = [len(pred[i]) for i in range(n)]
-    topo = [i for i in range(n) if indeg[i] == 0]
-    for i in topo:  # the loop also visits the nodes appended while it runs
+    free = [i for i in range(n) if indeg[i] == 0]  # ascending, so already a heap
+    topo = []
+    while free:
+        i = heapq.heappop(free)
+        topo.append(i)
         for s in succ[i]:
             indeg[s] -= 1
             if indeg[s] == 0:
-                topo.append(s)
+                heapq.heappush(free, s)
     if len(topo) < n:
         remaining = set(range(n)) - set(topo)
         # Every remaining node keeps a remaining predecessor; walk until a repeat.
@@ -236,9 +242,9 @@ class Lattice(Poset):
     Shares the arrays of ``poset``, which it keeps.  Raises
     :class:`NotALattice` otherwise, naming the first pair in input order
     without a join or a meet.  ``_pdown[i]`` holds element i's down-set a
-    second time, as a bitset over positions in the linear extension
-    ``_order``, and ``_pup[i]`` its up-set over positions in the reversed
-    extension (the dual's down-set).  So x ^ y is the element at the
+    second time, as a bitset over positions in the poset's linear
+    extension ``_order``, and ``_pup[i]`` its up-set over positions in the
+    reversed extension (the dual's down-set).  So x ^ y is the element at the
     highest set bit of ``_pdown[x] & _pdown[y]``, and x v y the one at the
     highest set bit of ``_pup[x] & _pup[y]``, counted from the end of
     ``_order``.  No join or meet table is ever filled.  The
@@ -249,15 +255,13 @@ class Lattice(Poset):
     """
 
     __slots__ = ("poset", "bottom", "top", "joinirr", "meetirr",
-                 "_order", "_pup", "_pdown", "_jmask", "_mmask", "_h", "_coh", "_cache")
+                 "_pup", "_pdown", "_jmask", "_mmask", "_h", "_coh", "_cache")
 
     def __init__(self, poset: Poset):
         for slot in Poset.__slots__:  # taken over: rebuilding would redo the closure
             setattr(self, slot, getattr(poset, slot))
         self.poset = poset
-        n, down = len(self), self._down
-
-        self._order = order = sorted(range(n), key=lambda i: down[i].bit_count())
+        n, order = len(self), self._order
         pdown, pup = [0] * n, [0] * n
         for p, i in enumerate(order):
             pdown[i] = functools.reduce(or_, map(pdown.__getitem__, self._cov_down[i]), 1 << p)

@@ -564,6 +564,49 @@ def test_bel_reconstruct_refuses_malformed_pi(b2, tmp_path, capsys, literal):
     assert err.startswith("FormatError") and "Traceback" not in err
 
 
+DUPLICATED = {  # each file repeats one key, whose last value would win unchecked
+    "values": '{"v": 1, "values": {"{}": 0, "{1}": 0.9, "{1}": 0.3, "{2}": 0.2, "{1,2}": 1}}',
+    "top": '{"v": 1, "values": {"{}": 0, "{1}": 0, "{2}": 0, "{1,2}": 1}, "values": {}}',
+    "map": '{"v": 1, "map": {"{}": "{1,2}", "{1}": "{2}", "{1}": "{1}", "{2}": "{1}",'
+           ' "{1,2}": "{}"}}',
+    "pi": '{"v": 1, "pi": {"{1}": 0.5, "{2}": 1, "{2}": 0.5}}',
+    "nu": '{"v": 1, "nu": {"{1}": 0.5, "{1}": 1, "{2}": 1}}',
+}
+
+
+@pytest.mark.parametrize("where, load, key", [
+    ("values", lambda path, l: lb.io.load_mass(path, l), "{1}"),
+    ("top", lambda path, l: lb.io.load_values(path), "values"),
+    ("map", lambda path, l: lb.io.load_negation(path, l), "{1}"),
+    ("pi", lambda path, l: lb.io.load_distribution(path, "pi"), "{2}"),
+    ("nu", lambda path, l: lb.io.load_distribution(path, "nu"), "{1}"),
+], ids=DUPLICATED)
+def test_a_repeated_key_is_a_format_error(b2, tmp_path, where, load, key):
+    path = tmp_path / "dup.json"
+    path.write_text(DUPLICATED[where], encoding="utf-8")
+    with pytest.raises(errors.FormatError) as exc:
+        load(str(path), lb.io.load_lattice(b2))
+    assert str(exc.value) == f"{path}: duplicate key {key!r}"
+
+
+def test_a_repeated_key_exits_2_on_one_line(b2, tmp_path, capsys):
+    """Each file with a repeated key exits 2 naming the file and the key.  The
+    last value used to win: bel check passed the values file, which is no
+    belief function with its first value of {1}."""
+    path, good = tmp_path / "dup.json", write(tmp_path / "f.json", {"v": 1, "values": {
+        "{}": 0, "{1}": 0.3, "{2}": 0.2, "{1,2}": 1}})
+    for where, argv in (
+        ("values", ["bel", "check", "--lattice", b2, str(path)]),
+        ("top", ["bel", "check", "--lattice", b2, str(path)]),
+        ("map", ["bel", "conjugate", "--lattice", b2, "--negation", str(path), good]),
+        ("pi", ["bel", "reconstruct", "--lattice", b2, "--pi", str(path)]),
+    ):
+        path.write_text(DUPLICATED[where], encoding="utf-8")
+        code, (out, err) = main(argv), capsys.readouterr()
+        assert (code, out) == (2, ""), where
+        assert err.startswith(f"FormatError: {path}: duplicate key ") and err.count("\n") == 1
+
+
 def test_bel_reconstruct_refuses_non_isotone_pi(diamond_bundle, tmp_path, capsys):
     lattice, _, _ = diamond_bundle
     pr = chain_diamond().principal

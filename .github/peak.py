@@ -3,8 +3,9 @@
 Usage, from the root of a checkout:  python3 .github/peak.py ARGS...
 
 The command's stdout passes through; one line on stderr gives its exit code
-and peak resident memory.  Exits with the command's code, else 1 when it
-peaked at 100 MB or more or ran past 20 seconds, else 0.
+and peak resident memory.  Exits 3 when it peaked at 100 MB or more or ran
+past 20 seconds, else with the command's own code, so that a command
+expected to fail is held to the same limits.
 """
 
 import os
@@ -20,8 +21,8 @@ try:
                        text=True, env={**os.environ, "PYTHONPATH": "src"}, timeout=TIMEOUT_S)
 except subprocess.TimeoutExpired:
     print(f"latbel {command}: timed out after {TIMEOUT_S} s", file=sys.stderr)
-    sys.exit(1)
+    sys.exit(3)
 sys.stdout.write(p.stdout)
 peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024  # KiB on Linux
 print(f"latbel {command}: exit {p.returncode}, peak RSS {peak_mb:.1f} MB", file=sys.stderr)
-sys.exit(p.returncode or peak_mb >= LIMIT_MB)
+sys.exit(3 if peak_mb >= LIMIT_MB else p.returncode)

@@ -111,19 +111,19 @@ def combine(
     tenth as a slice; half the total up-set size stands in for those
     values.  The constants were fit when a pair cost about 50 ns, its meet
     read from a cached row of the meet table; read from the down-sets, it
-    costs 70-85 ns, so dense masses on ref18, B4, Pi4, M16 and chain32 sum
-    their pairs where the product is now the faster.  Microseconds per call
-    by pairs / by the product for dense masses from ``bench/gen.py``
-    (CPython 3.11 on a shared 2-core Xeon, ``timeit``, min of 5 in each of
-    three runs), with the route the rule takes:
+    costs 1.4-1.7 times as much, so dense masses on ref18, B4, Pi4, M16
+    and chain32 sum their pairs where the product is now the faster.
+    Microseconds per call by pairs / by the product for dense masses from
+    ``bench/gen.py`` (CPython 3.11 on a shared 2-core Xeon, ``timeit``, min
+    of 5 in each of three runs, both columns in the same runs), by route:
 
-        chain32     66 /   33  pairs      ref18   21 /  18  pairs
-        chain64    282 /   87  product    B3       6 /   8  pairs
-        chain128  1206 /  227  product    B4      18 /  15  pairs
-        chain300  6163 /  914  product    Pi4     16 /  13  pairs
-        B6         326 /   69  product    M16     21 /  14  pairs
-        B8        5537 /  413  product    Pi5    192 /  45  product
-        rand64     321 /   86  product    rand200 2847 / 392 product
+        chain32    137 /   40  pairs      ref18   38 /  20  pairs
+        chain64    587 /   75  product    B3       8 /  15  pairs
+        chain128  2388 /  150  product    B4      24 /  16  pairs
+        chain300 13131 /  338  product    Pi4     20 /  14  pairs
+        B6         573 /   94  product    M16     29 /  16  pairs
+        B8        9767 /  503  product    Pi5    301 /  51  product
+        rand64     612 /  155  product    rand200 5503 / 575 product
 
     The two routes agree to rounding, but where the pair sum is exactly 0.0
     the product may leave a residue of rounding size: on B10, two masses on

@@ -21,7 +21,7 @@ poset's own; ``dual`` and ``restrict`` on a lattice give posets.
 Poset and Lattice are immutable once built, except that ``Lattice._cache``
 is filled lazily with derived results such as the structural profile, the
 Moebius coefficients and the summation steps of the transforms (one per
-element and side, gathering only the indices its prefix cover's set
+element and side, gathering only the elements its prefix cover's set
 lacks), each fixed by the lattice alone, so the cache does not grow with
 the inputs of later calls.  Instances can be shared between threads: a
 concurrent first call may compute such a result twice, and the second
@@ -248,10 +248,10 @@ class Lattice(Poset):
     highest set bit of ``_pdown[x] & _pdown[y]``, and x v y the one at the
     highest set bit of ``_pup[x] & _pup[y]``, counted from the end of
     ``_order``.  No join or meet table is ever filled.  The
-    transforms keep no member lists either: each set sum continues the sum
-    of a cover holding the set's lowest input indices where one does, so a
-    chain declared from its bottom sums each down-set in one addition
-    (see ``transforms._steps``).
+    transforms keep no member lists either: each set sum, in the order of
+    these bitsets, continues the sum of a cover holding its first positions,
+    so a chain declared in any order sums each set in one addition (see
+    ``transforms._steps``).
     """
 
     __slots__ = ("poset", "bottom", "top", "joinirr", "meetirr",
@@ -350,18 +350,19 @@ def _meet_index(l: Lattice, x: int, y: int) -> int:
 
 def _first_failing_pair(poset: Poset) -> NotALattice:
     """The error naming the first pair in input order without a join or a
-    meet; run only once the poset is known not to be a lattice."""
+    meet (a comparable pair has both, so only incomparable pairs are read)."""
     names, up, down = poset.elements, poset._up, poset._down
-    ups, downs = set(up), set(down)
-    for i, j in itertools.combinations(range(len(names)), 2):
-        ub = up[i] & up[j]
-        if ub not in ups:
-            return NotALattice(names[i], names[j],
-                               "no-least-upper-bound" if ub else "no-upper-bound")
-        lb = down[i] & down[j]
-        if lb not in downs:
-            return NotALattice(names[i], names[j],
-                               "no-greatest-lower-bound" if lb else "no-lower-bound")
+    ups, downs, every = set(up), set(down), (1 << len(names)) - 1
+    for i in range(len(names)):
+        for j in _indices((every ^ (up[i] | down[i])) >> i + 1 << i + 1):
+            ub = up[i] & up[j]
+            if ub not in ups:
+                return NotALattice(names[i], names[j],
+                                   "no-least-upper-bound" if ub else "no-upper-bound")
+            lb = down[i] & down[j]
+            if lb not in downs:
+                return NotALattice(names[i], names[j],
+                                   "no-greatest-lower-bound" if lb else "no-lower-bound")
 
 
 def lattice_from_poset(p: Poset) -> Lattice:

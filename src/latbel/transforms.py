@@ -12,16 +12,16 @@ mu(x, y) themselves, exact integers, are computed on demand by
 covers of x (Rota 1964).  All other arithmetic is double precision, on
 each function's ``vector`` of values in lattice input order.
 
-Every set sum adds its values in ascending index order, left to right from
-0, as ``sum`` over the set would.  The sums share work without changing a
-bit: where a lower (upper) cover c of x holds the lowest indices of x's
-down-set (up-set), that is, c's own set ends at c and every other index of
-x's set lies above c, the sum over x's set is the sum over c's, already
-computed, continued over the rest (see :func:`_steps`).  CPython's float
-``sum`` before 3.12 adds left to right and a running sum from 0 is never
--0.0, so continuing c's total gives the same float as summing x's whole set,
-signed zeros included.  Where ``sum`` compensates its rounding (3.12 on),
-no sum continues another.
+Each down-set (up-set) is summed left to right from 0 in ascending position
+along the lattice's linear extension ``_order`` (its reverse): where input
+order is itself one, in ascending (descending) index order.  The sums share
+work without changing a bit: where c's set is x's set up to the position of
+c, a lower (upper) cover of x, the sum over x's set is the sum over c's,
+already computed, continued over the rest (see :func:`_steps`).  CPython's
+float ``sum`` before 3.12 adds left to right and a running sum from 0 is
+never -0.0, so continuing c's total gives the same float as summing x's
+whole set, signed zeros included.  Where ``sum`` compensates its rounding
+(3.12 on), no sum continues another.
 """
 
 from __future__ import annotations
@@ -149,39 +149,39 @@ def mobius_transform(f: SetFunction) -> SetFunction:
 
 def _steps(l: Lattice, side: str) -> list[tuple]:
     """The steps of the down-set (up-set) sums, cached: one ``(x, c, get)``
-    per element x along the linear extension (reversed for up-sets), so each
-    step comes after the steps of x's covers.
+    per element x in position order along ``_order`` (its reverse for
+    up-sets), so each step comes after the steps of x's covers.
 
-    ``get`` gathers, in ascending index order, the values of the indices in
-    x's set that are not in c's set.  ``c`` is x's "prefix cover": a lower
-    (upper) cover whose own index is the highest in its set and lies below
-    every index of that rest, so that x's sum is c's continued over it.
-    Only the cover of lowest index can qualify, since any other cover would
-    lie among x's indices below it.  Down-sets have one where input order
-    runs up the lattice at x, up-sets where it runs down.  When none
-    qualifies, ``c`` is -1 and the rest is all of x's set.  A rest of
-    consecutive indices is gathered as one slice; the indices of any other
-    are drawn from one shared list of int objects.
+    ``get`` gathers, in position order, the values of the elements of x's
+    set that are not in c's set.  ``c`` is x's "prefix cover": a lower
+    (upper) cover whose set is x's set up to c's own position, so that x's
+    sum is c's continued over the rest.  Only the cover of lowest position
+    can qualify, since any other cover would lie in x's set before it.
+    When none qualifies, ``c`` is -1 and the rest is all of x's set.  A rest
+    whose indices run consecutively up or down is gathered as one slice;
+    the indices of any other are drawn from ``_order``'s int objects.
     """
     return _cached(l, side, lambda: list(_each_step(l, side)))
 
 
 def _each_step(l: Lattice, side: str):
-    sets, covers = (l._down, l._cov_down) if side == "down" else (l._up, l._cov_up)
-    ids = list(range(len(l)))
-    for x in l._order if side == "down" else reversed(l._order):
+    sets, covers, at = ((l._pdown, l._cov_down, l._order) if side == "down"  # at: by position
+                        else (l._pup, l._cov_up, l._order[::-1]))
+    for x in at:
         rest, c = sets[x], -1
         if covers[x] and _LEFT_TO_RIGHT:
-            low = min(covers[x])
-            if rest & (2 << low) - 1 == sets[low]:  # low's set is x's indices up to low
+            low = min(covers[x], key=sets.__getitem__)  # lowest position: its set ends first
+            if rest & (1 << sets[low].bit_length()) - 1 == sets[low]:
                 rest, c = rest ^ sets[low], low
         first = (rest & -rest).bit_length() - 1
-        run = rest >> first  # the rest from its lowest index, so only its own bits are read
-        if run & run + 1:
-            bits = bin(run)[:1:-1].encode().translate(_BYTE_OF_DIGIT)  # lowest bit first
-            yield x, c, itemgetter(*itertools.compress(itertools.islice(ids, first, None), bits))
+        bits = bin(rest >> first)[:1:-1].encode().translate(_BYTE_OF_DIGIT)  # lowest bit first
+        ids = list(itertools.compress(at[first:first + len(bits)], bits))
+        a, b = ids[0], ids[-1]
+        step = 1 if a <= b else -1
+        if abs(b - a) == len(ids) - 1 and ids == list(range(a, b + step, step)):
+            yield x, c, itemgetter(slice(a, b + step if b + step >= 0 else None, step))
         else:
-            yield x, c, itemgetter(slice(first, first + run.bit_length()))
+            yield x, c, itemgetter(*ids)
 
 
 def zeta_transform(m: SetFunction) -> SetFunction:
@@ -214,9 +214,8 @@ def _solve(l: Lattice, side: str, given) -> list[float]:
     """The out with given[x] = sum of out[y] over the down-set (up-set) of
     x, by substitution along the lattice's linear extension (reversed for
     up-sets): out[x] depends only on x's strict members, which come first.
-    Each element's sum over its whole set, out[x] included, is kept, so a
-    later sum continues it as :func:`_sums` does; it is read only where x
-    is a prefix cover, and then x is last in its set."""
+    x is last in its set's position order, so its whole-set sum, out[x]
+    included, is the one a later sum continues, as in :func:`_sums`."""
     out = [0.0] * len(l)
     total = [0] * (len(l) + 1)
     for x, c, get in _steps(l, side):

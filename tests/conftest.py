@@ -156,6 +156,16 @@ def random_capacity_on_chain(l, rng):
     return lb.SetFunction(l, dict(zip(ordered, values)))
 
 
+def declared(l, how, rng):
+    """The lattice with its elements declared as given, reversed or shuffled."""
+    names = list(l.elements)
+    if how == "reversed":
+        names.reverse()
+    elif how == "shuffled":
+        rng.shuffle(names)
+    return lb.lattice_from_poset(lb.build_poset(names, l.covers))
+
+
 def moore_lattice(rng, points=(2, 7), generators=(2, 8)):
     """The lattice of a random Moore family: the intersection closure of
     a few random subsets of a ground set of 2-7 points, plus the full set.

@@ -25,6 +25,7 @@ from conftest import (
     chain_diamond,
     chain_lattice,
     corpus,
+    declared,
     diamond_belief_with_a_tiny_top_mass,
     moore_lattice,
     random_mass,
@@ -510,6 +511,59 @@ def test_recombine_inverts_decompose_on_random_moore_families(l, dual, rng):
     m = dyadic_mass(l, rng, top=8)
     again = lb.recombine(lb.decompose(lb.zeta_transform(m)))
     assert again.vector == pytest.approx(m.vector, abs=1e-9)
+
+
+def layer_results(l, f, masses, weights):
+    """Name-keyed results of the function layers on one declaration: those
+    of exact arithmetic, and those of decompose and recombine, which work on
+    logarithms, whose sums are not exact."""
+    def named(vector):
+        return dict(zip(l.elements, vector))
+
+    fl = lb.SetFunction(l, f)
+    m1, m2 = (lb.MassAllocation(l, m) for m in masses)
+    exact = {fn.__name__: named(fn(fl).vector) for fn in (
+        lb.zeta_transform, lb.mobius_transform, lb.comobius_transform, lb.mass_from_comobius)}
+    exact["pairs"] = named(lb.evidence._by_pairs(l, m1.vector, m2.vector))
+    exact["product"] = named(lb.evidence._by_commonality(l, m1.vector, m2.vector))
+    for policy in COMBINE_POLICIES:
+        try:
+            exact[policy] = lb.combine(m1, m2, policy).values
+        except TotalConflict as exc:
+            exact[policy] = repr(exc)
+    bel = lb.zeta_transform(m1)
+    signed = lb.zeta_transform(lb.MassAllocation(l, named(
+        2 * a - b for a, b in zip(m1.vector, m2.vector))))
+    for label, g in (("belief", bel), ("signed", signed)):
+        res = lb.check_belief(g)  # a tied lowest mass is named first in input order
+        exact[label] = res.ok, res.witness and lb.mobius_transform(g)[res.witness[0]]
+    logs = {"decompose": named(lb.decompose(bel).vector),
+            "recombine": named(lb.recombine(lb.SupportWeights(l, weights)).vector)}
+    return exact, logs
+
+
+@settings(max_examples=60, deadline=None)
+@given(l=st.randoms().map(moore_lattice), dual=st.booleans(), rng=st.randoms())
+def test_the_function_layers_give_the_same_results_in_any_declaration_order(l, dual, rng):
+    """On dyadic values every sum and product is exact, so the transforms,
+    both combination routes and the belief check give the same floats
+    whatever order the file lists the elements in; decompose and recombine
+    agree to rounding."""
+    if dual:
+        l = lb.dual_lattice(l)
+    if len(l) < 2:
+        return
+    f = {x: rng.randint(-64, 64) / 64 for x in l.elements}
+    masses = [dyadic_mass(l, rng, top=8).values, dyadic_mass(l, rng).values]
+    weights = {x: rng.choice([0.25, 0.5, 1.0, 2.0, 3.0]) for x in l.elements}
+    (exact, logs), *others = [layer_results(declared(l, how, rng), f, masses, weights)
+                              for how in ("given", "reversed", "shuffled")]
+    for other_exact, other_logs in others:
+        assert other_exact == exact
+        for key, got in other_logs.items():
+            assert got.keys() == logs[key].keys()
+            assert all(math.isclose(got[x], v, rel_tol=1e-12, abs_tol=1e-12)
+                       for x, v in logs[key].items()), key
 
 
 def test_recombine_single_weight_is_a_simple_support():

@@ -568,6 +568,56 @@ def test_lattices_never_reach_the_pair_scan(monkeypatch):
         lb.lattice_from_poset(with_bounds(bowtie, rng))
 
 
+def every_pair_first_failure(p):
+    """(x, y, reason) for the first pair in input order without a join or a
+    meet, read over every pair, comparable or not."""
+    names, up, down = p.elements, p._up, p._down
+    ups, downs = set(up), set(down)
+    for i, j in itertools.combinations(range(len(names)), 2):
+        ub = up[i] & up[j]
+        if ub not in ups:
+            return names[i], names[j], "no-least-upper-bound" if ub else "no-upper-bound"
+        lb_ = down[i] & down[j]
+        if lb_ not in downs:
+            return names[i], names[j], "no-greatest-lower-bound" if lb_ else "no-lower-bound"
+    return None
+
+
+def non_lattice_mutations(l):
+    """Posets one edit away from l: without one of its covers, without its
+    top or bottom, or with a second top or bottom beside the first."""
+    names, covers, top, bottom = list(l.elements), list(l.covers), l.top, l.bottom
+    for k in range(len(covers)):
+        yield names, covers[:k] + covers[k + 1:]
+    yield [x for x in names if x != top], [c for c in covers if top not in c]
+    yield [x for x in names if x != bottom], [c for c in covers if bottom not in c]
+    yield names + ["top2"], covers + [(a, "top2") for a, b in covers if b == top]
+    yield names + ["bottom2"], covers + [("bottom2", b) for a, b in covers if a == bottom]
+
+
+def test_the_first_failing_pair_skips_only_comparable_pairs():
+    rng, failures = random.Random(31), collections.Counter()
+    for name, l in LATTICES:
+        for names, covers in non_lattice_mutations(l):
+            for how in ("given", "reversed", "shuffled"):
+                if how == "reversed":
+                    names = names[::-1]
+                elif how == "shuffled":
+                    names = rng.sample(names, len(names))
+                q = lb.build_poset(names, covers)
+                want = every_pair_first_failure(q)
+                if want is None:
+                    lb.lattice_from_poset(q)
+                    continue
+                failures[want[2]] += 1
+                err = lb.lattice._first_failing_pair(q)
+                assert (*err.pair, err.reason) == want
+                with pytest.raises(NotALattice) as exc:
+                    lb.lattice_from_poset(q)
+                assert (*exc.value.pair, exc.value.reason) == want
+    assert min(failures.values()) >= 25 and len(failures) == 4, failures
+
+
 @settings(max_examples=150, deadline=None)
 @given(l=st.randoms().map(moore_lattice), dual=st.booleans())
 def test_tables_match_the_oracle_on_random_moore_families(l, dual):

@@ -15,7 +15,7 @@ import latbel as lb
 from latbel.lattice import _indices
 from latbel.transforms import _Vector
 
-from conftest import bool_lattice, chain_lattice, corpus, moore_lattice, random_function
+from conftest import bool_lattice, chain_lattice, corpus, declared, moore_lattice, random_function
 
 TOL = 1e-9
 
@@ -235,7 +235,14 @@ def test_set_function_refuses_unknown_and_unhashable_names():
 
 
 def set_members(l, side):
-    """Ascending indices of each element's down-set or up-set."""
+    """The indices of each element's down-set (up-set), in ascending
+    position along ``_order`` (its reverse)."""
+    sets, at = (l._pdown, l._order) if side == "down" else (l._pup, l._order[::-1])
+    return [tuple(at[p] for p in _indices(mask)) for mask in sets]
+
+
+def index_members(l, side):
+    """The indices of each element's down-set (up-set), ascending."""
     return [tuple(_indices(mask)) for mask in (l._down if side == "down" else l._up)]
 
 
@@ -271,7 +278,8 @@ def test_solves_are_equal_along_any_linear_extension():
 #
 # The transforms sum each set as the continuation of its prefix cover's sum.
 # The oracle below is the kernel before that: every set summed whole, in
-# ascending index order, and the inversion substituted element by element.
+# ascending position along the linear extension (its reverse for up-sets),
+# and the inversion substituted element by element.
 
 def oracle_sums(l, side, values):
     get = list(values).__getitem__
@@ -293,16 +301,6 @@ def oracle_kernel():
     swap = {"_sums": oracle_sums, "_solve": oracle_solve}
     with mock.patch.multiple(lb.transforms, **swap), mock.patch.multiple(lb.evidence, **swap):
         yield
-
-
-def declared(l, how, rng):
-    """The lattice with its elements declared as given, reversed or shuffled."""
-    names = list(l.elements)
-    if how == "reversed":
-        names.reverse()
-    elif how == "shuffled":
-        rng.shuffle(names)
-    return lb.lattice_from_poset(lb.build_poset(names, l.covers))
 
 
 def awkward_value(rng):
@@ -342,16 +340,16 @@ def assert_kernel_matches_the_oracle(l, seed):
 
 
 def test_the_kernel_is_bit_identical_to_whole_set_sums_on_the_corpus():
-    rng, reused = random.Random(23), set()
+    rng = random.Random(23)
     for name, l in corpus():
         for base in (l, lb.dual_lattice(l)):
             for how in ("given", "reversed", "shuffled"):
                 k = declared(base, how, rng)
                 for _ in range(3):
                     assert_kernel_matches_the_oracle(k, rng.random())
-                reused |= {side for side in ("down", "up")
-                           if any(c >= 0 for _, c, _ in lb.transforms._steps(k, side))}
-    assert reused == ({"down", "up"} if lb.transforms._LEFT_TO_RIGHT else set())
+                reused = {side for side in ("down", "up")
+                          if any(c >= 0 for _, c, _ in lb.transforms._steps(k, side))}
+                assert reused == ({"down", "up"} if lb.transforms._LEFT_TO_RIGHT else set())
 
 
 @settings(max_examples=60, deadline=None)
@@ -361,6 +359,44 @@ def test_the_kernel_is_bit_identical_to_whole_set_sums_on_random_moore_families(
     if dual:
         l = lb.dual_lattice(l)
     assert_kernel_matches_the_oracle(declared(l, how, rng), rng.random())
+
+
+def along_an_extension(l, rng):
+    """The lattice declared along a random linear extension."""
+    names = [l.elements[i] for i in random_linear_extension(l, rng)]
+    return lb.lattice_from_poset(lb.build_poset(names, l.covers))
+
+
+def assert_down_side_matches_ascending_indices(l, seed):
+    """Zeta and the Moebius transform give the floats of the whole down-set
+    sums in ascending index order, which is position order here."""
+    assert l._order == list(range(len(l)))
+    f = lb.SetFunction(l, _Vector(awkward_value(random.Random(seed)) for _ in l.elements))
+    get = f.vector.__getitem__
+    members = index_members(l, "down")
+    zeta = [sum(map(get, ms)) for ms in members]
+    mobius = [0.0] * len(l)
+    for x in range(len(l)):
+        mobius[x] = f.vector[x] - sum(map(mobius.__getitem__, members[x]))
+    assert [v.hex() for v in lb.zeta_transform(f).vector] == [v.hex() for v in zeta]
+    assert [v.hex() for v in lb.mobius_transform(f).vector] == [v.hex() for v in mobius]
+
+
+def test_the_down_side_sums_in_index_order_along_an_extension_on_the_corpus():
+    rng = random.Random(29)
+    for name, l in corpus():  # each declared bottom-first
+        assert_down_side_matches_ascending_indices(l, rng.random())
+        for base in (l, lb.dual_lattice(l)):
+            assert_down_side_matches_ascending_indices(along_an_extension(base, rng), rng.random())
+
+
+@settings(max_examples=60, deadline=None)
+@given(l=st.randoms().map(moore_lattice), dual=st.booleans(), rng=st.randoms())
+def test_the_down_side_sums_in_index_order_along_an_extension_on_random_moore_families(
+        l, dual, rng):
+    if dual:
+        l = lb.dual_lattice(l)
+    assert_down_side_matches_ascending_indices(along_an_extension(l, rng), rng.random())
 
 
 def gathered(l, side):
@@ -381,13 +417,13 @@ def test_each_sum_gathers_only_what_its_prefix_cover_lacks():
     covers = [(names[m], names[m | 1 << i])
               for m in range(1 << k) for i in range(k) if not m >> i & 1]
     b8 = lb.lattice_from_poset(lb.build_poset(names, covers))
-    assert whole(b8, "down") == 6561
-    assert gathered(b8, "down") == (3281 if reuse else 6561)
+    for side in ("down", "up"):
+        assert whole(b8, side) == 6561
+        assert gathered(b8, side) == (3281 if reuse else 6561)
     names = [f"c{i}" for i in range(300)]
     chain = lb.lattice_from_poset(lb.build_poset(names, list(zip(names, names[1:]))))
-    assert whole(chain, "down") == 45150
-    assert gathered(chain, "down") == (300 if reuse else 45150)
-    top_first = declared(chain, "reversed", None)
-    assert gathered(top_first, "up") == (300 if reuse else 45150)
-    for l, side in ((chain, "up"), (top_first, "down")):  # no cover holds the lowest indices
-        assert gathered(l, side) == whole(l, side)
+    for how in ("given", "reversed", "shuffled"):
+        k = declared(chain, how, random.Random(0))
+        for side in ("down", "up"):
+            assert whole(k, side) == 45150
+            assert gathered(k, side) == (300 if reuse else 45150)

@@ -13,29 +13,20 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvalidNegation, SizeLimitExceeded
-from .lattice import _indices, _meet_index
+from .lattice import DEFAULT_MAX_FAMILIES, DEFAULT_TOL, _indices, _meet_index, _require_tol
 from .transforms import SetFunction, _inverse, _Vector, mobius_transform
 
-DEFAULT_TOL = 1e-9
-DEFAULT_MAX_FAMILIES = 10**7
 
+class CheckResult(namedtuple("CheckResult", "ok witness detail", defaults=(None, ""))):
+    """A check's verdict, true when the property holds; else a witness and why."""
 
-@dataclass(frozen=True)
-class CheckResult:
-    ok: bool
-    witness: tuple | None = None
-    detail: str = ""
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _require_tol(tol: float) -> None:
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
 
 
 def _boundary(f: SetFunction, tol: float):

@@ -5,7 +5,8 @@ serialized library results, elements always appear in input-file order, and
 re-running a command is deterministic.  Exit codes follow one contract:
 0 when the computation succeeds or the checked property holds, 1 when a
 property fails (a witness is printed, or the error is a ``PropertyFailure``),
-2 on malformed input (any other error).
+2 on malformed input (any other error).  Each command imports the layers
+it runs when it runs, so a call loads no other.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import argparse
 import os
 import sys
 
-from . import capacity, duality, evidence, io, lattice as lat, possibilistic, transforms
+from . import io, lattice as lat
 from .errors import (FormatError, LatBelError, NotALattice, NotAutodual, PropertyFailure,
                      SizeLimitExceeded)
 
@@ -29,7 +30,7 @@ def main(argv=None) -> int:
         except ValueError:
             raise FormatError(f"LATBEL_MAX_ELEMENTS must be an integer, got {cap!r}") from None
         args.max_chains = lat.DEFAULT_MAX_CHAINS if args.limit is None else args.limit
-        args.max_families = capacity.DEFAULT_MAX_FAMILIES if args.limit is None else args.limit
+        args.max_families = lat.DEFAULT_MAX_FAMILIES if args.limit is None else args.limit
         return args.handler(args)
     except (LatBelError, OSError, UnicodeEncodeError) as exc:  # or stdout cannot encode a name
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
@@ -39,7 +40,7 @@ def main(argv=None) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--tolerance", type=_tolerance, default=capacity.DEFAULT_TOL,
+    common.add_argument("--tolerance", type=_tolerance, default=lat.DEFAULT_TOL,
                         metavar="EPS")
     # at least 1: a cap of 0 refuses all work, and the negation search finds that many
     common.add_argument("--limit", type=_integer(1), default=None, metavar="N",
@@ -117,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = bel_parser("combine", "Dempster combination of two mass files")
     p.add_argument("mass1")
     p.add_argument("mass2")
-    p.add_argument("--policy", choices=list(evidence.COMBINE_POLICIES), default="raw")
+    p.add_argument("--policy", choices=list(lat.COMBINE_POLICIES), default="raw")
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_bel_combine)
 
@@ -133,11 +134,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = bel_parser("necessity", "meet-min identity check")
     p.add_argument("function")
-    p.set_defaults(handler=_cmd_bel_min_max, check=possibilistic.check_necessity)
+    p.set_defaults(handler=_cmd_bel_min_max)
 
     p = bel_parser("possibility", "join-max identity check")
     p.add_argument("function")
-    p.set_defaults(handler=_cmd_bel_min_max, check=possibilistic.check_possibility)
+    p.set_defaults(handler=_cmd_bel_min_max)
 
     p = bel_parser("reconstruct", "focal chain from a possibility distribution")
     p.add_argument("--negation", help="negation file; searched for when omitted")
@@ -153,7 +154,7 @@ def _tolerance(text: str) -> float:
     with it, and against NaN or infinity those comparisons never fail."""
     try:
         value = float(text)
-        capacity._require_tol(value)
+        lat._require_tol(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}") from None
     return value
@@ -251,6 +252,7 @@ def _cmd_birkhoff(args) -> int:
 
 
 def _cmd_mobius(args) -> int:
+    from . import transforms
     l = _lattice(args)
     rows = transforms.mobius_function(l)._rows
     names = l.elements
@@ -279,6 +281,7 @@ def _emit_table(args, f, header: str = "", rows=None) -> int:
 
 
 def _cmd_transform(args) -> int:
+    from . import transforms
     op = {
         "mobius": transforms.mobius_transform,
         "zeta": transforms.zeta_transform,
@@ -289,6 +292,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_negations(args) -> int:
+    from . import duality
     l = _lattice(args)
     limit = None if args.all else (args.limit if args.limit is not None else 1)
     found = duality.find_negations(l, limit=limit)
@@ -316,6 +320,7 @@ def _cmd_dot(args) -> int:
 
 
 def _cmd_bel_check(args) -> int:
+    from . import capacity, possibilistic
     f = _function(args)
     tol = args.tolerance
     cap = capacity.check_capacity(f, tol)
@@ -342,6 +347,7 @@ def _cmd_bel_check(args) -> int:
 
 
 def _cmd_bel_kmono(args) -> int:
+    from . import capacity
     f, rest = _function(args), (args.tolerance, args.max_families)
     if args.k == "total":
         return _report(args, "totally-monotone", capacity.check_total_monotone(f, *rest))
@@ -349,12 +355,14 @@ def _cmd_bel_kmono(args) -> int:
 
 
 def _cmd_bel_valuation(args) -> int:
+    from . import capacity
     res = capacity.check_k_valuation(_function(args), args.k, args.tolerance,
                                      args.max_families)
     return _report(args, f"{args.k}-valuation", res)
 
 
 def _cmd_bel_conjugate(args) -> int:
+    from . import capacity
     f = _function(args)
     n = io.load_negation(args.negation, f.lattice)
     return _emit_table(args, capacity.conjugate(f, n, args.variant))
@@ -365,6 +373,7 @@ def _emit_mass(args, m) -> int:
 
 
 def _cmd_bel_combine(args) -> int:
+    from . import evidence
     l = _lattice(args)
     m1 = io.load_mass(args.mass1, l, tol=args.tolerance)
     m2 = io.load_mass(args.mass2, l, tol=args.tolerance)
@@ -372,21 +381,27 @@ def _cmd_bel_combine(args) -> int:
 
 
 def _cmd_bel_decompose(args) -> int:
+    from . import evidence
     weights = evidence.decompose(_function(args), tol=args.tolerance)
     return _emit_table(args, weights, "focus\tweight", weights.weights)
 
 
 def _cmd_bel_recombine(args) -> int:
+    from . import evidence
     weights = io.load_weights(args.weights, _lattice(args))
     return _emit_mass(args, evidence.recombine(weights))
 
 
 def _cmd_bel_min_max(args) -> int:
-    res = args.check(_function(args), args.tolerance)
+    from . import possibilistic
+
+    check = getattr(possibilistic, f"check_{args.bel_command}")  # necessity or possibility
+    res = check(_function(args), args.tolerance)
     return _report(args, args.bel_command, res)
 
 
 def _cmd_bel_reconstruct(args) -> int:
+    from . import duality, possibilistic
     l = _lattice(args)
     if args.negation:
         n = io.load_negation(args.negation, l)

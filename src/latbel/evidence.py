@@ -22,7 +22,7 @@ from .errors import (
     TopMassZero,
     TotalConflict,
 )
-from .lattice import Lattice, _cached
+from .lattice import COMBINE_POLICIES, Lattice, _cached
 from .transforms import (
     SetFunction,
     _solve,
@@ -31,8 +31,6 @@ from .transforms import (
     comobius_transform,
     mass_from_comobius,
 )
-
-COMBINE_POLICIES = ("raw", "zero-bottom", "normalize")
 
 
 class MassAllocation(SetFunction):

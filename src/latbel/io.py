@@ -19,12 +19,8 @@ from __future__ import annotations
 import json
 import math
 
-from .capacity import DEFAULT_TOL
-from .duality import Negation, negation_from_map
 from .errors import FormatError
-from .evidence import MassAllocation, SupportWeights
-from .lattice import DEFAULT_MAX_ELEMENTS, Lattice, Poset, lattice_from_poset
-from .transforms import SetFunction
+from .lattice import DEFAULT_MAX_ELEMENTS, DEFAULT_TOL, Lattice, Poset, lattice_from_poset
 
 FORMAT_VERSION = 1
 
@@ -104,19 +100,30 @@ def load_values(path) -> dict:
     return _numbers(_load_document(path), path, "values")
 
 
+# The loaders below import the layer of the type they build when called, so
+# that a command reading only lattices loads none of those layers.
+
 def load_function(path, lattice: Lattice) -> SetFunction:
+    from .transforms import SetFunction
+
     return SetFunction(lattice, load_values(path))
 
 
 def load_mass(path, lattice: Lattice, *, tol: float = DEFAULT_TOL) -> MassAllocation:
+    from .evidence import MassAllocation
+
     return MassAllocation(lattice, load_values(path), tol=tol)
 
 
 def load_weights(path, lattice: Lattice) -> SupportWeights:
+    from .evidence import SupportWeights
+
     return SupportWeights(lattice, load_values(path))
 
 
 def load_negation(path, lattice: Lattice) -> Negation:
+    from .duality import negation_from_map
+
     doc = _load_document(path)
     mapping = _field(doc, path, "map", dict)
     return negation_from_map(lattice, mapping)

@@ -34,9 +34,10 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import math
 import warnings
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
 from operator import or_
 
 from .errors import (
@@ -50,8 +51,18 @@ from .errors import (
     UnknownElement,
 )
 
+# The caps and defaults of every layer, here in the module they all import,
+# so that the command line reads them without loading the layers.
 DEFAULT_MAX_ELEMENTS = 4096
 DEFAULT_MAX_CHAINS = 10**6
+DEFAULT_MAX_FAMILIES = 10**7  # k-families built by a k-monotonicity check
+DEFAULT_TOL = 1e-9
+COMBINE_POLICIES = ("raw", "zero-bottom", "normalize")  # of evidence.combine
+
+
+def _require_tol(tol: float) -> None:
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
 
 
 _BYTE_OF_DIGIT = bytes.maketrans(b"01", b"\0\1")
@@ -446,28 +457,19 @@ def _cover_bound(l: Lattice, x: int, upper: bool) -> int:
 # table, _WITNESSES, keyed by flag name, drives the profile, the is_*
 # predicates and the per-lattice cache; its order is the witness order.
 
-@dataclass(frozen=True)
-class StructureProfile:
+class StructureProfile(namedtuple("StructureProfile", [
+        "is_lattice", "is_linear", "is_ranked", "is_modular", "is_lower_semimodular",
+        "is_upper_semimodular", "is_distributive", "is_lower_locally_distributive",
+        "is_upper_locally_distributive", "is_complemented", "is_atomistic", "is_autodual",
+        "witnesses"])):
     """Structural flags of a lattice, with a counterexample for each false flag
     where one exists (existential failures such as autoduality carry none)."""
 
-    is_lattice: bool
-    is_linear: bool
-    is_ranked: bool
-    is_modular: bool
-    is_lower_semimodular: bool
-    is_upper_semimodular: bool
-    is_distributive: bool
-    is_lower_locally_distributive: bool
-    is_upper_locally_distributive: bool
-    is_complemented: bool
-    is_atomistic: bool
-    is_autodual: bool
-    witnesses: Mapping
+    __slots__ = ()
 
     def flags(self) -> dict[str, bool]:
         """Every flag, in declaration order."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "witnesses"}
+        return dict(zip(self._fields[:-1], self))
 
 
 class _ReadOnly(Mapping):
@@ -648,19 +650,14 @@ def profile(l: Lattice) -> StructureProfile:
 
 # -- downsets and chains -------------------------------------------------------
 
-@dataclass(frozen=True)
-class DownsetLattice:
-    """Lattice of all downsets of a poset, ordered by inclusion.
+DownsetLattice = namedtuple("DownsetLattice", "lattice downset principal")
+DownsetLattice.__doc__ = """Lattice of all downsets of a poset, ordered by inclusion.
 
-    ``downset`` maps each lattice element name back to the underlying set of
-    poset elements; ``principal`` maps each poset element j to the lattice
-    element holding its principal downset (these are exactly the
-    join-irreducibles of the lattice).
-    """
-
-    lattice: Lattice
-    downset: Mapping
-    principal: Mapping
+``downset`` maps each lattice element name back to the underlying set of
+poset elements; ``principal`` maps each poset element j to the lattice
+element holding its principal downset (these are exactly the
+join-irreducibles of the lattice).
+"""
 
 
 def downset_lattice(p: Poset, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> DownsetLattice:
@@ -705,7 +702,14 @@ def boolean_lattice(atom_names) -> Lattice:
 
 
 def maximal_chains(l: Lattice, *, max_chains: int = DEFAULT_MAX_CHAINS) -> list[tuple[str, ...]]:
-    """All maximal chains from bottom to top, each as an ordered element tuple."""
+    """All maximal chains from bottom to top, each as an ordered element tuple.
+
+    Refuses over ``max_chains`` chains before building any: their number is
+    counted first, by :func:`_count_chains`."""
+    count = _count_chains(l)
+    if count > max_chains:
+        raise SizeLimitExceeded(f"{count} maximal chains exceed the cap of {max_chains}; "
+                                "raise it with --limit")
     cov_up, top = l._cov_up, l._order[-1]
     out: list[tuple[str, ...]] = []
     stack = [(l._order[0],)]  # index paths up from bottom
@@ -713,11 +717,19 @@ def maximal_chains(l: Lattice, *, max_chains: int = DEFAULT_MAX_CHAINS) -> list[
         path = stack.pop()
         if path[-1] == top:
             out.append(_names(l, *path))
-            if len(out) > max_chains:
-                raise SizeLimitExceeded(f"more than {max_chains} maximal chains")
             continue
         stack += [path + (c,) for c in reversed(cov_up[path[-1]])]
     return out
+
+
+def _count_chains(l: Lattice) -> int:
+    """The number of maximal chains, in one pass along ``_order``: the paths
+    up from bottom to an element are the paths to its lower covers."""
+    paths = [1] * len(l)  # bottom's, the only element with no lower cover
+    for x in l._order:
+        if l._cov_down[x]:
+            paths[x] = sum(map(paths.__getitem__, l._cov_down[x]))
+    return paths[l._order[-1]]
 
 
 def dual_lattice(l: Lattice) -> Lattice:

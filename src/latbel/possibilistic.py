@@ -16,7 +16,7 @@ tuples only, and its name dicts (``pi``, ``nu``, ``items()``) are fresh copies.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .capacity import DEFAULT_TOL, CheckResult, _boundary, _require_tol
 from .errors import (
@@ -99,26 +99,11 @@ class NecessityDistribution(_Distribution):
     nu = property(lambda self: dict(self.items()), doc="A new dict of meet-irreducible to value.")
 
 
-@dataclass(frozen=True)
-class ReconstructionStep:
-    k: int
-    x: str
-    nx: str
-    eta_nx: tuple
-    iota: str
-    chain_element: str
-
-
-@dataclass(frozen=True)
-class FocalChain:
-    """A maximal chain of focal elements (bottom omitted, top last), the mass
-    allocation carried on it, and the join-irreducible selection sequence in
-    the order it was chosen (largest distribution value first)."""
-
-    chain: tuple
-    mass: MassAllocation
-    iota: tuple
-    steps: tuple
+ReconstructionStep = namedtuple("ReconstructionStep", "k x nx eta_nx iota chain_element")
+FocalChain = namedtuple("FocalChain", "chain mass iota steps")
+FocalChain.__doc__ = """A maximal chain of focal elements (bottom omitted, top last), the mass
+allocation carried on it, and the join-irreducible selection sequence in
+the order it was chosen (largest distribution value first)."""
 
 
 def check_necessity(f, tol: float = DEFAULT_TOL) -> CheckResult:

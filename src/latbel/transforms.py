@@ -173,6 +173,9 @@ def _each_step(l: Lattice, side: str):
             low = min(covers[x], key=sets.__getitem__)  # lowest position: its set ends first
             if rest & (1 << sets[low].bit_length()) - 1 == sets[low]:
                 rest, c = rest ^ sets[low], low
+        if not rest & rest - 1:  # x alone, as on every chain
+            yield x, c, itemgetter(slice(x, x + 1))
+            continue
         first = (rest & -rest).bit_length() - 1
         bits = bin(rest >> first)[:1:-1].encode().translate(_BYTE_OF_DIGIT)  # lowest bit first
         ids = list(itertools.compress(at[first:first + len(bits)], bits))

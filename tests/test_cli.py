@@ -218,6 +218,16 @@ def test_chains_command(b2, capsys):
     assert out == ["{} < {1} < {1,2}", "{} < {2} < {1,2}"]
 
 
+def test_chains_over_the_limit_are_refused_before_any_is_printed(tmp_path, capsys):
+    b4 = write(tmp_path / "b4.json", lb.io.poset_to_dict(lb.boolean_lattice("abcd").poset))
+    assert main(["chains", b4, "--limit", "23"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "SizeLimitExceeded: 24 maximal chains exceed the cap of 23; raise it with --limit\n"
+    assert main(["chains", b4, "--limit", "24"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 24
+
+
 def test_dot_export(three_chain, b2, diamond_bundle, tmp_path, capsys):
     assert main(["dot", three_chain]) == 0
     dot = capsys.readouterr().out

@@ -2,7 +2,6 @@
 
 import collections
 import copy
-import dataclasses
 import gc
 import itertools
 import random
@@ -395,7 +394,7 @@ def test_profiles_and_downset_lattices_can_be_copied():
     """Read-only views still deep-copy, and the copies compare equal."""
     prof = lb.profile(m3())
     assert copy.deepcopy(prof) == prof and prof.witnesses
-    assert dataclasses.asdict(prof) == {**prof.flags(), "witnesses": dict(prof.witnesses)}
+    assert prof._asdict() == {**prof.flags(), "witnesses": dict(prof.witnesses)}
     dl = chain_diamond()
     dup = copy.deepcopy(dl)
     assert dup.downset == dl.downset and dup.principal == dl.principal
@@ -508,6 +507,25 @@ def test_maximal_chain_length_in_locally_distributive_lattices():
 def test_maximal_chains_cap():
     with pytest.raises(SizeLimitExceeded):
         lb.maximal_chains(bool_lattice(3), max_chains=3)
+
+
+def test_chain_count_is_the_number_of_maximal_chains():
+    for name, l in corpus() + [("bool6", bool_lattice(6)), ("convex6", convex_geometry(6))]:
+        assert lb.lattice._count_chains(l) == len(lb.maximal_chains(l)), name
+
+
+def test_maximal_chains_refuse_before_building_any(monkeypatch):
+    l = bool_lattice(4)  # 4! = 24 maximal chains
+
+    def build(*_):
+        raise AssertionError("a chain was built")
+
+    monkeypatch.setattr(lb.lattice, "_names", build)
+    with pytest.raises(SizeLimitExceeded) as exc:
+        lb.maximal_chains(l, max_chains=23)
+    assert str(exc.value) == "24 maximal chains exceed the cap of 23; raise it with --limit"
+    monkeypatch.undo()
+    assert len(lb.maximal_chains(l, max_chains=24)) == 24
 
 
 def test_cover_endpoint_must_be_a_name():

@@ -70,12 +70,9 @@ def load_poset(path, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Poset:
     doc = _load_document(path)
     elements = _field(doc, path, "elements", list)
     covers = _field(doc, path, "covers", list)
-    pairs = []
-    for entry in covers:
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise FormatError(f"{path}: each cover must be a two-element list")
-        pairs.append((entry[0], entry[1]))
-    return Poset(elements, pairs, max_elements=max_elements)
+    if not all(isinstance(entry, list) and len(entry) == 2 for entry in covers):
+        raise FormatError(f"{path}: each cover must be a two-element list")
+    return Poset(elements, covers, max_elements=max_elements)
 
 
 def load_lattice(path, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Lattice:

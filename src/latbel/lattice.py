@@ -8,7 +8,8 @@ the reflexive-transitive closure of the covers.
 Internally an element is its input index and a set of elements is a Python
 int used as a bitset, bit i standing for element i (the encoding of
 Ait-Kaci, Boyer, Lincoln & Nasr, "Efficient implementation of lattice
-operations", TOPLAS 1989).  Element names appear only at the API edge.
+operations", TOPLAS 1989).  Element names appear only at the API edge:
+they are parsed once, and derived structures reach the order core as indices.
 A lattice keeps each up-set and down-set a second time, over positions in
 a linear extension and its reverse, and answers a join or a meet from the
 highest set bit of an intersection: it builds no join or meet table, and
@@ -38,7 +39,6 @@ import math
 import warnings
 from collections import namedtuple
 from collections.abc import Mapping
-from operator import or_
 
 from .errors import (
     CycleDetected,
@@ -77,89 +77,56 @@ def _indices(mask: int) -> list[int]:
 class Poset:
     """A finite partially ordered set built from its covering relation.
 
-    Redundant input pairs (duplicates and transitive edges) are dropped with
-    a :class:`RedundantCovers` warning; the stored ``covers`` are always the
-    irredundant covering relation of the closure.  ``_down[i]`` and
-    ``_up[i]`` are the bitsets of the elements below and above element i.
-    ``_order`` is the linear extension that takes the lowest free input
-    index first: the identity wherever input order is itself one.
+    The closure reads the covers off the input edges as it runs: duplicate
+    pairs are dropped, and transitive ones with a :class:`RedundantCovers`
+    warning, so ``covers`` is always the irredundant covering relation of
+    the closure.  ``_down[i]`` and ``_up[i]`` are the bitsets of the
+    elements below and above element i.  ``_order`` is the linear extension
+    that takes the lowest free input index first: the identity wherever
+    input order is itself one.
     """
 
     __slots__ = ("elements", "covers", "_index", "_down", "_up", "_cov_down", "_cov_up", "_order")
 
     def __init__(self, elements, covers, *, max_elements: int = DEFAULT_MAX_ELEMENTS):
         names = list(elements)
-        if not names:
-            raise InvalidElementName("a poset needs at least one element")
-        if len(names) > max_elements:
-            raise SizeLimitExceeded(
-                f"{len(names)} elements exceed the configured cap of {max_elements}"
-            )
-        index: dict[str, int] = {}
-        for name in names:
-            if not isinstance(name, str) or name.split() != [name]:  # empty or spaced
-                raise InvalidElementName(f"bad element name: {name!r}")
-            if name in index:
-                raise DuplicateElement(name)
-            index[name] = len(index)
+        index = _name_index(names, max_elements)
+        self._build(names, index, _successors(list(covers), index))
+
+    def _build(self, names, index: dict[str, int], succ: list[list[int]]) -> "Poset":
+        """The order core, on checked names and ascending successor lists
+        without self-loops; every constructor here ends in it."""
         n = len(names)
-
-        edges: set[tuple[int, int]] = set()
-        for lo, up in covers:
-            for name in (lo, up):
-                if not isinstance(name, str):
-                    raise InvalidElementName(f"bad element name: {name!r}")
-                if name not in index:
-                    raise UnknownElement(name)
-            if lo == up:
-                raise CycleDetected((lo,))
-            edges.add((index[lo], index[up]))
-        edges = sorted(edges)
-
-        succ = [[] for _ in range(n)]
         pred = [[] for _ in range(n)]
-        for a, b in edges:
-            succ[a].append(b)
-            pred[b].append(a)
-
+        for a, ups in enumerate(succ):
+            for b in ups:
+                pred[b].append(a)
         self._order = topo = _topological_order(n, succ, pred, names)
-
-        down = [0] * n
+        # An edge a -> b is a cover iff a lies in no strict down-set of b's
+        # predecessors, so b's covers are the bits of its strict down-set
+        # outside the union of theirs.
+        down, strict, kept = [0] * n, [0] * n, {}  # kept: i's covers, where not all of pred[i]
         for i in topo:
-            acc = 1 << i
+            below = union = 0
             for p in pred[i]:
-                acc |= down[p]
-            down[i] = acc
-        up = [0] * n
-        for i in reversed(topo):
-            acc = 1 << i
-            for s in succ[i]:
-                acc |= up[s]
-            up[i] = acc
-
-        # Every cover of the closure is an input edge, and an edge a -> b is
-        # a cover iff nothing lies strictly between: up[a] & down[b] = {a, b}.
-        cov, dropped = [], []
-        cov_down = [[] for _ in range(n)]
-        cov_up = [[] for _ in range(n)]
-        for a, b in edges:
-            if up[a] & down[b] == (1 << a) | (1 << b):
-                cov.append((a, b))
-                cov_down[b].append(a)
-                cov_up[a].append(b)
-            else:
-                dropped.append((a, b))
-        if dropped:
-            listing = ", ".join(f"({names[a]}, {names[b]})" for a, b in dropped)
-            warnings.warn(f"dropped redundant cover pairs: {listing}", RedundantCovers)
-
+                below |= down[p]
+                union |= strict[p]
+            if (below ^ union).bit_count() != len(pred[i]):  # a predecessor lies below another
+                kept[i] = below ^ union
+            strict[i], down[i] = below, below | 1 << i
+        cov_down, cov_up = pred, succ
+        if kept:
+            cov_down = [_indices(kept[i]) if i in kept else c for i, c in enumerate(pred)]
+            cov_up = [[b for b in ups if kept.get(b, -1) >> a & 1] for a, ups in enumerate(succ)]
+            dropped = ", ".join(f"({names[a]}, {names[b]})" for a, ups in enumerate(succ)
+                                for b in ups if b not in cov_up[a])
+            warnings.warn(f"dropped redundant cover pairs: {dropped}", RedundantCovers)
         self.elements: tuple[str, ...] = tuple(names)
-        self._index = index
-        self._down = down
-        self._up = up
-        self.covers: tuple[tuple[str, str], ...] = tuple((names[a], names[b]) for a, b in cov)
-        self._cov_down = cov_down
-        self._cov_up = cov_up
+        self.covers: tuple[tuple[str, str], ...] = tuple(
+            (names[a], names[b]) for a, ups in enumerate(cov_up) for b in ups)
+        self._index, self._down, self._cov_down, self._cov_up = index, down, cov_down, cov_up
+        self._up = _unions(topo[::-1], cov_up, [1 << i for i in reversed(topo)])
+        return self
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -203,21 +170,78 @@ class Poset:
 
     def dual(self) -> "Poset":
         """Same elements with the order reversed."""
-        return Poset(self.elements, [(u, l) for l, u in self.covers])
+        return Poset.__new__(Poset)._build(self.elements, self._index, self._cov_down)
 
     def restrict(self, keep) -> "Poset":
         """Induced subposet on ``keep`` (ordered as in the parent)."""
-        mask = 0
-        for x in set(keep):
-            mask |= 1 << self.index_of(x)
-        sub = _indices(mask)
+        sub = sorted({self.index_of(x) for x in set(keep)})
+        mask, at = sum(1 << a for a in sub), dict(zip(sub, itertools.count()))
         # a -> b is a cover iff no kept element lies strictly between them
-        cov = [(self.elements[a], self.elements[b]) for a in sub for b in sub
-               if a != b and self._up[a] & self._down[b] & mask == (1 << a) | (1 << b)]
-        return Poset([self.elements[i] for i in sub], cov)
+        succ = [[at[b] for b in _indices(self._up[a] & mask ^ 1 << a)
+                 if self._up[a] & self._down[b] & mask == (1 << a) | (1 << b)] for a in sub]
+        names = [self.elements[i] for i in sub]
+        return Poset.__new__(Poset)._build(names, _name_index(names, len(self)), succ)
+
+
+def _name_index(names: list, cap: int) -> dict[str, int]:
+    """Each name's input index; refuses an empty list or one over ``cap``,
+    then the first bad or repeated name."""
+    if not names:
+        raise InvalidElementName("a poset needs at least one element")
+    if len(names) > cap:
+        raise SizeLimitExceeded(f"{len(names)} elements exceed the configured cap of {cap}")
+    index: dict[str, int] = {}
+    for name in names:
+        if not isinstance(name, str) or name.split() != [name]:  # empty or spaced
+            raise InvalidElementName(f"bad element name: {name!r}")
+        if name in index:
+            raise DuplicateElement(name)
+        index[name] = len(index)
+    return index
+
+
+def _successors(covers: list, index: dict[str, int]) -> list[list[int]]:
+    """The cover pairs as ascending successor lists, mapped all at once; read
+    one by one, naming the first bad pair, only when that fails or gives a
+    self-loop, or a pair is not a tuple or list (it may read only once)."""
+    succ = [[] for _ in index]
+    try:
+        if {*map(type, covers)} <= {tuple, list}:
+            for a, b in {(index[lo], index[up]) for lo, up in covers}:
+                succ[a].append(b)
+            if not any(map(list.__contains__, succ, itertools.count())):
+                for ups in succ:
+                    ups.sort()
+                return succ
+    except (KeyError, TypeError, ValueError):
+        pass
+    checked = []
+    for lo, up in covers:
+        for name in (lo, up):
+            if not isinstance(name, str):
+                raise InvalidElementName(f"bad element name: {name!r}")
+            if name not in index:
+                raise UnknownElement(name)
+        if lo == up:
+            raise CycleDetected((lo,))
+        checked.append((lo, up))
+    return _successors(checked, index)  # every pair good, now as tuples
+
+
+def _unions(seq, adj, bits) -> list[int]:
+    """Along ``seq``, each element's entry of ``bits`` OR the sets of its
+    ``adj`` (earlier in ``seq``); a reduce's set-up outweighs the few covers."""
+    out = [0] * len(adj)
+    for i, acc in zip(seq, bits):
+        for c in adj[i]:
+            acc |= out[c]
+        out[i] = acc
+    return out
 
 
 def _topological_order(n, succ, pred, names):
+    if all(not ups or ups[0] > a for a, ups in enumerate(succ)):
+        return list(range(n))  # every edge ascends: input order is the extension
     indeg = [len(pred[i]) for i in range(n)]
     free = [i for i in range(n) if indeg[i] == 0]  # ascending, so already a heap
     topo = []
@@ -273,15 +297,13 @@ class Lattice(Poset):
             setattr(self, slot, getattr(poset, slot))
         self.poset = poset
         n, order = len(self), self._order
-        pdown, pup = [0] * n, [0] * n
-        for p, i in enumerate(order):
-            pdown[i] = functools.reduce(or_, map(pdown.__getitem__, self._cov_down[i]), 1 << p)
-        for p, i in enumerate(reversed(order)):
-            pup[i] = functools.reduce(or_, map(pup.__getitem__, self._cov_up[i]), 1 << p)
-        self._pdown, self._pup = pdown, pup
+        bits = [1 << p for p in range(n)]  # by position
+        self._pdown = (self._down if order == list(range(n))  # positions are indices
+                       else _unions(order, self._cov_down, bits))
+        self._pup = _unions(order[::-1], self._cov_up, bits)
         # With a unique minimal element, P is a lattice iff every pair has a join.
         one_minimal = sum(not c for c in self._cov_down) == 1
-        if not (one_minimal and _joins_total(order, self._cov_down, pup)):
+        if not (one_minimal and _joins_total(order, self._cov_down, self._pup)):
             raise _first_failing_pair(poset)
 
         self.bottom, self.top = self.elements[order[0]], self.elements[order[-1]]
@@ -664,35 +686,41 @@ def downset_lattice(p: Poset, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Do
     """All downsets of ``p`` ordered by inclusion; join is union, meet is
     intersection.  Elements are named by their member sets, e.g. ``{a,b}``.
     Raises SizeLimitExceeded as soon as there are more than ``max_elements``
-    downsets, the element cap of any lattice."""
-    n = len(p)
-    strict = [d ^ (1 << i) for i, d in enumerate(p._down)]
-
-    seen = {0}
+    downsets, the element cap of any lattice.  What can be added to D + {i}
+    is what could be added to D, less i, plus each upper cover of i whose
+    down-set is now inside.  No name pairs are built: each downset is named
+    once, for the API (names holding commas can collide, so they are
+    checked), and its covers go to the order core as indices."""
+    addable = {0: sum(1 << i for i, c in enumerate(p._cov_down) if not c)}  # per downset
+    steps, members = {}, {0: []}  # addable and member indices, as ascending lists
     frontier = [0]
-    grow = {}  # per downset, the elements outside it whose strict lower set lies inside
     while frontier:
         d = frontier.pop()
-        grow[d] = [i for i in range(n) if not d >> i & 1 and strict[i] & d == strict[i]]
-        for i in grow[d]:
+        steps[d] = _indices(addable[d])
+        for i in steps[d]:
             nd = d | 1 << i
-            if nd not in seen:
-                seen.add(nd)
-                if len(seen) > max_elements:
+            if nd not in addable:
+                grow = addable[d] ^ 1 << i
+                for j in p._cov_up[i]:
+                    if p._down[j] | nd == nd | 1 << j:
+                        grow |= 1 << j
+                addable[nd], members[nd] = grow, sorted([*members[d], i])
+                if len(addable) > max_elements:
                     raise SizeLimitExceeded(
                         f"more than {max_elements} downsets exceed the configured cap "
                         f"of {max_elements} elements"
                     )
                 frontier.append(nd)
 
-    members = {d: _indices(d) for d in seen}
-    downsets = sorted(seen, key=lambda d: (len(members[d]), members[d]))
-    name = {d: "{" + ",".join(p.elements[i] for i in members[d]) + "}" for d in downsets}
-    names = [name[d] for d in downsets]
-    covers = [(name[d], name[d | 1 << i]) for d in downsets for i in grow[d]]
-    lat = Lattice(Poset(names, covers, max_elements=max_elements))
-    back = {name[d]: frozenset(p.elements[i] for i in members[d]) for d in downsets}
-    principal = {x: name[p._down[i]] for i, x in enumerate(p.elements)}
+    # by size, then by member list: the second sort is stable
+    downsets = sorted(sorted(steps, key=members.__getitem__), key=int.bit_count)
+    at = dict(zip(downsets, itertools.count()))
+    labels = [tuple(map(p.elements.__getitem__, members[d])) for d in downsets]
+    names = ["{" + ",".join(x) + "}" for x in labels]
+    succ = [[at[d | 1 << i] for i in steps[d]] for d in downsets]
+    lat = Lattice(Poset.__new__(Poset)._build(names, _name_index(names, max_elements), succ))
+    back = dict(zip(names, map(frozenset, labels)))
+    principal = {x: names[at[d]] for x, d in zip(p.elements, p._down)}
     return DownsetLattice(lattice=lat, downset=_ReadOnly(back), principal=_ReadOnly(principal))
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
+from typing import TYPE_CHECKING
 
 from .capacity import DEFAULT_TOL, CheckResult, _boundary, _require_tol
 from .errors import (
@@ -28,10 +29,11 @@ from .errors import (
     TopValueNotOne,
     UnknownElement,
 )
-from .duality import Negation
-from .evidence import MassAllocation
 from .lattice import Lattice, _indices, _join_index, _meet_index, _names, is_distributive
 from .transforms import _Vector
+
+if TYPE_CHECKING:  # the annotation alone: reading it loads no layer at run time
+    from .duality import Negation
 
 
 class _Distribution:
@@ -251,6 +253,7 @@ def reconstruct_chain(
     if chain[-1] != l._order[-1]:
         raise SelectionFailed(0, (names[chain[-1]],), detail="chain did not reach the top")
 
+    from .evidence import MassAllocation  # here, so the other checks load no evidence layer
     mass = MassAllocation(l, _Vector(masses), check=False)
     return FocalChain(chain=_names(l, *chain), mass=mass, iota=tuple(s.iota for s in steps),
                       steps=tuple(steps))

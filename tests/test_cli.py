@@ -202,6 +202,14 @@ def test_env_var_overrides_element_cap(tmp_path, capsys, monkeypatch):
     assert main(["check", path]) == 2
 
 
+def test_birkhoff_refuses_downset_names_that_collide(tmp_path, capsys):
+    path = write(tmp_path / "commas.json", {"v": 1, "elements": ["a,b", "a", "b"], "covers": []})
+    assert main(["birkhoff", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "DuplicateElement: duplicate element name: '{a,b}'\n"
+
+
 def test_birkhoff_honours_the_element_cap(tmp_path, capsys, monkeypatch):
     path = write(tmp_path / "antichain5.json",
                  {"v": 1, "elements": list("abcde"), "covers": []})
@@ -210,6 +218,16 @@ def test_birkhoff_honours_the_element_cap(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("SizeLimitExceeded") and "Traceback" not in captured.err
+
+
+def test_birkhoff_builds_over_the_default_cap_when_allowed(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path / "antichain13.json",
+                 {"v": 1, "elements": [f"a{i}" for i in range(13)], "covers": []})
+    monkeypatch.setenv("LATBEL_MAX_ELEMENTS", "8192")
+    assert main(["birkhoff", path, "--out", str(tmp_path / "d13.json")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == f"8192 downsets written to {tmp_path / 'd13.json'}\n"
 
 
 def test_chains_command(b2, capsys):

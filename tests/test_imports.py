@@ -71,17 +71,39 @@ def test_importing_the_package_loads_no_module_but_errors():
     assert set(loaded) <= {"latbel.errors"}
 
 
-def test_a_chains_call_loads_only_what_chains_runs(tmp_path):
+def loaded_by(argv, code=0):
+    """The latbel modules, and dataclasses or inspect, one CLI call loads."""
+    code = f"""import json, sys
+from latbel.cli import main
+assert main({argv!r}) == {code}
+print(json.dumps({{"latbel": {LOADED},
+                  "stdlib": [m for m in ("dataclasses", "inspect") if m in sys.modules]}}))"""
+    return run_fresh(code)
+
+
+def b2_files(tmp_path):
     lattice = tmp_path / "b2.json"
     lattice.write_text(json.dumps({"v": 1, "elements": ["0", "a", "b", "1"],
                                    "covers": [["0", "a"], ["0", "b"], ["a", "1"], ["b", "1"]]}))
-    code = f"""import json, sys
-from latbel.cli import main
-assert main(["chains", {str(lattice)!r}]) == 0
-print(json.dumps({{"latbel": {LOADED},
-                  "stdlib": [m for m in ("dataclasses", "inspect") if m in sys.modules]}}))"""
-    loaded = run_fresh(code)
+    function = tmp_path / "f.json"
+    function.write_text(json.dumps({"v": 1, "values": {"0": 0, "a": 0, "b": 0.5, "1": 1}}))
+    return str(lattice), str(function)
+
+
+def test_a_chains_call_loads_only_what_chains_runs(tmp_path):
+    lattice, _ = b2_files(tmp_path)
+    loaded = loaded_by(["chains", lattice])
     assert loaded["latbel"] == ["latbel.cli", "latbel.errors", "latbel.io", "latbel.lattice"]
+    assert loaded["stdlib"] == []
+
+
+@pytest.mark.parametrize("command", ["necessity", "possibility"])
+def test_min_max_checks_load_no_negation_or_evidence_layer(tmp_path, command):
+    lattice, function = b2_files(tmp_path)
+    loaded = loaded_by(["bel", command, "--lattice", lattice, function],
+                       0 if command == "necessity" else 1)
+    assert loaded["latbel"] == ["latbel.capacity", "latbel.cli", "latbel.errors", "latbel.io",
+                                "latbel.lattice", "latbel.possibilistic", "latbel.transforms"]
     assert loaded["stdlib"] == []
 
 

@@ -467,10 +467,28 @@ def test_downset_covers_are_single_insertions():
         assert len(dl.downset[b] - dl.downset[a]) == 1
 
 
+def test_downset_names_that_collide_are_refused():
+    # {a,b} names both the downset of the element "a,b" and the one of a and b
+    p = lb.build_poset(["a,b", "a", "b"], [])
+    with pytest.raises(DuplicateElement) as exc:
+        lb.downset_lattice(p)
+    assert str(exc.value) == "duplicate element name: '{a,b}'"
+
+
 def test_downset_cap():
     p = lb.build_poset([f"x{i}" for i in range(6)], [])
     with pytest.raises(SizeLimitExceeded):
         lb.downset_lattice(p, max_elements=10)
+
+
+def test_a_cap_above_the_default_holds_through_every_constructor():
+    atoms = lb.build_poset([f"a{i}" for i in range(13)], [])
+    assert len(lb.downset_lattice(atoms, max_elements=8192).lattice) == 8192
+    names = [f"c{i}" for i in range(5000)]
+    chain = lb.build_poset(names, list(zip(names, names[1:])), max_elements=5000)
+    assert chain.dual().elements == chain.elements and chain.dual().leq("c1", "c0")
+    assert len(chain.restrict(names[::2])) == 2500
+    assert lb.dual_lattice(lb.Lattice(chain)).top == "c0"
 
 
 def test_birkhoff_round_trip():

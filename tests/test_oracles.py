@@ -705,6 +705,188 @@ def test_recognition_matches_the_column_fill_on_random_posets(rng, n, density, b
         assert (*exc.value.pair, exc.value.reason) == want
 
 
+# -- the order core against the pair-by-pair parser ------------------------------------
+
+def parse_oracle(elements, covers):
+    """Every field of a Poset as the pair-by-pair parser built it, before the
+    closure read the covers off: each input pair checked in turn, the order
+    closed along the lowest-index-first linear extension, and an edge a -> b
+    kept iff up[a] & down[b] is {a, b}.  Also the RedundantCovers text, or
+    None.  Raises what that parser raised, for the first bad pair."""
+    names = list(elements)
+    index = {}
+    for name in names:
+        if not isinstance(name, str) or name.split() != [name]:
+            raise lb.errors.InvalidElementName(f"bad element name: {name!r}")
+        if name in index:
+            raise lb.errors.DuplicateElement(name)
+        index[name] = len(index)
+    edges = set()
+    for lo, up in covers:
+        for name in (lo, up):
+            if not isinstance(name, str):
+                raise lb.errors.InvalidElementName(f"bad element name: {name!r}")
+            if name not in index:
+                raise lb.errors.UnknownElement(name)
+        if lo == up:
+            raise lb.errors.CycleDetected((lo,))
+        edges.add((index[lo], index[up]))
+    edges, n = sorted(edges), len(names)
+    order, done = [], set()
+    while len(order) < n:
+        free = [i for i in range(n) if i not in done
+                and all(a in done for a, b in edges if b == i)]
+        assert free, "the oracle takes acyclic input only"
+        order.append(min(free))
+        done.add(order[-1])
+    down, up = [1 << i for i in range(n)], [1 << i for i in range(n)]
+    for i in order:
+        for a, b in edges:
+            if b == i:
+                down[i] |= down[a]
+    for i in reversed(order):
+        for a, b in edges:
+            if a == i:
+                up[i] |= up[b]
+    kept = [(a, b) for a, b in edges if up[a] & down[b] == (1 << a) | (1 << b)]
+    dropped = [(a, b) for a, b in edges if (a, b) not in kept]
+    return {
+        "elements": tuple(names), "_index": index, "_order": order, "_down": down, "_up": up,
+        "covers": tuple((names[a], names[b]) for a, b in kept),
+        "_cov_down": [[a for a, b in kept if b == i] for i in range(n)],
+        "_cov_up": [[b for a, b in kept if a == i] for i in range(n)],
+        "warning": "dropped redundant cover pairs: " + ", ".join(
+            f"({names[a]}, {names[b]})" for a, b in dropped) if dropped else None,
+    }
+
+
+def built(elements, covers):
+    """The fields of Poset(elements, covers), and its RedundantCovers text."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        p = lb.Poset(elements, covers)
+    texts = [str(w.message) for w in caught if issubclass(w.category, RedundantCovers)]
+    assert len(texts) <= 1
+    got = {key: getattr(p, key) for key in
+           ("elements", "_index", "_order", "_down", "_up", "covers", "_cov_down", "_cov_up")}
+    return {**got, "warning": texts[0] if texts else None}
+
+
+def declarations(l, rng):
+    """The elements of l declared as given, reversed and shuffled, each with
+    its covers in a shuffled order plus duplicate and transitive pairs."""
+    names = list(l.elements)
+    shuffled = names.copy()
+    rng.shuffle(shuffled)
+    transitive = [(x, y) for x in names for y in names if l.lt(x, y)
+                  and (x, y) not in set(l.covers)]
+    for declared in (names, names[::-1], shuffled):
+        covers = list(l.covers) + rng.sample(l.covers, min(2, len(l.covers)))
+        covers += rng.sample(transitive, min(rng.randint(0, 3), len(transitive)))
+        rng.shuffle(covers)
+        yield declared, covers
+
+
+@settings(max_examples=100, deadline=None)
+@given(rng=st.randoms(use_true_random=False), dual=st.booleans())
+def test_the_core_reads_the_covers_the_pair_rule_keeps(rng, dual):
+    l = moore_lattice(rng)
+    if dual:
+        l = lb.dual_lattice(l)
+    for declared, covers in declarations(l, rng):
+        assert built(declared, covers) == parse_oracle(declared, covers)
+        assert built(declared, iter(covers)) == parse_oracle(declared, covers)  # read once
+
+
+def raised(make):
+    try:
+        make()
+    except Exception as exc:  # noqa: BLE001 - the class and text are compared
+        return type(exc), str(exc)
+    return None
+
+
+MALFORMED = {
+    "unknown name": [("a", "b"), ("a", "z")],
+    "non-str name": [("a", "b"), ("a", 3)],
+    "unhashable endpoint": [("a", "b"), (["a"], "c")],
+    "1-tuple": [("a", "b"), ("a",)],
+    "3-tuple": [("a", "b"), ("a", "b", "c")],
+    "self-loop after a good pair": [("a", "b"), ("c", "c")],
+    "self-loop before an unknown name": [("b", "b"), ("a", "z")],
+    "unknown name before a self-loop": [("a", "z"), ("b", "b")],
+    "a cycle, then a self-loop": [("a", "b"), ("b", "a"), ("c", "c")],
+    "a cycle": [("a", "b"), ("b", "c"), ("c", "a")],
+}
+
+
+GIVEN = {
+    "list": list,
+    "generator": lambda pairs: (x for x in pairs),
+    "one-shot pairs": lambda pairs: [iter(x) for x in pairs],  # each pair readable once
+}
+
+
+@pytest.mark.parametrize("what", list(MALFORMED))
+@pytest.mark.parametrize("given", list(GIVEN))
+def test_malformed_covers_raise_what_the_pair_by_pair_parser_raised(what, given):
+    pairs = MALFORMED[what]
+    got = raised(lambda: lb.Poset("abc", GIVEN[given](pairs)))
+    assert got is not None
+    if what == "a cycle":  # no bad pair: the closure names the cycle it walks, as before
+        assert got == (lb.errors.CycleDetected, "cover cycle: b < c < a < b")
+    else:
+        assert got == raised(lambda: parse_oracle("abc", pairs))
+
+
+@pytest.mark.parametrize("given", list(GIVEN))
+def test_pairs_of_any_iterable_type_build_the_poset_tuples_build(given):
+    pairs = [("a", "b"), ["b", "c"], "ac", ("a", "b")]  # a str pair, a duplicate, a transitive pair
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RedundantCovers)
+        assert built("abc", GIVEN[given](pairs)) == parse_oracle("abc", [tuple(x) for x in pairs])
+
+
+@st.composite
+def source_posets(draw):
+    """A random poset on up to 6 elements, declared in any order, its covers
+    with duplicate and transitive pairs."""
+    n = draw(st.integers(1, 6), label="poset size")
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)), label="pairs")
+    names = draw(st.permutations([f"p{i}" for i in range(n)]), label="input order")
+    covers = [(f"p{i}", f"p{j}") for (i, j), k in zip(pairs, keep) if k]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RedundantCovers)
+        return lb.build_poset(names, covers + covers[:1])
+
+
+LATTICE_FIELDS = ("elements", "covers", "_index", "_down", "_up", "_cov_down", "_cov_up",
+                  "_order", "bottom", "top", "joinirr", "meetirr", "_pdown", "_pup", "_jmask",
+                  "_mmask", "_h", "_coh")
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=source_posets())
+def test_downset_lattices_equal_the_lattice_built_from_their_names(p):
+    dl = lb.downset_lattice(p)
+    l = dl.lattice
+    again = lb.Lattice(lb.Poset(l.elements, l.covers))
+    for key in LATTICE_FIELDS:
+        assert getattr(l, key) == getattr(again, key), key
+    # every downset, each named by its members in input order, smallest first
+    below = {x: p.below(x) for x in p.elements}
+    downsets = [frozenset(s) for r in range(len(p) + 1)
+                for s in itertools.combinations(p.elements, r)
+                if all(below[x] <= set(s) for x in s)]
+    index = {x: i for i, x in enumerate(p.elements)}
+    downsets.sort(key=lambda s: (len(s), sorted(map(index.get, s))))
+    assert list(dl.downset.items()) == [
+        ("{" + ",".join(sorted(s, key=index.get)) + "}", s) for s in downsets]
+    assert dict(dl.principal) == {x: next(k for k, s in dl.downset.items() if s == below[x])
+                                  for x in p.elements}
+
+
 def test_construction_and_order_analyses_build_no_table():
     """Lattice(), profile(), mobius_function(), the necessity and possibility
     checks and the k-family sweeps answer joins and meets from the position
@@ -825,17 +1007,8 @@ def test_function_layers_match_the_oracles(name, l):
 
 # -- properties over downset lattices of random posets --------------------------------
 
-@st.composite
-def downset_lattices(draw):
-    n = draw(st.integers(1, 5), label="poset size")
-    pairs = list(itertools.combinations(range(n), 2))
-    edges = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)),
-                 label="edges")
-    names = draw(st.permutations([f"p{i}" for i in range(n)]), label="input order")
-    covers = [(f"p{i}", f"p{j}") for (i, j), keep in zip(pairs, edges) if keep]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RedundantCovers)
-        return lb.downset_lattice(lb.build_poset(names, covers)).lattice
+def downset_lattices():
+    return source_posets().map(lambda p: lb.downset_lattice(p).lattice)
 
 
 @settings(max_examples=60, deadline=None)

@@ -50,7 +50,7 @@ def check_capacity(f: SetFunction, tol: float = DEFAULT_TOL) -> CheckResult:
         return bad
     l, fv = f.lattice, f.vector
     upto = [0.0] * len(fv)  # the largest value on each down-set
-    for y in l._order:
+    for y in range(len(fv)):
         below = max(map(upto.__getitem__, l._cov_down[y]), default=-math.inf)
         if below > fv[y] + tol:
             return _isotone_scan(l, fv, tol)
@@ -61,9 +61,8 @@ def check_capacity(f: SetFunction, tol: float = DEFAULT_TOL) -> CheckResult:
 def _isotone_scan(l, fv, tol) -> CheckResult:
     """The first comparable pair, in index order, with f(lower) > f(upper) + tol."""
     down = l._down
-    for x, y in itertools.combinations(range(len(l)), 2):
-        lo, hi = (x, y) if down[y] >> x & 1 else (y, x) if down[x] >> y & 1 else (None, None)
-        if lo is not None and fv[lo] > fv[hi] + tol:
+    for lo, hi in itertools.combinations(range(len(l)), 2):  # elements run up: lo is the lower
+        if down[hi] >> lo & 1 and fv[lo] > fv[hi] + tol:
             x, y = l.elements[lo], l.elements[hi]
             return CheckResult(False, (x, y), f"f({x}) = {fv[lo]!r} > f({y}) = {fv[hi]!r}")
     return CheckResult(True)
@@ -95,12 +94,12 @@ def _sweep(f: SetFunction, k: int, tol: float, max_families: int, op: str = "<")
     _require_tol(tol)
     l, fails = f.lattice, {"<": lambda s: s < -tol, "!=": lambda s: abs(s) > tol}[op]
     m = list(mobius_transform(f).vector)
-    m[l._order[0]] = 0.0
+    m[0] = 0.0  # at bottom
     can_fail = fails(sum(v for v in m if v < 0)) or fails(sum(v for v in m if v > 0))
     risky = sum(1 << i for i, v in enumerate(m) if v < 0 or op == "!=" and v)
-    down, up, order, pup, built = l._down, l._up, l._order, l._pup, 0
+    n, down, up, pup, built = len(l), l._down, l._up, l._pup, 0
     for j in range(2, k + 1 if can_fail else 2):
-        stack, found = [((), order[0], 0, (1 << len(l)) - 1)], False  # from bottom
+        stack, found = [((), 0, 0, (1 << n) - 1)], False  # from bottom
         while stack:
             family, top, union, cand = stack.pop()
             up_top, ys = pup[top], _indices(cand)
@@ -109,12 +108,12 @@ def _sweep(f: SetFunction, k: int, tol: float, max_families: int, op: str = "<")
                 raise SizeLimitExceeded(f"{built} families exceed the cap of {max_families}; "
                                         "raise it with --limit")
             if len(family) + 1 < j:  # extend by incomparable members of larger index
-                stack += [(family + (y,), order[-(up_top & pup[y]).bit_length()], union | down[y],
+                stack += [(family + (y,), n - (up_top & pup[y]).bit_length(), union | down[y],
                            cand & ~(down[y] | up[y]) >> y + 1 << y + 1) for y in reversed(ys)]
                 continue
             found = found or bool(ys)
             for y in ys:
-                join = order[-(up_top & pup[y]).bit_length()]
+                join = n - (up_top & pup[y]).bit_length()
                 rest = down[join] & ~(union | down[y])  # below the join, under no member
                 if rest & risky and fails(sum(map(m.__getitem__, _indices(rest)))):
                     return _witness(f, family + (y,), join, op)

@@ -4,12 +4,12 @@ A vee-negation is a bijection n with n(x v y) = n(x) ^ n(y) and n(top) =
 bottom; such a map exists exactly when the lattice is isomorphic to its own
 order dual.  Negations need not be involutive and are rarely unique, so the
 search below enumerates them in a canonical order: the partial map is
-extended along the lattice's linear extension ``_order`` (input order
-wherever that is one), trying candidate images in input order, which makes
-"the first negation" stable across runs.
+extended up the lattice's elements, which are numbered along a linear
+extension (see ``lattice``), trying candidate images in that order, which
+makes "the first negation" stable across runs.
 
 Like every validated structure in this package, a negation holds index
-tuples only: its ``image`` in lattice input order.  The name dicts it hands
+tuples only: its ``image`` in lattice element order.  The name dicts it hands
 out are fresh copies, so writing into one changes nothing.
 """
 
@@ -33,7 +33,7 @@ from .transforms import _inverse, _Vector
 class Negation:
     """A verified vee-negation (kind "vee") or its inverse wedge-negation
     (kind "wedge"), held as ``image``: the index of each element's image,
-    in lattice input order.  ``map`` and ``inverse_map`` return new dicts.
+    in lattice element order.  ``map`` and ``inverse_map`` return new dicts.
 
     The constructor is where every name-keyed map is verified: a vee map
     must pass :func:`verify_vee_negation`, a wedge map's inverse must.  The
@@ -52,7 +52,7 @@ class Negation:
             res = _injective(lattice, mapping)
             if not res:
                 raise NotABijection(res.detail)
-            res = _reverses_order(lattice, mapping if kind == "vee" else _inverse(mapping))
+            res = _joins_to_meets(lattice, mapping if kind == "vee" else _inverse(mapping))
             if not res:
                 raise InvalidNegation(res.detail)
         self.lattice = lattice
@@ -61,12 +61,12 @@ class Negation:
 
     @property
     def map(self) -> dict:
-        """A new dict of element to image, in input order."""
+        """A new dict of element to image, in element order."""
         return dict(zip(self.lattice.elements, _names(self.lattice, *self.image)))
 
     @property
     def inverse_map(self) -> dict:
-        """A new dict of element to preimage, in input order."""
+        """A new dict of element to preimage, in element order."""
         return invert(self).map
 
     def __call__(self, x: str) -> str:
@@ -103,11 +103,11 @@ def verify_vee_negation(l: Lattice, mapping) -> CheckResult:
     self-map of the element set.
     """
     image = _image_of(l, mapping)
-    return _injective(l, image) and _reverses_order(l, image)
+    return _injective(l, image) and _joins_to_meets(l, image)
 
 
 def _image_of(l: Lattice, mapping) -> _Vector:
-    """The index of each element's image under a name-keyed map, in input
+    """The index of each element's image under a name-keyed map, in element
     order; :class:`NotABijection` when the map is not a total self-map."""
     mapping = dict(mapping)
     for x in l.elements:
@@ -132,12 +132,12 @@ def _injective(l: Lattice, image) -> CheckResult:
     return CheckResult(True)
 
 
-def _reverses_order(l: Lattice, image) -> CheckResult:
+def _joins_to_meets(l: Lattice, image) -> CheckResult:
     """Whether an injective index image sends top to bottom and every join
     to the meet of the images, decided by the covers as in
     :func:`verify_vee_negation`."""
-    names, top = l.elements, l._order[-1]
-    if image[top] != l._order[0]:
+    names, top = l.elements, len(l) - 1
+    if image[top] != 0:  # the bottom
         return CheckResult(False, (l.top,), f"n(top) = {names[image[top]]!r}, expected bottom")
     lower = [set(c) for c in l._cov_down]
     if not all({image[c] for c in ups} == lower[image[x]] for x, ups in enumerate(l._cov_up)):
@@ -160,8 +160,8 @@ def find_negations(l: Lattice, limit: int | None = 1) -> list[Negation]:
 
     A negation is exactly an anti-automorphism, so candidate images must
     swap height with coheight and up-degree with down-degree; those pruning
-    invariants only shrink the search.  Elements are assigned along the
-    linear extension ``l._order``, trying candidate images in input order.
+    invariants only shrink the search.  Elements are assigned in element
+    order, a linear extension, trying candidate images in that order too.
     When element i is reached, every element below it has an image and no
     element above it has one, so image c fits i iff the assigned images
     above c are exactly the images of the elements below i, which is the
@@ -174,8 +174,7 @@ def find_negations(l: Lattice, limit: int | None = 1) -> list[Negation]:
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be at least 1")
-    n, order = len(l), l._order
-    down, up = l._down, l._up
+    n, down, up = len(l), l._down, l._up
     candidates: dict[tuple, list[int]] = {}
     for c in range(n):
         key = (l._h[c], l._coh[c], len(l._cov_up[c]), len(l._cov_down[c]))
@@ -194,9 +193,9 @@ def find_negations(l: Lattice, limit: int | None = 1) -> list[Negation]:
                 yield c
 
     results: list[Negation] = []
-    stack = [fits(order[0])]  # stack[p] yields the images that fit element order[p]
+    stack = [fits(0)]  # stack[i] yields the images that fit element i
     while stack:
-        i = order[len(stack) - 1]
+        i = len(stack) - 1
         images ^= image_bit[i]  # release element i's image before its next try
         image_bit[i] = 0
         c = next(stack[-1], None)
@@ -206,7 +205,7 @@ def find_negations(l: Lattice, limit: int | None = 1) -> list[Negation]:
         image_bit[i] = 1 << c
         images |= image_bit[i]
         if len(stack) < n:
-            stack.append(fits(order[len(stack)]))
+            stack.append(fits(len(stack)))
             continue
         results.append(Negation(l, _Vector(b.bit_length() - 1 for b in image_bit), "vee"))
         if limit is not None and len(results) >= limit:
@@ -246,10 +245,10 @@ def negation_from_irreducible_map(l: Lattice, jmap) -> Negation:
     if len(set(send.values())) != len(send):
         raise NotABijection("two join-irreducibles share one image")
 
-    top, meet = l._order[-1], functools.partial(_meet_index, l)
+    top, meet = len(l) - 1, functools.partial(_meet_index, l)
     image = _Vector(functools.reduce(lambda a, j: meet(a, send[j]), _indices(d & l._jmask), top)
                     for d in l._down)
-    res = _injective(l, image) and _reverses_order(l, image)
+    res = _injective(l, image) and _joins_to_meets(l, image)
     if not res:
         raise NoConsistentExtension(res.detail)
     return Negation(l, image, "vee")

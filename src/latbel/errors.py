@@ -40,8 +40,9 @@ class CycleDetected(LatBelError):
 class NotALattice(PropertyFailure):
     """A pair of elements has no join or no meet.
 
-    ``reason`` is one of ``no-upper-bound``, ``no-least-upper-bound``,
-    ``no-lower-bound``, ``no-greatest-lower-bound``.
+    ``reason`` is one of ``no-upper-bound``, ``no-least-upper-bound`` and
+    ``no-lower-bound``: along a linear extension, a pair whose lower bounds
+    have no greatest comes after a pair without a least upper bound.
     """
 
     def __init__(self, x: str, y: str, reason: str):

@@ -46,14 +46,14 @@ class MassAllocation(SetFunction):
         super().__init__(lattice, values)
         _require_tol(tol)
         if check:
-            total, bottom = sum(self.vector), self.vector[lattice._order[0]]
+            total, bottom = sum(self.vector), self.vector[0]
             if abs(total - 1.0) > tol:
                 raise InvalidFunction(f"mass total is {total!r}, expected 1")
             if abs(bottom) > tol:
                 raise InvalidFunction(f"mass at bottom is {bottom!r}, expected 0")
 
     def focal_elements(self, tol: float = DEFAULT_TOL) -> tuple[str, ...]:
-        """Elements carrying mass beyond the tolerance, in input order."""
+        """Elements carrying mass beyond the tolerance, in element order."""
         _require_tol(tol)
         return tuple(x for x, v in zip(self.lattice.elements, self.vector) if abs(v) > tol)
 
@@ -77,7 +77,7 @@ class SupportWeights(SetFunction):
 
     @property
     def weights(self) -> dict:
-        """A new dict of focus to weight, in input order, without weights of 1."""
+        """A new dict of focus to weight, in element order, without weights of 1."""
         return {y: w for y, w in self.values.items() if w != 1.0}
 
     def items(self):
@@ -100,8 +100,8 @@ def combine(
     product's cost, 30 per element plus half the total up-set size, the
     masses are summed along the cached up-set steps, multiplied, and the
     product is solved back to a mass along the reversed linear extension.
-    Otherwise the pairs are summed, each meet read from the position
-    down-sets, so that no call caches anything that grows with its inputs.
+    Otherwise the pairs are summed, each meet read from the down-sets, so
+    that no call caches anything that grows with its inputs.
 
     Costs are counted in pairs, one update of the combined mass each.  Each
     of the product's three up-set passes costs about 10 pairs per element,
@@ -138,16 +138,16 @@ def combine(
     _require_tol(tol)
     if m1.lattice is not m2.lattice:
         raise LatticeMismatch("mass allocations live on different lattices")
-    l, bottom, n = m1.lattice, m1.lattice._order[0], len(m1.lattice)
+    l, n = m1.lattice, len(m1.lattice)
     pairs = (n - m1.vector.count(0.0)) * (n - m2.vector.count(0.0))
     up_total = _cached(l, "up_total", lambda: sum(u.bit_count() for u in l._up))
     if pairs > 30 * n + up_total / 2:
         out = _by_commonality(l, m1.vector, m2.vector)
     else:
         out = _by_pairs(l, m1.vector, m2.vector)
-    conflict = out[bottom]
+    conflict = out[0]  # at bottom
     if policy != "raw":
-        out[bottom] = 0.0
+        out[0] = 0.0
     if policy == "normalize":
         if 1.0 - conflict <= tol:
             raise TotalConflict(f"conflict mass {conflict!r} leaves nothing to renormalize")
@@ -156,16 +156,15 @@ def combine(
 
 
 def _by_pairs(l: Lattice, v1, v2) -> list[float]:
-    """The raw combination summed pair by pair in input order, m1's focal
-    element outermost, each meet read from the position down-sets as in
+    """The raw combination summed pair by pair in element order, m1's focal
+    element outermost, each meet read from the down-sets as in
     ``lattice._meet_index``."""
-    out, ids, pdown = [0.0] * len(l), range(len(l)), l._pdown
-    at_length = (None, *l._order)  # the element at each bit length of a meet's down-set
-    second = [(pdown[j], v2[j]) for j in compress(ids, v2)]  # 0.0 and -0.0 are false
+    out, ids, down = [0.0] * len(l), range(len(l)), l._down
+    second = [(down[j], v2[j]) for j in compress(ids, v2)]  # 0.0 and -0.0 are false
     for i in compress(ids, v1):
-        a, down_i = v1[i], pdown[i]
+        a, down_i = v1[i], down[i]
         for down_j, b in second:
-            out[at_length[(down_i & down_j).bit_length()]] += a * b
+            out[(down_i & down_j).bit_length() - 1] += a * b
     return out
 
 
@@ -184,7 +183,7 @@ def simple_support(l: Lattice, y: str, w: float) -> MassAllocation:
         raise FocusIsBottom("a simple support function cannot focus on bottom")
     vals = [0.0] * len(l)
     vals[l.index_of(y)] += 1.0 - float(w)
-    vals[l._order[-1]] += float(w)
+    vals[-1] += float(w)  # at top
     return MassAllocation(l, _Vector(vals), check=False)
 
 
@@ -214,7 +213,7 @@ def decompose(bel: SetFunction, *, tol: float = DEFAULT_TOL) -> SupportWeights:
         w = [math.exp(-lw) for lw in log_w.vector]
     except OverflowError:
         raise InvalidFunction("the weights of this decomposition exceed the float range") from None
-    w[l._order[-1]] = 1.0
+    w[-1] = 1.0  # at top
     return SupportWeights(l, _Vector(1.0 if abs(v - 1.0) <= 1e-12 else v for v in w))
 
 

@@ -1,19 +1,21 @@
 """Finite posets and lattices presented by cover relations.
 
-A structure is declared by its elements (in a fixed input order that every
-enumeration in this package follows) and its covering relation: ``(x, y)``
-means y covers x, exactly the edges of a Hasse diagram.  The order itself is
-the reflexive-transitive closure of the covers.
+A structure is declared by its elements and its covering relation:
+``(x, y)`` means y covers x, exactly the edges of a Hasse diagram.  The
+order itself is the reflexive-transitive closure of the covers.
 
-Internally an element is its input index and a set of elements is a Python
-int used as a bitset, bit i standing for element i (the encoding of
-Ait-Kaci, Boyer, Lincoln & Nasr, "Efficient implementation of lattice
-operations", TOPLAS 1989).  Element names appear only at the API edge:
-they are parsed once, and derived structures reach the order core as indices.
-A lattice keeps each up-set and down-set a second time, over positions in
-a linear extension and its reverse, and answers a join or a meet from the
-highest set bit of an intersection: it builds no join or meet table, and
-recognising it checks only the joins that can be missing.  Only a poset
+Elements are numbered once, at the name edge, along a linear extension:
+the declared order wherever it is one, else the extension that takes the
+lowest free declared index first.  ``elements`` and every enumeration in
+this package follow that numbering, so a lattice's bottom is element 0 and
+its top element n - 1.  A set of elements is a Python int used as a bitset,
+bit i standing for element i (the encoding of Ait-Kaci, Boyer, Lincoln &
+Nasr, "Efficient implementation of lattice operations", TOPLAS 1989).
+Element names appear only at the API edge: they are parsed once, and
+derived structures reach the order core as indices.  A lattice answers a
+meet or a join from the highest set bit of an intersection of down-sets or
+of bit-reversed up-sets: it builds no join or meet table, and recognising
+it checks only the joins that can be missing.  Only a poset
 found not to be a lattice is scanned pair by pair, to name its first pair
 without a join or a meet.  A Lattice is a Poset that takes over the arrays
 of the poset it is built from by reference, so the order queries are the
@@ -81,12 +83,12 @@ class Poset:
     pairs are dropped, and transitive ones with a :class:`RedundantCovers`
     warning, so ``covers`` is always the irredundant covering relation of
     the closure.  ``_down[i]`` and ``_up[i]`` are the bitsets of the
-    elements below and above element i.  ``_order`` is the linear extension
-    that takes the lowest free input index first: the identity wherever
-    input order is itself one.
+    elements below and above element i.  ``elements`` is numbered along a
+    linear extension (see the module docstring), so ``_down[i]``'s highest
+    bit and ``_up[i]``'s lowest are i itself.
     """
 
-    __slots__ = ("elements", "covers", "_index", "_down", "_up", "_cov_down", "_cov_up", "_order")
+    __slots__ = ("elements", "covers", "_index", "_down", "_up", "_cov_down", "_cov_up")
 
     def __init__(self, elements, covers, *, max_elements: int = DEFAULT_MAX_ELEMENTS):
         names = list(elements)
@@ -95,18 +97,22 @@ class Poset:
 
     def _build(self, names, index: dict[str, int], succ: list[list[int]]) -> "Poset":
         """The order core, on checked names and ascending successor lists
-        without self-loops; every constructor here ends in it."""
-        n = len(names)
-        pred = [[] for _ in range(n)]
+        without self-loops; every constructor here ends in it.  Where the
+        names are not declared along a linear extension they are renumbered
+        first, so every index below is a position in one."""
+        pred = [[] for _ in succ]
         for a, ups in enumerate(succ):
             for b in ups:
                 pred[b].append(a)
-        self._order = topo = _topological_order(n, succ, pred, names)
+        if any(ups and ups[0] < a for a, ups in enumerate(succ)):  # an edge descends
+            names, succ, pred = _along_extension(names, succ, pred)
+            index = dict(zip(names, itertools.count()))
+        n = len(names)
         # An edge a -> b is a cover iff a lies in no strict down-set of b's
         # predecessors, so b's covers are the bits of its strict down-set
         # outside the union of theirs.
         down, strict, kept = [0] * n, [0] * n, {}  # kept: i's covers, where not all of pred[i]
-        for i in topo:
+        for i in range(n):
             below = union = 0
             for p in pred[i]:
                 below |= down[p]
@@ -125,7 +131,7 @@ class Poset:
         self.covers: tuple[tuple[str, str], ...] = tuple(
             (names[a], names[b]) for a, ups in enumerate(cov_up) for b in ups)
         self._index, self._down, self._cov_down, self._cov_up = index, down, cov_down, cov_up
-        self._up = _unions(topo[::-1], cov_up, [1 << i for i in reversed(topo)])
+        self._up = _unions(range(n - 1, -1, -1), cov_up, [1 << i for i in range(n - 1, -1, -1)])
         return self
 
     def __len__(self) -> int:
@@ -159,7 +165,7 @@ class Poset:
         return frozenset(self.elements[i] for i in _indices(self._up[self.index_of(x)]))
 
     def covered_by(self, x: str) -> tuple[str, ...]:
-        """Elements covering x, in input order."""
+        """Elements covering x, in element order."""
         return tuple(self.elements[i] for i in self._cov_up[self.index_of(x)])
 
     def minimal_elements(self) -> tuple[str, ...]:
@@ -169,7 +175,7 @@ class Poset:
         return tuple(x for i, x in enumerate(self.elements) if not self._cov_up[i])
 
     def dual(self) -> "Poset":
-        """Same elements with the order reversed."""
+        """Same elements with the order reversed, renumbered along it."""
         return Poset.__new__(Poset)._build(self.elements, self._index, self._cov_down)
 
     def restrict(self, keep) -> "Poset":
@@ -184,7 +190,7 @@ class Poset:
 
 
 def _name_index(names: list, cap: int) -> dict[str, int]:
-    """Each name's input index; refuses an empty list or one over ``cap``,
+    """Each name's declared index; refuses an empty list or one over ``cap``,
     then the first bad or repeated name."""
     if not names:
         raise InvalidElementName("a poset needs at least one element")
@@ -239,10 +245,11 @@ def _unions(seq, adj, bits) -> list[int]:
     return out
 
 
-def _topological_order(n, succ, pred, names):
-    if all(not ups or ups[0] > a for a, ups in enumerate(succ)):
-        return list(range(n))  # every edge ascends: input order is the extension
-    indeg = [len(pred[i]) for i in range(n)]
+def _along_extension(names: list, succ: list[list[int]], pred: list[list[int]]):
+    """The names and the successor and predecessor lists renumbered along
+    the linear extension that takes the lowest free declared index first;
+    raises :class:`CycleDetected` when there is none."""
+    n, indeg = len(names), [len(p) for p in pred]
     free = [i for i in range(n) if indeg[i] == 0]  # ascending, so already a heap
     topo = []
     while free:
@@ -263,7 +270,9 @@ def _topological_order(n, succ, pred, names):
             v = next(u for u in pred[v] if u in remaining)
         cycle = list(reversed(path[seen[v]:]))
         raise CycleDetected(tuple(names[i] for i in cycle))
-    return topo
+    place = sorted(range(n), key=topo.__getitem__)  # each declared index's new one
+    return ([names[i] for i in topo], [sorted(place[b] for b in succ[i]) for i in topo],
+            [sorted(place[a] for a in pred[i]) for i in topo])
 
 
 def build_poset(elements, covers, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Poset:
@@ -275,52 +284,43 @@ class Lattice(Poset):
     """A finite lattice: a poset whose binary join and meet are total.
 
     Shares the arrays of ``poset``, which it keeps.  Raises
-    :class:`NotALattice` otherwise, naming the first pair in input order
-    without a join or a meet.  ``_pdown[i]`` holds element i's down-set a
-    second time, as a bitset over positions in the poset's linear
-    extension ``_order``, and ``_pup[i]`` its up-set over positions in the
-    reversed extension (the dual's down-set).  So x ^ y is the element at the
-    highest set bit of ``_pdown[x] & _pdown[y]``, and x v y the one at the
-    highest set bit of ``_pup[x] & _pup[y]``, counted from the end of
-    ``_order``.  No join or meet table is ever filled.  The
-    transforms keep no member lists either: each set sum, in the order of
-    these bitsets, continues the sum of a cover holding its first positions,
-    so a chain declared in any order sums each set in one addition (see
-    ``transforms._steps``).
+    :class:`NotALattice` otherwise, naming the first pair in element order
+    without a join or a meet.  ``_pup[i]`` holds element i's up-set a
+    second time, with bit n - 1 - j standing for element j.  Elements
+    being numbered along a linear extension, x ^ y is the highest set bit
+    of ``_down[x] & _down[y]``, and x v y is n less the bit length of
+    ``_pup[x] & _pup[y]``.  No join or meet table is ever filled.  The transforms keep no member lists either: each set sum, in
+    the order of these bitsets, continues the sum of a cover holding its
+    first bits, so a chain declared in any order sums each set in one
+    addition (see ``transforms._steps``).
     """
 
     __slots__ = ("poset", "bottom", "top", "joinirr", "meetirr",
-                 "_pup", "_pdown", "_jmask", "_mmask", "_h", "_coh", "_cache")
+                 "_pup", "_jmask", "_mmask", "_h", "_coh", "_cache")
 
     def __init__(self, poset: Poset):
         for slot in Poset.__slots__:  # taken over: rebuilding would redo the closure
             setattr(self, slot, getattr(poset, slot))
         self.poset = poset
-        n, order = len(self), self._order
-        bits = [1 << p for p in range(n)]  # by position
-        self._pdown = (self._down if order == list(range(n))  # positions are indices
-                       else _unions(order, self._cov_down, bits))
-        self._pup = _unions(order[::-1], self._cov_up, bits)
+        n = len(self)
+        self._pup = _unions(range(n - 1, -1, -1), self._cov_up, [1 << i for i in range(n)])
         # With a unique minimal element, P is a lattice iff every pair has a join.
         one_minimal = sum(not c for c in self._cov_down) == 1
-        if not (one_minimal and _joins_total(order, self._cov_down, self._pup)):
+        if not (one_minimal and _joins_total(self._cov_down, self._up, self._pup)):
             raise _first_failing_pair(poset)
 
-        self.bottom, self.top = self.elements[order[0]], self.elements[order[-1]]
+        self.bottom, self.top = self.elements[0], self.elements[-1]
         self._jmask = sum(1 << i for i, c in enumerate(self._cov_down) if len(c) == 1)
         self._mmask = sum(1 << i for i, c in enumerate(self._cov_up) if len(c) == 1)
         self.joinirr = _names(self, *_indices(self._jmask))
         self.meetirr = _names(self, *_indices(self._mmask))
 
-        h = [0] * n
-        for i in order:
+        h, coh = [0] * n, [0] * n
+        for i in range(n):
             h[i] = 1 + max(map(h.__getitem__, self._cov_down[i]), default=-1)
-        coh = [0] * n
-        for i in reversed(order):
+        for i in range(n - 1, -1, -1):
             coh[i] = 1 + max(map(coh.__getitem__, self._cov_up[i]), default=-1)
-        self._h = h
-        self._coh = coh
-        self._cache: dict = {}
+        self._h, self._coh, self._cache = h, coh, {}
 
     def __repr__(self) -> str:
         return f"Lattice({len(self)} elements, bottom={self.bottom!r}, top={self.top!r})"
@@ -348,54 +348,51 @@ class Lattice(Poset):
         return self._coh[self.index_of(x)]
 
 
-def _joins_total(order, lower, pup) -> bool:
+def _joins_total(lower, up, pup) -> bool:
     """Whether every pair of a poset with one minimal element has a join.
 
-    Filling a join table along ``order``, as the ``columns`` oracle in
+    Filling a join table up the elements, as the ``columns`` oracle in
     ``tests/test_oracles.py`` does, can miss a join only at a y with a
     single lower cover c, for a z >= c not above y: there
     ``pup[z] & pup[y]`` must be the up-set of the element at its highest bit.
     """
-    up_at = [pup[i] for i in reversed(order)]  # by bit
     for y, below in enumerate(lower):
         if len(below) == 1:
-            up_y = pup[y]
-            rest = pup[below[0]] & ~up_y
-            rest ^= 1 << rest.bit_length() - 1  # c itself, the highest bit, joins y to y
-            for z in _indices(rest):
-                ub = up_at[z] & up_y
-                if up_at[ub.bit_length() - 1] != ub:  # also when ub is empty
-                    return False
+            rest = up[below[0]] & ~up[y]
+            rest &= rest - 1  # c itself, the lowest bit, joins y to y
+            if rest:  # as at every element of a chain, nothing to read
+                up_y = pup[y]
+                for z in _indices(rest):
+                    ub = pup[z] & up_y
+                    if pup[-ub.bit_length()] != ub:  # empty: pup[0] is the bottom's, all bits
+                        return False
     return True
 
 
 def _join_index(l: Lattice, x: int, y: int) -> int:
-    """Index of x v y: the element at the highest set bit of the
-    intersection of their position up-sets, counted from the end."""
-    return l._order[-(l._pup[x] & l._pup[y]).bit_length()]
+    """Index of x v y: n less the bit length of ``_pup[x] & _pup[y]``."""
+    return len(l._pup) - (l._pup[x] & l._pup[y]).bit_length()
 
 
 def _meet_index(l: Lattice, x: int, y: int) -> int:
-    """Index of x ^ y: the element at the highest set bit of the
-    intersection of their position down-sets."""
-    return l._order[(l._pdown[x] & l._pdown[y]).bit_length() - 1]
+    """Index of x ^ y: the highest set bit of ``_down[x] & _down[y]``."""
+    return (l._down[x] & l._down[y]).bit_length() - 1
 
 
 def _first_failing_pair(poset: Poset) -> NotALattice:
-    """The error naming the first pair in input order without a join or a
-    meet (a comparable pair has both, so only incomparable pairs are read)."""
+    """The error naming the first pair in element order without a join or a
+    meet (a comparable pair has both, so only incomparable pairs are read;
+    for why a meet can only lack a lower bound, see :class:`NotALattice`)."""
     names, up, down = poset.elements, poset._up, poset._down
-    ups, downs, every = set(up), set(down), (1 << len(names)) - 1
+    ups, every = set(up), (1 << len(names)) - 1
     for i in range(len(names)):
         for j in _indices((every ^ (up[i] | down[i])) >> i + 1 << i + 1):
             ub = up[i] & up[j]
             if ub not in ups:
                 return NotALattice(names[i], names[j],
                                    "no-least-upper-bound" if ub else "no-upper-bound")
-            lb = down[i] & down[j]
-            if lb not in downs:
-                return NotALattice(names[i], names[j],
-                                   "no-greatest-lower-bound" if lb else "no-lower-bound")
+            if not down[i] & down[j]:
+                return NotALattice(names[i], names[j], "no-lower-bound")
 
 
 def lattice_from_poset(p: Poset) -> Lattice:
@@ -474,7 +471,7 @@ def _cover_bound(l: Lattice, x: int, upper: bool) -> int:
 # -- structural predicates ----------------------------------------------------
 #
 # A witness is None when its property holds and otherwise the first
-# counterexample in input order.  The cheapest criterion decides the property;
+# counterexample in element order.  The cheapest criterion decides the property;
 # the canonical search for the first witness runs only when it fails.  One
 # table, _WITNESSES, keyed by flag name, drives the profile, the is_*
 # predicates and the per-lattice cache; its order is the witness order.
@@ -546,7 +543,7 @@ def is_lower_semimodular(l: Lattice) -> bool:
 
 
 def _distributive_witness(l: Lattice):
-    """The first triple (x, y, z) in input order breaking
+    """The first triple (x, y, z) in element order breaking
     (x v y) ^ z = (x ^ z) v (y ^ z), or None.  It does not decide the flag
     (the locally distributive witnesses do); it runs only to name a failure.
 
@@ -591,8 +588,8 @@ def is_upper_locally_distributive(l: Lattice) -> bool:
 
 def _complement_witness(l: Lattice):
     """The first x with no y such that x ^ y is bottom and x v y is top,
-    each the lowest bit of its position bitsets."""
-    pairs = list(zip(l._pdown, l._pup))
+    each the lowest bit of its ``_down`` (``_pup``) bitsets."""
+    pairs = list(zip(l._down, l._pup))
     for x, (down_x, up_x) in enumerate(pairs):
         if not any(down_x & d == 1 and up_x & u == 1 for d, u in pairs):
             return _names(l, x)
@@ -607,7 +604,7 @@ def _atomistic_witness(l: Lattice):
 
 
 def _linear_witness(l: Lattice):
-    """The first incomparable pair, in input order."""
+    """The first incomparable pair, in element order."""
     every = (1 << len(l)) - 1
     for x, (down_x, up_x) in enumerate(zip(l._down, l._up)):
         later = (every ^ (down_x | up_x)) >> x + 1
@@ -738,9 +735,9 @@ def maximal_chains(l: Lattice, *, max_chains: int = DEFAULT_MAX_CHAINS) -> list[
     if count > max_chains:
         raise SizeLimitExceeded(f"{count} maximal chains exceed the cap of {max_chains}; "
                                 "raise it with --limit")
-    cov_up, top = l._cov_up, l._order[-1]
+    cov_up, top = l._cov_up, len(l) - 1
     out: list[tuple[str, ...]] = []
-    stack = [(l._order[0],)]  # index paths up from bottom
+    stack = [(0,)]  # index paths up from bottom
     while stack:
         path = stack.pop()
         if path[-1] == top:
@@ -751,13 +748,13 @@ def maximal_chains(l: Lattice, *, max_chains: int = DEFAULT_MAX_CHAINS) -> list[
 
 
 def _count_chains(l: Lattice) -> int:
-    """The number of maximal chains, in one pass along ``_order``: the paths
+    """The number of maximal chains, in one pass up the elements: the paths
     up from bottom to an element are the paths to its lower covers."""
     paths = [1] * len(l)  # bottom's, the only element with no lower cover
-    for x in l._order:
-        if l._cov_down[x]:
-            paths[x] = sum(map(paths.__getitem__, l._cov_down[x]))
-    return paths[l._order[-1]]
+    for x, below in enumerate(l._cov_down):
+        if below:
+            paths[x] = sum(map(paths.__getitem__, below))
+    return paths[-1]
 
 
 def dual_lattice(l: Lattice) -> Lattice:

@@ -38,7 +38,7 @@ if TYPE_CHECKING:  # the annotation alone: reading it loads no layer at run time
 
 class _Distribution:
     """Values in [0, 1] on one family of irreducibles, stored only as
-    ``vector``: one entry per lattice element in input order, None off the
+    ``vector``: one entry per lattice element in element order, None off the
     family; the name dict (``pi`` or ``nu``) is a new copy on each access."""
 
     __slots__ = ("lattice", "vector")
@@ -79,7 +79,7 @@ class _Distribution:
         return v
 
     def items(self):
-        """(irreducible, value) pairs in input order, from a new dict."""
+        """(irreducible, value) pairs in element order, from a new dict."""
         return {x: v for x, v in zip(self.lattice.elements, self.vector) if v is not None}.items()
 
 
@@ -250,7 +250,7 @@ def reconstruct_chain(
             k=k, x=names[jk], nx=names[n.image[jk]], eta_nx=_names(l, *_indices(etas[k - 1])),
             iota=names[pick], chain_element=names[element],
         ))
-    if chain[-1] != l._order[-1]:
+    if chain[-1] != len(l) - 1:  # the top
         raise SelectionFailed(0, (names[chain[-1]],), detail="chain did not reach the top")
 
     from .evidence import MassAllocation  # here, so the other checks load no evidence layer

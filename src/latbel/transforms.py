@@ -10,18 +10,17 @@ need neither the Moebius coefficients nor any matrix.  The coefficients
 mu(x, y) themselves, exact integers, are computed on demand by
 ``mobius_function``, each row x by Rota's crosscut theorem over the upper
 covers of x (Rota 1964).  All other arithmetic is double precision, on
-each function's ``vector`` of values in lattice input order.
+each function's ``vector`` of values in lattice element order.
 
-Each down-set (up-set) is summed left to right from 0 in ascending position
-along the lattice's linear extension ``_order`` (its reverse): where input
-order is itself one, in ascending (descending) index order.  The sums share
-work without changing a bit: where c's set is x's set up to the position of
-c, a lower (upper) cover of x, the sum over x's set is the sum over c's,
-already computed, continued over the rest (see :func:`_steps`).  CPython's
-float ``sum`` before 3.12 adds left to right and a running sum from 0 is
-never -0.0, so continuing c's total gives the same float as summing x's
-whole set, signed zeros included.  Where ``sum`` compensates its rounding
-(3.12 on), no sum continues another.
+Elements are numbered along a linear extension (see ``lattice``), so each
+down-set (up-set) is summed left to right from 0 in ascending (descending)
+index order.  The sums share work without changing a bit: where c's set is
+x's set up to c, a lower (upper) cover of x, the sum over x's set is the
+sum over c's, already computed, continued over the rest (see
+:func:`_steps`).  CPython's float ``sum`` before 3.12 adds left to right
+and a running sum from 0 is never -0.0, so continuing c's total gives the
+same float as summing x's whole set, signed zeros included.  Where ``sum``
+compensates its rounding (3.12 on), no sum continues another.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ _LEFT_TO_RIGHT = sum([1.0, 1e100, 1.0, -1e100]) == 0.0
 
 
 class _Vector(tuple):
-    """Values in lattice input order (a function's floats, a negation's image
+    """Values in lattice element order (a function's floats, a negation's image
     indices): stored, or a result the library built, so neither looked up by
     name nor converted."""
 
@@ -53,7 +52,7 @@ def _inverse(image) -> _Vector:
 
 class SetFunction:
     """A total assignment of finite real values to the elements of one lattice,
-    stored only as ``vector``, one tuple in lattice input order, and never
+    stored only as ``vector``, one tuple in lattice element order, and never
     changed; ``values`` returns a new name-to-value dict on each access."""
 
     __slots__ = ("lattice", "vector")
@@ -84,14 +83,14 @@ class SetFunction:
 
     @property
     def values(self) -> dict:
-        """A new dict of element name to value, in lattice input order."""
+        """A new dict of element name to value, in lattice element order."""
         return dict(zip(self.lattice.elements, self.vector))
 
     def __getitem__(self, x: str) -> float:
         return self.vector[self.lattice.index_of(x)]
 
     def items(self):
-        """(element, value) pairs in lattice input order."""
+        """(element, value) pairs in lattice element order."""
         return self.values.items()
 
     def __repr__(self) -> str:
@@ -106,7 +105,7 @@ class MobiusMatrix:
     of upper covers of x with x v (join of S) = y.  Row x starts as {x: 1}
     and each upper cover a subtracts the row's push-forward under t -> t v a,
     so the work follows the nonzeros met, not the up-set of x.  Each t v a
-    is read off the lattice's position up-sets, ``_pup[t] & _pup[a]`` (see
+    is read off the lattice's reversed up-sets, ``_pup[t] & _pup[a]`` (see
     :class:`Lattice`).  Only nonzero values are stored: ``_rows[x]`` maps y
     to mu(x, y) in ascending index order.  It keeps the poset, not the
     lattice, so caching it on the lattice makes no reference cycle.
@@ -116,14 +115,14 @@ class MobiusMatrix:
 
     def __init__(self, lattice: Lattice):
         self.poset = lattice.poset
-        pup, order = lattice._pup, lattice._order
+        pup, ints = lattice._pup, list(range(len(lattice)))  # ints: one object per key
         rows = []
         for x, covers in enumerate(lattice._cov_up):
             d = {x: 1}
             for a in covers:
                 up_a = pup[a]
                 for t, v in list(d.items()):
-                    y = order[-(pup[t] & up_a).bit_length()]
+                    y = ints[-(pup[t] & up_a).bit_length()]
                     c = d.get(y, 0) - v
                     if c:
                         d[y] = c
@@ -149,28 +148,29 @@ def mobius_transform(f: SetFunction) -> SetFunction:
 
 def _steps(l: Lattice, side: str) -> list[tuple]:
     """The steps of the down-set (up-set) sums, cached: one ``(x, c, get)``
-    per element x in position order along ``_order`` (its reverse for
-    up-sets), so each step comes after the steps of x's covers.
+    per element x, ascending (descending), so each step comes after the
+    steps of x's covers.
 
-    ``get`` gathers, in position order, the values of the elements of x's
-    set that are not in c's set.  ``c`` is x's "prefix cover": a lower
-    (upper) cover whose set is x's set up to c's own position, so that x's
-    sum is c's continued over the rest.  Only the cover of lowest position
-    can qualify, since any other cover would lie in x's set before it.
-    When none qualifies, ``c`` is -1 and the rest is all of x's set.  A rest
-    whose indices run consecutively up or down is gathered as one slice;
-    the indices of any other are drawn from ``_order``'s int objects.
+    The bits of ``_down`` (``_pup``) run in that order.  ``get`` gathers, in
+    it, the values of the elements of x's set that are not in c's set.
+    ``c`` is x's "prefix cover": a lower (upper) cover whose set is x's set
+    up to c itself, so that x's sum is c's continued over the rest.  Only
+    the cover at the lowest bit can qualify, since any other cover would
+    lie in x's set before it.  When none qualifies, ``c`` is -1 and the rest
+    is all of x's set.  A rest whose indices run consecutively is gathered
+    as one slice; the indices of any other are drawn from one list's ints.
     """
     return _cached(l, side, lambda: list(_each_step(l, side)))
 
 
 def _each_step(l: Lattice, side: str):
-    sets, covers, at = ((l._pdown, l._cov_down, l._order) if side == "down"  # at: by position
-                        else (l._pup, l._cov_up, l._order[::-1]))
-    for x in at:
+    ints = list(range(len(l)))  # the int objects every getter below shares
+    sets, covers, by_bit = ((l._down, l._cov_down, ints) if side == "down"
+                            else (l._pup, l._cov_up, ints[::-1]))  # by_bit: the element at each bit
+    for x in by_bit:
         rest, c = sets[x], -1
         if covers[x] and _LEFT_TO_RIGHT:
-            low = min(covers[x], key=sets.__getitem__)  # lowest position: its set ends first
+            low = min(covers[x], key=sets.__getitem__)  # lowest bit: its set ends first
             if rest & (1 << sets[low].bit_length()) - 1 == sets[low]:
                 rest, c = rest ^ sets[low], low
         if not rest & rest - 1:  # x alone, as on every chain
@@ -178,7 +178,7 @@ def _each_step(l: Lattice, side: str):
             continue
         first = (rest & -rest).bit_length() - 1
         bits = bin(rest >> first)[:1:-1].encode().translate(_BYTE_OF_DIGIT)  # lowest bit first
-        ids = list(itertools.compress(at[first:first + len(bits)], bits))
+        ids = list(itertools.compress(by_bit[first:first + len(bits)], bits))
         a, b = ids[0], ids[-1]
         step = 1 if a <= b else -1
         if abs(b - a) == len(ids) - 1 and ids == list(range(a, b + step, step)):
@@ -215,9 +215,9 @@ def mass_from_comobius(q: SetFunction) -> SetFunction:
 
 def _solve(l: Lattice, side: str, given) -> list[float]:
     """The out with given[x] = sum of out[y] over the down-set (up-set) of
-    x, by substitution along the lattice's linear extension (reversed for
-    up-sets): out[x] depends only on x's strict members, which come first.
-    x is last in its set's position order, so its whole-set sum, out[x]
+    x, by substitution up the elements (down, for up-sets): out[x] depends
+    only on x's strict members, which come first.  x is last in its set's
+    summation order, so its whole-set sum, out[x]
     included, is the one a later sum continues, as in :func:`_sums`."""
     out = [0.0] * len(l)
     total = [0] * (len(l) + 1)

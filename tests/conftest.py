@@ -156,14 +156,19 @@ def random_capacity_on_chain(l, rng):
     return lb.SetFunction(l, dict(zip(ordered, values)))
 
 
-def declared(l, how, rng):
-    """The lattice with its elements declared as given, reversed or shuffled."""
+def declared_names(l, how, rng):
+    """The elements of l as given, reversed or shuffled."""
     names = list(l.elements)
     if how == "reversed":
         names.reverse()
     elif how == "shuffled":
         rng.shuffle(names)
-    return lb.lattice_from_poset(lb.build_poset(names, l.covers))
+    return names
+
+
+def declared(l, how, rng):
+    """The lattice with its elements declared as given, reversed or shuffled."""
+    return lb.lattice_from_poset(lb.build_poset(declared_names(l, how, rng), l.covers))
 
 
 def moore_lattice(rng, points=(2, 7), generators=(2, 8)):
@@ -171,7 +176,7 @@ def moore_lattice(rng, points=(2, 7), generators=(2, 8)):
     a few random subsets of a ground set of 2-7 points, plus the full set.
     Every finite lattice arises this way, distributive or not.  Elements
     are named by their members, e.g. "{0,3}", and declared in shuffled
-    order, so that input order need not be a linear extension."""
+    order; the lattice numbers them along a linear extension."""
     k = rng.randint(*points)
     family = {(1 << k) - 1}
     for _ in range(rng.randint(*generators)):

@@ -147,28 +147,33 @@ def negations_by_sums(l, limit=None):
     return found
 
 
-def shuffled(l, rng):
-    """The lattice with its elements declared in a random order."""
+def shuffled_names(l, rng):
     names = list(l.elements)
     rng.shuffle(names)
-    return lb.lattice_from_poset(lb.build_poset(names, l.covers))
+    return names
 
 
-def runs_up(l):
-    """Whether input order is a linear extension: each element's down-set
-    lies among the elements up to it."""
-    return all(d >> i + 1 == 0 for i, d in enumerate(l.poset._down))
+def shuffled(l, rng):
+    """The lattice with its elements declared in a random order."""
+    return lb.lattice_from_poset(lb.build_poset(shuffled_names(l, rng), l.covers))
+
+
+def runs_up(names, covers):
+    """Whether a declaration lists each element after its lower covers."""
+    at = {x: p for p, x in enumerate(names)}
+    return all(at[a] < at[b] for a, b in covers)
 
 
 def test_negation_search_matches_the_sums_on_the_corpus():
     rng, orders = random.Random(19), set()
     for name, l in corpus():
-        for k in (l, shuffled(l, rng), shuffled(l, rng)):
+        for names in (list(l.elements), shuffled_names(l, rng), shuffled_names(l, rng)):
+            k = lb.lattice_from_poset(lb.build_poset(names, l.covers))
             want = negations_by_sums(k)
             assert [n.image for n in lb.find_negations(k, limit=None)] == want, name
-            assert want, name
-            orders.add(runs_up(k))
-    assert orders == {True, False}
+            assert want and runs_up(k.elements, k.covers), name
+            orders.add(runs_up(names, l.covers))
+    assert orders == {True, False}  # declared along an extension, and not
 
 
 @settings(max_examples=100, deadline=None)
@@ -181,14 +186,8 @@ def test_negation_search_matches_the_sums_on_random_moore_families(l, dual, rng)
 
 
 def reversed_declaration(l):
-    """The lattice with its elements declared in reversed input order."""
+    """The lattice with its elements declared in reversed element order."""
     return lb.lattice_from_poset(lb.build_poset(l.elements[::-1], l.covers))
-
-
-def runs_down(l):
-    """Whether reversed input order is a linear extension: each element's
-    up-set lies among the elements up to it."""
-    return all(u >> i + 1 == 0 for i, u in enumerate(l.poset._up))
 
 
 def test_negation_search_matches_the_sums_declared_top_first():
@@ -196,19 +195,19 @@ def test_negation_search_matches_the_sums_declared_top_first():
         k = reversed_declaration(l)
         want = negations_by_sums(k)
         assert [n.image for n in lb.find_negations(k, limit=None)] == want, name
-        assert want and runs_down(k), name
+        assert want and runs_up(l.elements[::-1], [c[::-1] for c in l.covers]), name
+        assert runs_up(k.elements, k.covers), name
 
 
 @settings(max_examples=100, deadline=None)
-@given(l=st.randoms().map(moore_lattice), dual=st.booleans())
-def test_negation_search_matches_the_sums_on_reversed_moore_families(l, dual):
+@given(l=st.randoms().map(moore_lattice), dual=st.booleans(), rng=st.randoms())
+def test_negation_search_matches_the_sums_on_reversed_moore_families(l, dual, rng):
     if dual:
         l = lb.dual_lattice(l)
-    k = reversed_declaration(lb.lattice_from_poset(lb.build_poset(
-        [l.elements[i] for i in l._order], l.covers)))  # declared from the top down
-    assert runs_down(k)
+    k = reversed_declaration(l)  # l's elements run up, so these run from the top down
+    assert runs_up(k.elements, k.covers)
     assert [n.image for n in lb.find_negations(k, limit=None)] == negations_by_sums(k)
-    k = reversed_declaration(l)
+    k = shuffled(l, rng)
     assert [n.image for n in lb.find_negations(k, limit=None)] == negations_by_sums(k)
 
 
@@ -275,23 +274,23 @@ def random_linear_extension(l, rng):
 @settings(max_examples=100, deadline=None)
 @given(l=st.randoms().map(moore_lattice), dual=st.booleans(),
        declared=st.sampled_from(["as drawn", "running up", "shuffled"]), rng=st.randoms())
-def test_the_search_follows_the_sums_wherever_input_order_runs_up(l, dual, declared, rng):
-    """Along a linear extension the search visits elements as it did in
-    input order, so its first negations are the sums' whenever input order
-    is one; ``_order`` is the identity exactly then."""
+def test_the_search_follows_the_sums_in_any_declaration_order(l, dual, declared, rng):
+    """Elements are numbered along a linear extension, the declared order
+    exactly when that is one, and the search visits them in that order, so
+    its first negations are the sums' in any declaration order."""
     if dual:
         l = lb.dual_lattice(l)
+    names = list(l.elements)
     if declared == "running up":
-        l = lb.lattice_from_poset(lb.build_poset(random_linear_extension(l, rng), l.covers))
-        assert runs_up(l)
+        names = random_linear_extension(l, rng)
     elif declared == "shuffled":
-        l = shuffled(l, rng)
-    assert is_linear_extension(l, l._order)
-    assert (l._order == list(range(len(l)))) == runs_up(l)
-    if runs_up(l):
-        want = negations_by_sums(l, limit=3)
-        for limit in (1, 2, 3):
-            assert [n.image for n in lb.find_negations(l, limit=limit)] == want[:limit]
+        rng.shuffle(names)
+    l = lb.lattice_from_poset(lb.build_poset(names, l.covers))
+    assert is_linear_extension(l, range(len(l)))
+    assert (list(l.elements) == names) == runs_up(names, l.covers)
+    want = negations_by_sums(l, limit=3)
+    for limit in (1, 2, 3):
+        assert [n.image for n in lb.find_negations(l, limit=limit)] == want[:limit]
 
 
 def test_every_found_negation_is_consistent():

@@ -133,7 +133,7 @@ def test_combine_caches_nothing_that_grows_with_its_inputs():
 
 def pair_sum(m1, m2, policy):
     """Dempster's rule as it reads: m1(y1) m2(y2) summed into y1 ^ y2 over
-    the focal pairs in input order, then the policy applied."""
+    the focal pairs in element order, then the policy applied."""
     l = m1.lattice
     out = dict.fromkeys(l.elements, 0.0)
     for y1, y2 in itertools.product(m1.focal_elements(0.0), m2.focal_elements(0.0)):
@@ -195,10 +195,10 @@ def full_dyadic_mass(l, rng):
     """A mass of 1024 units of 1/1024, at least one on every element above
     bottom: its pair products and every sum of them are exact floats."""
     units, spare = [0] * len(l), 1024 - (len(l) - 1)
-    for x in l._order[1:]:
+    for x in range(1, len(l)):  # bottom is element 0
         units[x] = 1
     for k in range(8):  # the spare units in eight lots
-        units[rng.choice(l._order[1:])] += spare // 8 + (k < spare % 8)
+        units[rng.choice(range(1, len(l)))] += spare // 8 + (k < spare % 8)
     return lb.MassAllocation(l, dict(zip(l.elements, (u / 1024 for u in units))))
 
 
@@ -357,9 +357,9 @@ def dyadic_mass(l, rng, *, top=0):
     """A mass of 64 units of 1/64 over the elements above bottom, top/64 of
     them on top: sums and products of these are exact floats."""
     units = [0] * len(l)
-    units[l._order[-1]] = top
+    units[-1] = top  # bottom is element 0 and top the last
     for _ in range(64 - top):
-        units[rng.choice(l._order[1:])] += 1
+        units[rng.choice(range(1, len(l)))] += 1
     return lb.MassAllocation(l, dict(zip(l.elements, (u / 64 for u in units))))
 
 
@@ -374,8 +374,8 @@ def test_combination_multiplies_commonalities_on_random_moore_families(l, dual, 
     q1, q2 = lb.comobius_transform(m1), lb.comobius_transform(m2)
     product = [a * b for a, b in zip(q1.vector, q2.vector)]
     assert list(lb.comobius_transform(lb.combine(m1, m2, "raw")).vector) == product
-    bottom, conflict = l._order[0], lb.combine(m1, m2, "raw")[l.bottom]
-    off_bottom = [i for i in range(len(l)) if i != bottom]
+    conflict = lb.combine(m1, m2, "raw")[l.bottom]
+    off_bottom = range(1, len(l))
     q = lb.comobius_transform(lb.combine(m1, m2, "zero-bottom")).vector
     assert [q[i] for i in off_bottom] == [product[i] for i in off_bottom]
     if conflict == 1.0:
@@ -535,7 +535,7 @@ def layer_results(l, f, masses, weights):
     signed = lb.zeta_transform(lb.MassAllocation(l, named(
         2 * a - b for a, b in zip(m1.vector, m2.vector))))
     for label, g in (("belief", bel), ("signed", signed)):
-        res = lb.check_belief(g)  # a tied lowest mass is named first in input order
+        res = lb.check_belief(g)  # a tied lowest mass is named first in element order
         exact[label] = res.ok, res.witness and lb.mobius_transform(g)[res.witness[0]]
     logs = {"decompose": named(lb.decompose(bel).vector),
             "recombine": named(lb.recombine(lb.SupportWeights(l, weights)).vector)}

@@ -235,10 +235,9 @@ def test_set_function_refuses_unknown_and_unhashable_names():
 
 
 def set_members(l, side):
-    """The indices of each element's down-set (up-set), in ascending
-    position along ``_order`` (its reverse)."""
-    sets, at = (l._pdown, l._order) if side == "down" else (l._pup, l._order[::-1])
-    return [tuple(at[p] for p in _indices(mask)) for mask in sets]
+    """The indices of each element's down-set (up-set), in summation order:
+    ascending (descending), elements being numbered along a linear extension."""
+    return [ms if side == "down" else ms[::-1] for ms in index_members(l, side)]
 
 
 def index_members(l, side):
@@ -262,8 +261,7 @@ def test_solves_are_equal_along_any_linear_extension():
     rng = random.Random(17)
     lattices = [l for _, l in corpus()] + [moore_lattice(rng) for _ in range(40)]
     for l in lattices:
-        pos = {i: k for k, i in enumerate(l._order)}
-        assert all(pos[l.poset.index_of(a)] < pos[l.poset.index_of(b)] for a, b in l.covers)
+        assert all(l.poset.index_of(a) < l.poset.index_of(b) for a, b in l.covers)
         f = random_function(l, rng)
         for side, solve in (("down", lb.mobius_transform), ("up", lb.mass_from_comobius)):
             members = set_members(l, side)
@@ -278,8 +276,8 @@ def test_solves_are_equal_along_any_linear_extension():
 #
 # The transforms sum each set as the continuation of its prefix cover's sum.
 # The oracle below is the kernel before that: every set summed whole, in
-# ascending position along the linear extension (its reverse for up-sets),
-# and the inversion substituted element by element.
+# ascending (descending) index order for down-sets (up-sets), and the
+# inversion substituted element by element.
 
 def oracle_sums(l, side, values):
     get = list(values).__getitem__
@@ -290,7 +288,7 @@ def oracle_solve(l, side, given):
     members = set_members(l, side)
     out = [0.0] * len(l)
     get = out.__getitem__
-    for x in l._order if side == "down" else reversed(l._order):
+    for x in range(len(l)) if side == "down" else reversed(range(len(l))):
         out[x] = given[x] - sum(map(get, members[x]))
     return out
 
@@ -313,8 +311,8 @@ def kernel_outputs(l, rng):
     refusal as its repr)."""
     f = lb.SetFunction(l, _Vector(awkward_value(rng) for _ in l.elements))
     g = [awkward_value(rng) for _ in l.elements]
-    mass = [0.0 if x == l._order[0] else abs(awkward_value(rng)) for x in range(len(l))]
-    mass[l._order[-1]] += 0.25
+    mass = [0.0 if x == 0 else abs(awkward_value(rng)) for x in range(len(l))]  # 0: bottom
+    mass[-1] += 0.25  # at top
     mass = [v / sum(mass) for v in mass]
     weights = [rng.choice([1.0, 1 / 3, rng.uniform(0.1, 3.0)]) for _ in l.elements]
     yield from (fn(f).vector for fn in (lb.zeta_transform, lb.mobius_transform,
@@ -362,15 +360,17 @@ def test_the_kernel_is_bit_identical_to_whole_set_sums_on_random_moore_families(
 
 
 def along_an_extension(l, rng):
-    """The lattice declared along a random linear extension."""
+    """The lattice declared along a random linear extension, which its
+    elements keep."""
     names = [l.elements[i] for i in random_linear_extension(l, rng)]
-    return lb.lattice_from_poset(lb.build_poset(names, l.covers))
+    k = lb.lattice_from_poset(lb.build_poset(names, l.covers))
+    assert k.elements == tuple(names)
+    return k
 
 
 def assert_down_side_matches_ascending_indices(l, seed):
     """Zeta and the Moebius transform give the floats of the whole down-set
-    sums in ascending index order, which is position order here."""
-    assert l._order == list(range(len(l)))
+    sums in ascending index order."""
     f = lb.SetFunction(l, _Vector(awkward_value(random.Random(seed)) for _ in l.elements))
     get = f.vector.__getitem__
     members = index_members(l, "down")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from operator import or_
+from operator import and_, or_
 
 from .capacity import CheckResult
 from .errors import (
@@ -166,29 +166,46 @@ def find_negations(l: Lattice, limit: int | None = 1) -> list[Negation]:
     element above it has one, so image c fits i iff the assigned images
     above c are exactly the images of the elements below i, which is the
     union of those kept for its lower covers, and no assigned image lies
-    below c.  Each element's test costs one union over its lower covers,
-    whatever order the elements are declared in.  Returns up to ``limit``
-    negations (all of them when limit is None), sorted by image whenever
-    the search runs to its end; the empty list means the lattice is not
-    autodual.
+    below c.
+
+    Only join-irreducible elements (and the bottom) branch: their
+    candidates are the images not yet taken in their invariant class, read
+    off a bitset lowest first.  A join-reducible i is the join of any two of
+    its lower covers a and b (a < a v b <= i, and a is covered by i), so
+    every negation sends it to n(a) ^ n(b), the meet of its lower covers'
+    images, already assigned: that is the only candidate tried.  Any other
+    image that fits i extends to no negation, so dropping it prunes only
+    branches that end empty: the negations found, their order, and the
+    first ``limit`` of them are those of trying the whole class.  Returns up
+    to ``limit`` negations (all of them when limit is None), sorted by image
+    whenever the search runs to its end; the empty list means the lattice
+    is not autodual.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be at least 1")
-    n, down, up = len(l), l._down, l._up
-    candidates: dict[tuple, list[int]] = {}
-    for c in range(n):
-        key = (l._h[c], l._coh[c], len(l._cov_up[c]), len(l._cov_down[c]))
-        candidates.setdefault(key, []).append(c)
+    n, down, up, lower = len(l), l._down, l._up, l._cov_down
+    keys = list(zip(l._h, l._coh, map(len, l._cov_up), map(len, lower)))
+    classes: dict[tuple, int] = {}  # each invariant key's elements, as a bitset
+    for c, key in enumerate(keys):
+        classes[key] = classes.get(key, 0) | 1 << c
     image_bit = [0] * n  # 1 << the image of each assigned element, 0 otherwise
     images = 0  # bitset of all assigned images
     above_of = [0] * n  # the images of the elements below each element reached
 
     def fits(i):
-        key = (l._coh[i], l._h[i], len(l._cov_down[i]), len(l._cov_up[i]))
+        h, coh, ups, downs = keys[i]
+        key = (coh, h, downs, ups)
         above_of[i] = above = functools.reduce(
-            or_, (above_of[c] | image_bit[c] for c in l._cov_down[i]), 0)
-        for c in candidates.get(key, ()):
-            # an image already taken fails the second test
+            or_, (above_of[c] | image_bit[c] for c in lower[i]), 0)
+        if downs > 1:  # forced: the meet of the lower covers' images
+            meet = functools.reduce(and_, (down[image_bit[c].bit_length() - 1] for c in lower[i]))
+            c = meet.bit_length() - 1
+            free = 1 << c if keys[c] == key else 0
+        else:
+            free = classes.get(key, 0) & ~images
+        while free:
+            c = (free & -free).bit_length() - 1
+            free &= free - 1
             if up[c] & images == above and not down[c] & images:
                 yield c
 

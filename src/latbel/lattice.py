@@ -245,6 +245,17 @@ def _unions(seq, adj, bits) -> list[int]:
     return out
 
 
+def _longest(seq, adj) -> list[int]:
+    """Along ``seq``, each element's longest path over ``adj`` edges (later in ``seq``)."""
+    out = [0] * len(adj)
+    for i in seq:
+        step = out[i] + 1
+        for c in adj[i]:
+            if out[c] < step:
+                out[c] = step
+    return out
+
+
 def _along_extension(names: list, succ: list[list[int]], pred: list[list[int]]):
     """The names and the successor and predecessor lists renumbered along
     the linear extension that takes the lowest free declared index first;
@@ -315,12 +326,11 @@ class Lattice(Poset):
         self.joinirr = _names(self, *_indices(self._jmask))
         self.meetirr = _names(self, *_indices(self._mmask))
 
-        h, coh = [0] * n, [0] * n
-        for i in range(n):
-            h[i] = 1 + max(map(h.__getitem__, self._cov_down[i]), default=-1)
-        for i in range(n - 1, -1, -1):
-            coh[i] = 1 + max(map(coh.__getitem__, self._cov_up[i]), default=-1)
-        self._h, self._coh, self._cache = h, coh, {}
+        # Heights relax up the covers and coheights down them: along the linear
+        # extension (its reverse) each value is final before its covers read it.
+        self._h = _longest(range(n), self._cov_up)
+        self._coh = _longest(range(n - 1, -1, -1), self._cov_down)
+        self._cache = {}
 
     def __repr__(self) -> str:
         return f"Lattice({len(self)} elements, bottom={self.bottom!r}, top={self.top!r})"
@@ -526,12 +536,25 @@ def _names(l: Lattice, *idx) -> tuple[str, ...]:
 def _semimodular_witness(l: Lattice, upper: bool):
     """Upper: if x and y both cover x ^ y, x v y covers both; lower is the
     dual.  Distinct upper covers of m meet in m, so only pairs of covers of
-    one element can fail; the first witness is the smallest failing pair."""
+    one element can fail; the first witness is the smallest failing pair.
+
+    The covers decide.  For x covering m and another upper cover y of m,
+    x v y covers x iff y lies below an upper cover of x (then x v y is that
+    cover; conversely y <= x v y).  So L is upper semimodular iff, for every
+    cover m < x, each upper cover of m lies in R(x), x with the down-sets of
+    its upper covers; lower is the dual, with up-sets and lower covers.
+    This costs one union per element and one test per cover; the pair scan
+    runs only to name the first failing pair."""
     covers, op = (l._cov_up, _join_index) if upper else (l._cov_down, _meet_index)
-    back = [set(c) for c in (l._cov_down if upper else l._cov_up)]
-    fails = [(x, y) for cs in covers for x, y in itertools.combinations(cs, 2)
-             if not back[op(l, x, y)] >= {x, y}]
-    return _names(l, *min(fails)) if fails else None
+    back, sets = (l._cov_down, l._down) if upper else (l._cov_up, l._up)
+    fan = [sum(1 << c for c in cs) for cs in covers]  # each element's covers, as a bitset
+    reach = [functools.reduce(int.__or__, map(sets.__getitem__, cs), 1 << x)
+             for x, cs in enumerate(covers)]
+    if all(fan[m] | reach[x] == reach[x] for x, ms in enumerate(back) for m in ms):
+        return None
+    back = [set(c) for c in back]
+    return _names(l, *min((x, y) for cs in covers for x, y in itertools.combinations(cs, 2)
+                          if not back[op(l, x, y)] >= {x, y}))
 
 
 def is_upper_semimodular(l: Lattice) -> bool:
@@ -627,6 +650,7 @@ _WITNESSES = {
     "is_linear": lambda l: (None if l._jmask.bit_count() == len(l) - 1
                             else _linear_witness(l)),
     "is_ranked": _ranked_witness,
+    # decided by one test per cover; the pair scan runs only to name a failure
     "is_lower_semimodular": lambda l: _semimodular_witness(l, False),
     "is_upper_semimodular": lambda l: _semimodular_witness(l, True),
     "is_modular": lambda l: (_witness(l, "is_lower_semimodular")
@@ -736,14 +760,17 @@ def maximal_chains(l: Lattice, *, max_chains: int = DEFAULT_MAX_CHAINS) -> list[
         raise SizeLimitExceeded(f"{count} maximal chains exceed the cap of {max_chains}; "
                                 "raise it with --limit")
     cov_up, top = l._cov_up, len(l) - 1
+    named = [(x,) for x in l.elements]
     out: list[tuple[str, ...]] = []
-    stack = [(0,)]  # index paths up from bottom
+    stack = [(named[0], 0)]  # name paths up from bottom, with the index they end at
+    pop, push = stack.pop, stack.append
     while stack:
-        path = stack.pop()
-        if path[-1] == top:
-            out.append(_names(l, *path))
-            continue
-        stack += [path + (c,) for c in reversed(cov_up[path[-1]])]
+        path, x = pop()
+        if x == top:
+            out.append(path)
+        else:
+            for c in reversed(cov_up[x]):
+                push((path + named[c], c))
     return out
 
 

@@ -107,8 +107,9 @@ class MobiusMatrix:
     so the work follows the nonzeros met, not the up-set of x.  Each t v a
     is read off the lattice's reversed up-sets, ``_pup[t] & _pup[a]`` (see
     :class:`Lattice`).  Only nonzero values are stored: ``_rows[x]`` maps y
-    to mu(x, y) in ascending index order.  It keeps the poset, not the
-    lattice, so caching it on the lattice makes no reference cycle.
+    to mu(x, y), x first with 1, then in the order the pushes added them;
+    it is read by key only.  It keeps the poset, not the lattice, so caching it on
+    the lattice makes no reference cycle.
     """
 
     __slots__ = ("poset", "_rows")
@@ -128,7 +129,7 @@ class MobiusMatrix:
                         d[y] = c
                     else:
                         del d[y]
-            rows.append(dict(sorted(d.items())))
+            rows.append(d)
         self._rows = rows
 
     def mu(self, x: str, y: str) -> int:

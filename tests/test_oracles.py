@@ -20,7 +20,10 @@ k-valuation, total) must match the exhaustive sweep over every family of
 distinct elements with its 2^j - 1 subfamily meets, which they replaced.
 The locally distributive flags are checked against Monjardet's definition
 (every interval [x-, x] Boolean) and the minimal decompositions against the
-greedy irredundant search they replaced.
+greedy irredundant search they replaced.  The negation search, maximal
+chains and semimodularity witnesses must equal, order included, the
+searches they replaced: every candidate in a class, index paths named at
+the end, and a scan over every pair of covers.
 """
 
 import collections
@@ -28,6 +31,7 @@ import copy
 import functools
 import itertools
 import math
+import operator
 import random
 import warnings
 
@@ -44,6 +48,7 @@ from conftest import (
     chain_lattice,
     convex_geometry,
     corpus,
+    declared,
     declared_names,
     moore_lattice,
     random_function,
@@ -963,8 +968,96 @@ def test_mobius_matches_the_oracle_on_random_moore_families(l, dual):
     rows = lb.mobius_function(l)._rows
     assert {(names[x], names[y]): v for x, row in enumerate(rows) for y, v in row.items()} == {
         pair: v for pair, v in mobius_oracle(oracle_of(l)).items() if v}
-    for row in rows:
-        assert list(row) == sorted(row) and all(row.values())
+    for x, (row, up) in enumerate(zip(rows, l._up)):  # row x: x first with 1, keys in the up-set of x
+        assert next(iter(row.items())) == (x, 1)
+        assert all(up >> y & 1 for y in row) and all(row.values())
+
+
+# -- the order analyses against the searches they replaced -------------------------
+
+def negations_oracle(l, limit=1):
+    """The negation search as it read before join-reducible elements took
+    their forced image: every image in the invariant class is tried."""
+    n, down, up = len(l), l._down, l._up
+    candidates = {}
+    for c in range(n):
+        key = (l._h[c], l._coh[c], len(l._cov_up[c]), len(l._cov_down[c]))
+        candidates.setdefault(key, []).append(c)
+    image_bit = [0] * n
+    images = 0
+    above_of = [0] * n
+
+    def fits(i):
+        key = (l._coh[i], l._h[i], len(l._cov_down[i]), len(l._cov_up[i]))
+        above_of[i] = above = functools.reduce(
+            operator.or_, (above_of[c] | image_bit[c] for c in l._cov_down[i]), 0)
+        for c in candidates.get(key, ()):
+            if up[c] & images == above and not down[c] & images:
+                yield c
+
+    results = []
+    stack = [fits(0)]
+    while stack:
+        i = len(stack) - 1
+        images ^= image_bit[i]
+        image_bit[i] = 0
+        c = next(stack[-1], None)
+        if c is None:
+            stack.pop()
+            continue
+        image_bit[i] = 1 << c
+        images |= image_bit[i]
+        if len(stack) < n:
+            stack.append(fits(len(stack)))
+            continue
+        results.append(tuple(b.bit_length() - 1 for b in image_bit))
+        if limit is not None and len(results) >= limit:
+            return results
+    return sorted(results)
+
+
+def chains_oracle(l):
+    """Maximal chains as index paths off one stack, named at the end."""
+    out, stack = [], [(0,)]
+    while stack:
+        path = stack.pop()
+        if path[-1] == len(l) - 1:
+            out.append(tuple(l.elements[i] for i in path))
+            continue
+        stack += [path + (c,) for c in reversed(l._cov_up[path[-1]])]
+    return out
+
+
+def semimodular_scan_oracle(l, upper):
+    """The first failing pair of covers of one element, by a join (meet) per
+    pair, as the flag was decided before the covers decided it."""
+    covers, op = ((l._cov_up, lb.lattice._join_index) if upper
+                  else (l._cov_down, lb.lattice._meet_index))
+    back = [set(c) for c in (l._cov_down if upper else l._cov_up)]
+    fails = [(x, y) for cs in covers for x, y in itertools.combinations(cs, 2)
+             if not back[op(l, x, y)] >= {x, y}]
+    return tuple(l.elements[i] for i in min(fails)) if fails else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(l=st.randoms().map(moore_lattice), dual=st.booleans(),
+       how=st.sampled_from(["given", "reversed", "shuffled"]), rng=st.randoms())
+def test_order_analyses_match_the_searches_they_replaced(l, dual, how, rng):
+    """Negations at every limit, heights, maximal chains and both
+    semimodularity witnesses, on Moore lattices and their duals in any
+    declaration order."""
+    if dual:
+        l = lb.dual_lattice(l)
+    l, o = declared(l, how, rng), oracle_of(l)
+    for limit in (None, 1, 2):
+        assert [n.image for n in lb.find_negations(l, limit)] == negations_oracle(l, limit)
+    assert l._h == [o.height(x) for x in l.elements]
+    assert l._coh == [o.coheight(x) for x in l.elements]
+    assert lb.maximal_chains(l) == chains_oracle(l)
+    for flag, upper in (("is_upper_semimodular", True), ("is_lower_semimodular", False)):
+        want = semimodular_scan_oracle(l, upper)
+        assert lb.lattice._semimodular_witness(l, upper) == want
+        assert getattr(lb.lattice, flag)(l) == (want is None)
 
 
 # -- the function layers against the Moebius coefficients ----------------------------

@@ -543,18 +543,17 @@ def _semimodular_witness(l: Lattice, upper: bool):
     cover; conversely y <= x v y).  So L is upper semimodular iff, for every
     cover m < x, each upper cover of m lies in R(x), x with the down-sets of
     its upper covers; lower is the dual, with up-sets and lower covers.
-    This costs one union per element and one test per cover; the pair scan
-    runs only to name the first failing pair."""
-    covers, op = (l._cov_up, _join_index) if upper else (l._cov_down, _meet_index)
-    back, sets = (l._cov_down, l._down) if upper else (l._cov_up, l._up)
+    This costs one union per element and one test per cover.  A pair fails
+    iff one of its members misses the other's R, so the first witness is the
+    least such pair, ordered."""
+    covers, back, sets = ((l._cov_up, l._cov_down, l._down) if upper
+                          else (l._cov_down, l._cov_up, l._up))
     fan = [sum(1 << c for c in cs) for cs in covers]  # each element's covers, as a bitset
-    reach = [functools.reduce(int.__or__, map(sets.__getitem__, cs), 1 << x)
-             for x, cs in enumerate(covers)]
-    if all(fan[m] | reach[x] == reach[x] for x, ms in enumerate(back) for m in ms):
-        return None
-    back = [set(c) for c in back]
-    return _names(l, *min((x, y) for cs in covers for x, y in itertools.combinations(cs, 2)
-                          if not back[op(l, x, y)] >= {x, y}))
+    beyond = [~functools.reduce(int.__or__, map(sets.__getitem__, cs), 1 << x)
+              for x, cs in enumerate(covers)]  # the complement of each R(x)
+    fails = [(min(x, y), max(x, y)) for x, ms in enumerate(back) for m in ms
+             if (missed := fan[m] & beyond[x]) for y in _indices(missed)]
+    return _names(l, *min(fails)) if fails else None
 
 
 def is_upper_semimodular(l: Lattice) -> bool:
@@ -650,7 +649,6 @@ _WITNESSES = {
     "is_linear": lambda l: (None if l._jmask.bit_count() == len(l) - 1
                             else _linear_witness(l)),
     "is_ranked": _ranked_witness,
-    # decided by one test per cover; the pair scan runs only to name a failure
     "is_lower_semimodular": lambda l: _semimodular_witness(l, False),
     "is_upper_semimodular": lambda l: _semimodular_witness(l, True),
     "is_modular": lambda l: (_witness(l, "is_lower_semimodular")

@@ -31,7 +31,6 @@ import copy
 import functools
 import itertools
 import math
-import operator
 import random
 import warnings
 
@@ -975,47 +974,6 @@ def test_mobius_matches_the_oracle_on_random_moore_families(l, dual):
 
 # -- the order analyses against the searches they replaced -------------------------
 
-def negations_oracle(l, limit=1):
-    """The negation search as it read before join-reducible elements took
-    their forced image: every image in the invariant class is tried."""
-    n, down, up = len(l), l._down, l._up
-    candidates = {}
-    for c in range(n):
-        key = (l._h[c], l._coh[c], len(l._cov_up[c]), len(l._cov_down[c]))
-        candidates.setdefault(key, []).append(c)
-    image_bit = [0] * n
-    images = 0
-    above_of = [0] * n
-
-    def fits(i):
-        key = (l._coh[i], l._h[i], len(l._cov_down[i]), len(l._cov_up[i]))
-        above_of[i] = above = functools.reduce(
-            operator.or_, (above_of[c] | image_bit[c] for c in l._cov_down[i]), 0)
-        for c in candidates.get(key, ()):
-            if up[c] & images == above and not down[c] & images:
-                yield c
-
-    results = []
-    stack = [fits(0)]
-    while stack:
-        i = len(stack) - 1
-        images ^= image_bit[i]
-        image_bit[i] = 0
-        c = next(stack[-1], None)
-        if c is None:
-            stack.pop()
-            continue
-        image_bit[i] = 1 << c
-        images |= image_bit[i]
-        if len(stack) < n:
-            stack.append(fits(len(stack)))
-            continue
-        results.append(tuple(b.bit_length() - 1 for b in image_bit))
-        if limit is not None and len(results) >= limit:
-            return results
-    return sorted(results)
-
-
 def chains_oracle(l):
     """Maximal chains as index paths off one stack, named at the end."""
     out, stack = [], [(0,)]
@@ -1043,14 +1001,11 @@ def semimodular_scan_oracle(l, upper):
 @given(l=st.randoms().map(moore_lattice), dual=st.booleans(),
        how=st.sampled_from(["given", "reversed", "shuffled"]), rng=st.randoms())
 def test_order_analyses_match_the_searches_they_replaced(l, dual, how, rng):
-    """Negations at every limit, heights, maximal chains and both
-    semimodularity witnesses, on Moore lattices and their duals in any
-    declaration order."""
+    """Heights, maximal chains and both semimodularity witnesses, on Moore
+    lattices and their duals in any declaration order."""
     if dual:
         l = lb.dual_lattice(l)
     l, o = declared(l, how, rng), oracle_of(l)
-    for limit in (None, 1, 2):
-        assert [n.image for n in lb.find_negations(l, limit)] == negations_oracle(l, limit)
     assert l._h == [o.height(x) for x in l.elements]
     assert l._coh == [o.coheight(x) for x in l.elements]
     assert lb.maximal_chains(l) == chains_oracle(l)

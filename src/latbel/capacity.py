@@ -2,8 +2,8 @@
 k-valuations, plus conjugation with respect to a negation.
 
 Every check returns a :class:`CheckResult` that is truthy when the property
-holds and otherwise carries the first counterexample found in canonical
-(input-order) enumeration.  The k-family checks score a family by the
+holds and otherwise carries the first counterexample found in element
+order (see ``lattice``).  The k-family checks score a family by the
 Moebius mass below its join and under no member (inclusion-exclusion): no
 family fails without negative mass, and only antichains are enumerated.
 """

@@ -12,6 +12,8 @@ it runs when it runs, so a call loads no other.
 from __future__ import annotations
 
 import argparse
+import itertools
+import json
 import os
 import sys
 
@@ -180,6 +182,29 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(io.dumps(doc))
 
 
+_FLAT = json.JSONEncoder(ensure_ascii=False, separators=(",\n      ", ": ")).encode
+
+
+def _emit_entries(args, key: str, entries, line, brackets: str = "[]") -> bool:
+    """Print each entry as it comes: ``line(entry)``, or with --json what
+    ``_emit({"v": 1, key: [...]})`` prints, but nothing before the first
+    entry.  Each is a flat, non-empty list or dict; with ``brackets`` "{}",
+    a (name, dict) pair, one member of an object.  Returns whether any came."""
+    head, found = f'{{\n  "v": 1,\n  "{key}": {brackets[0]}', False
+    for entry in entries:
+        if not args.json:
+            print(line(entry))
+        else:  # a flat entry is indent=2's layout once its brackets go on their own lines
+            name, entry = (_FLAT(entry[0]) + ": ", entry[1]) if brackets == "{}" else ("", entry)
+            text = _FLAT(entry)
+            sys.stdout.write(f"{',' if found else head}\n    {name}{text[0]}\n"
+                             f"      {text[1:-1]}\n    {text[-1]}")
+        found = True
+    if args.json:
+        sys.stdout.write(("\n  " if found else head) + brackets[1] + "\n}\n")
+    return found
+
+
 def _lattice(args):
     return io.load_lattice(args.lattice, max_elements=args.max_elements)
 
@@ -254,16 +279,11 @@ def _cmd_birkhoff(args) -> int:
 def _cmd_mobius(args) -> int:
     from . import transforms
     l = _lattice(args)
-    rows = transforms.mobius_function(l)._rows
     names = l.elements
-    mu = {x: {names[j]: row.get(j, 0) for j in lat._indices(up)}
-          for x, row, up in zip(names, rows, l._up)}
-    if args.json:
-        _emit({"v": 1, "mu": mu})
-    else:
-        for x, row in mu.items():
-            for y, v in row.items():
-                print(f"mu({x}, {y}) = {v}")
+    rows = ((x, {names[j]: row.get(j, 0) for j in lat._indices(up)})
+            for x, row, up in zip(names, transforms._crosscut_rows(l), l._up))
+    _emit_entries(args, "mu", rows, lambda r: "\n".join(
+        f"mu({r[0]}, {y}) = {v}" for y, v in r[1].items()), brackets="{}")
     return 0
 
 
@@ -293,24 +313,16 @@ def _cmd_transform(args) -> int:
 
 def _cmd_negations(args) -> int:
     from . import duality
-    l = _lattice(args)
-    limit = None if args.all else (args.limit if args.limit is not None else 1)
-    found = duality.find_negations(l, limit=limit)
-    if args.json:
-        _emit({"v": 1, "negations": [dict(n.map) for n in found]})
-    else:
-        for n in found:
-            print("  ".join(f"{x}->{y}" for x, y in n.map.items()))
+    limit = None if args.all else args.limit or 1
+    maps = (n.map for n in itertools.islice(duality._negations(_lattice(args)), limit))
+    found = _emit_entries(args, "negations", maps,
+                          lambda m: "  ".join(f"{x}->{y}" for x, y in m.items()))
     return 0 if found else 1
 
 
 def _cmd_chains(args) -> int:
-    chains = lat.maximal_chains(_lattice(args), max_chains=args.max_chains)
-    if args.json:
-        _emit({"v": 1, "chains": [list(c) for c in chains]})
-    else:
-        for c in chains:
-            print(" < ".join(c))
+    chains = lat._chains(_lattice(args), args.max_chains)
+    _emit_entries(args, "chains", chains, " < ".join)
     return 0
 
 
@@ -406,10 +418,9 @@ def _cmd_bel_reconstruct(args) -> int:
     if args.negation:
         n = io.load_negation(args.negation, l)
     else:
-        found = duality.find_negations(l, limit=1)
-        if not found:
+        n = next(duality._negations(l), None)
+        if n is None:
             raise NotAutodual("the lattice admits no negation; supply --negation")
-        n = found[0]
     pi = io.load_distribution(args.pi, "pi")
     result = possibilistic.reconstruct_chain(l, n, pi, tol=args.tolerance)
     if args.json:

@@ -156,7 +156,15 @@ def negation_from_map(l: Lattice, mapping) -> Negation:
 
 
 def find_negations(l: Lattice, limit: int | None = 1) -> list[Negation]:
-    """Enumerate vee-negations by backtracking over the cover structure.
+    """The first ``limit`` of :func:`_negations` (all when None), ascending
+    by image; the empty list means the lattice is not autodual."""
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be at least 1")
+    return list(itertools.islice(_negations(l), limit))
+
+
+def _negations(l: Lattice):
+    """Yield the vee-negations, by backtracking over the cover structure.
 
     A negation is exactly an anti-automorphism, so candidate images must
     swap height with coheight and up-degree with down-degree; those pruning
@@ -166,7 +174,8 @@ def find_negations(l: Lattice, limit: int | None = 1) -> list[Negation]:
     element above it has one, so image c fits i iff the assigned images
     above c are exactly the images of the elements below i, which is the
     union of those kept for its lower covers, and no assigned image lies
-    below c.
+    below c.  Both the elements and their candidates go up, so the leaves
+    come in ascending (lexicographic) order of the image vector.
 
     Only join-irreducible elements (and the bottom) branch: their
     candidates are the images not yet taken in their invariant class, read
@@ -175,14 +184,9 @@ def find_negations(l: Lattice, limit: int | None = 1) -> list[Negation]:
     every negation sends it to n(a) ^ n(b), the meet of its lower covers'
     images, already assigned: that is the only candidate tried.  Any other
     image that fits i extends to no negation, so dropping it prunes only
-    branches that end empty: the negations found, their order, and the
-    first ``limit`` of them are those of trying the whole class.  Returns up
-    to ``limit`` negations (all of them when limit is None), sorted by image
-    whenever the search runs to its end; the empty list means the lattice
-    is not autodual.
+    branches that end empty: the negations found and their order are those
+    of trying the whole class.
     """
-    if limit is not None and limit < 1:
-        raise ValueError("limit must be at least 1")
     n, down, up, lower = len(l), l._down, l._up, l._cov_down
     keys = list(zip(l._h, l._coh, map(len, l._cov_up), map(len, lower)))
     classes: dict[tuple, int] = {}  # each invariant key's elements, as a bitset
@@ -209,7 +213,6 @@ def find_negations(l: Lattice, limit: int | None = 1) -> list[Negation]:
             if up[c] & images == above and not down[c] & images:
                 yield c
 
-    results: list[Negation] = []
     stack = [fits(0)]  # stack[i] yields the images that fit element i
     while stack:
         i = len(stack) - 1
@@ -224,10 +227,7 @@ def find_negations(l: Lattice, limit: int | None = 1) -> list[Negation]:
         if len(stack) < n:
             stack.append(fits(len(stack)))
             continue
-        results.append(Negation(l, _Vector(b.bit_length() - 1 for b in image_bit), "vee"))
-        if limit is not None and len(results) >= limit:
-            return results
-    return sorted(results, key=lambda neg: neg.image)
+        yield Negation(l, _Vector(b.bit_length() - 1 for b in image_bit), "vee")
 
 
 def invert(n: Negation) -> Negation:

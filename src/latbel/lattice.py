@@ -296,14 +296,14 @@ class Lattice(Poset):
 
     Shares the arrays of ``poset``, which it keeps.  Raises
     :class:`NotALattice` otherwise, naming the first pair in element order
-    without a join or a meet.  ``_pup[i]`` holds element i's up-set a
-    second time, with bit n - 1 - j standing for element j.  Elements
-    being numbered along a linear extension, x ^ y is the highest set bit
-    of ``_down[x] & _down[y]``, and x v y is n less the bit length of
-    ``_pup[x] & _pup[y]``.  No join or meet table is ever filled.  The transforms keep no member lists either: each set sum, in
-    the order of these bitsets, continues the sum of a cover holding its
-    first bits, so a chain declared in any order sums each set in one
-    addition (see ``transforms._steps``).
+    without a join or a meet.  ``_pup[i]`` holds element i's up-set a second
+    time, with bit n - 1 - j standing for element j.  Elements being numbered
+    along a linear extension, x ^ y is the highest set bit of
+    ``_down[x] & _down[y]``, and x v y is n less the bit length of
+    ``_pup[x] & _pup[y]``.  No join or meet table is ever filled.  The
+    transforms keep no member lists either: each set sum, in bit order,
+    continues the sum of a cover holding its first bits, so a chain declared
+    in any order sums each set in one addition (see ``transforms._steps``).
     """
 
     __slots__ = ("poset", "bottom", "top", "joinirr", "meetirr",
@@ -749,27 +749,27 @@ def boolean_lattice(atom_names) -> Lattice:
 
 
 def maximal_chains(l: Lattice, *, max_chains: int = DEFAULT_MAX_CHAINS) -> list[tuple[str, ...]]:
-    """All maximal chains from bottom to top, each as an ordered element tuple.
+    """All maximal chains from bottom to top, as element tuples (see :func:`_chains`)."""
+    return list(_chains(l, max_chains))
 
-    Refuses over ``max_chains`` chains before building any: their number is
-    counted first, by :func:`_count_chains`."""
+
+def _chains(l: Lattice, max_chains: int):
+    """Yield the maximal chains, lowest covers first, refusing over ``max_chains``
+    before yielding any: their number is counted first, by :func:`_count_chains`."""
     count = _count_chains(l)
     if count > max_chains:
         raise SizeLimitExceeded(f"{count} maximal chains exceed the cap of {max_chains}; "
                                 "raise it with --limit")
-    cov_up, top = l._cov_up, len(l) - 1
-    named = [(x,) for x in l.elements]
-    out: list[tuple[str, ...]] = []
+    cov_up, top, named = l._cov_up, len(l) - 1, [(x,) for x in l.elements]
     stack = [(named[0], 0)]  # name paths up from bottom, with the index they end at
     pop, push = stack.pop, stack.append
     while stack:
         path, x = pop()
         if x == top:
-            out.append(path)
+            yield path
         else:
             for c in reversed(cov_up[x]):
                 push((path + named[c], c))
-    return out
 
 
 def _count_chains(l: Lattice) -> int:

@@ -98,43 +98,42 @@ class SetFunction:
 
 
 class MobiusMatrix:
-    """The two-variable Moebius function mu(x, y) of a lattice, for x <= y.
-
-    By Rota's crosscut theorem (Rota 1964, "On the foundations of
-    combinatorial theory I"), mu(x, y) is the sum of (-1)^|S| over the sets S
-    of upper covers of x with x v (join of S) = y.  Row x starts as {x: 1}
-    and each upper cover a subtracts the row's push-forward under t -> t v a,
-    so the work follows the nonzeros met, not the up-set of x.  Each t v a
-    is read off the lattice's reversed up-sets, ``_pup[t] & _pup[a]`` (see
-    :class:`Lattice`).  Only nonzero values are stored: ``_rows[x]`` maps y
-    to mu(x, y), x first with 1, then in the order the pushes added them;
-    it is read by key only.  It keeps the poset, not the lattice, so caching it on
-    the lattice makes no reference cycle.
-    """
+    """The two-variable Moebius function mu(x, y) of a lattice, for x <= y: the
+    rows of :func:`_crosscut_rows`, read by key only.  It keeps the poset, not
+    the lattice, so caching it on the lattice makes no reference cycle."""
 
     __slots__ = ("poset", "_rows")
 
     def __init__(self, lattice: Lattice):
         self.poset = lattice.poset
-        pup, ints = lattice._pup, list(range(len(lattice)))  # ints: one object per key
-        rows = []
-        for x, covers in enumerate(lattice._cov_up):
-            d = {x: 1}
-            for a in covers:
-                up_a = pup[a]
-                for t, v in list(d.items()):
-                    y = ints[-(pup[t] & up_a).bit_length()]
-                    c = d.get(y, 0) - v
-                    if c:
-                        d[y] = c
-                    else:
-                        del d[y]
-            rows.append(d)
-        self._rows = rows
+        self._rows = list(_crosscut_rows(lattice))
 
     def mu(self, x: str, y: str) -> int:
         p = self.poset
         return self._rows[p.index_of(x)].get(p.index_of(y), 0)
+
+
+def _crosscut_rows(lattice: Lattice):
+    """Yield, for each x in element order, the dict of y to mu(x, y) where nonzero.
+
+    By Rota's crosscut theorem (Rota 1964, "On the foundations of
+    combinatorial theory I"), mu(x, y) is the sum of (-1)^|S| over the sets S
+    of upper covers of x with x v (join of S) = y.  Row x starts as {x: 1} and
+    each upper cover a subtracts its push-forward under t -> t v a, read off
+    ``_pup[t] & _pup[a]`` (see :class:`Lattice`): the work follows the nonzeros."""
+    pup, ints = lattice._pup, list(range(len(lattice)))  # ints: one object per key
+    for x, covers in enumerate(lattice._cov_up):
+        d = {x: 1}
+        for a in covers:
+            up_a = pup[a]
+            for t, v in list(d.items()):
+                y = ints[-(pup[t] & up_a).bit_length()]
+                c = d.get(y, 0) - v
+                if c:
+                    d[y] = c
+                else:
+                    del d[y]
+        yield d
 
 
 def mobius_function(l: Lattice) -> MobiusMatrix:

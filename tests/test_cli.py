@@ -16,7 +16,8 @@ import latbel as lb
 from latbel import cli, errors
 from latbel.cli import main
 
-from conftest import chain_diamond, chain_diamond_negation, diamond_belief_with_a_tiny_top_mass
+from conftest import (chain_diamond, chain_diamond_negation, diamond_belief_with_a_tiny_top_mass,
+                      nonautodual5)
 
 
 def write(path, doc):
@@ -244,6 +245,54 @@ def test_chains_over_the_limit_are_refused_before_any_is_printed(tmp_path, capsy
     assert err == "SizeLimitExceeded: 24 maximal chains exceed the cap of 23; raise it with --limit\n"
     assert main(["chains", b4, "--limit", "24"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 24
+
+
+BOT, *ATOMS, TOP = ["⊥", 'say"a"', "back\\slash", "ctl\x01", "⊤"]  # \x01 is no whitespace
+ODD_M3 = {"v": 1, "elements": [BOT, *ATOMS, TOP],
+          "covers": [[BOT, a] for a in ATOMS] + [[a, TOP] for a in ATOMS]}
+
+
+def listed_output(l, command, limit):
+    """The document, text lines and exit code of a streamed command, with
+    its whole result built as one list."""
+    if command == "negations":
+        found = [dict(n.map) for n in lb.find_negations(l, limit)]
+        lines = ["  ".join(f"{x}->{y}" for x, y in m.items()) for m in found]
+        return {"negations": found}, lines, 0 if found else 1
+    if command == "chains":
+        chains = [list(c) for c in lb.maximal_chains(l)]
+        return {"chains": chains}, [" < ".join(c) for c in chains], 0
+    mu = lb.mobius_function(l)
+    rows = {x: {y: mu.mu(x, y) for y in l.elements if l.leq(x, y)} for x in l.elements}
+    return {"mu": rows}, [f"mu({x}, {y}) = {v}" for x in rows for y, v in rows[x].items()], 0
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("command, flags, limit", [
+    ("negations", ["--all"], None), ("negations", ["--limit", "2"], 2), ("negations", [], 1),
+    ("chains", [], None), ("mobius", [], None)],
+    ids=["negations --all", "negations --limit 2", "negations", "chains", "mobius"])
+@pytest.mark.parametrize("doc", [
+    ODD_M3, {"v": 1, "elements": ["⊥"], "covers": []}, lb.io.poset_to_dict(nonautodual5().poset),
+    lb.io.poset_to_dict(lb.boolean_lattice("abc").poset)], ids=["odd names", "one", "na5", "b3"])
+def test_streamed_commands_print_what_the_listed_results_did(tmp_path, capsys, doc, command, flags,
+                                                             limit, as_json):
+    """negations, chains and mobius write each entry as it comes, with
+    the bytes and exit code of printing the built list, or io.dumps of it."""
+    path = write(tmp_path / "l.json", doc)
+    code = main([command, path, *flags, *["--json"][:as_json]])
+    want, lines, want_code = listed_output(lb.io.load_lattice(path), command, limit)
+    out = lb.io.dumps({"v": 1, **want}) if as_json else "".join(f"{x}\n" for x in lines)
+    assert (capsys.readouterr(), code) == ((out, ""), want_code)
+
+
+def test_chains_refused_with_json_print_nothing(tmp_path, capsys):
+    b4 = write(tmp_path / "b4.json", lb.io.poset_to_dict(lb.boolean_lattice("abcd").poset))
+    assert main(["chains", b4, "--limit", "23"]) == 2
+    text = capsys.readouterr()
+    assert main(["chains", b4, "--limit", "23", "--json"]) == 2
+    assert capsys.readouterr() == text
+    assert text.out == "" and text.err.startswith("SizeLimitExceeded: 24 maximal chains")
 
 
 def test_dot_export(three_chain, b2, diamond_bundle, tmp_path, capsys):

@@ -22,6 +22,7 @@ from conftest import (
     chain_diamond_negation,
     chain_lattice,
     corpus,
+    declared,
     m3,
     moore_lattice,
     n5,
@@ -291,6 +292,29 @@ def test_the_search_follows_the_sums_in_any_declaration_order(l, dual, declared,
     want = negations_by_sums(l, limit=3)
     for limit in (1, 2, 3):
         assert [n.image for n in lb.find_negations(l, limit=limit)] == want[:limit]
+
+
+def assert_ascending_by_image_with_prefixes(l):
+    """Nothing sorts the negations: the search yields them ascending by image,
+    and a limit of k keeps the first k."""
+    images = [n.image for n in lb.find_negations(l, limit=None)]
+    assert all(a < b for a, b in zip(images, images[1:]))
+    for k in (1, 2, 3):
+        assert [n.image for n in lb.find_negations(l, limit=k)] == images[:k]
+
+
+@pytest.mark.parametrize("how", ["as given", "reversed", "shuffled"])
+def test_negations_come_ascending_by_image_on_the_corpus(how):
+    rng = random.Random(23)
+    for name, l in corpus() + [("nonautodual5", nonautodual5())]:
+        assert_ascending_by_image_with_prefixes(declared(l, how, rng))
+
+
+@settings(max_examples=100, deadline=None)
+@given(l=st.randoms().map(moore_lattice), dual=st.booleans(),
+       how=st.sampled_from(["as given", "reversed", "shuffled"]), rng=st.randoms())
+def test_negations_come_ascending_by_image_on_random_moore_families(l, dual, how, rng):
+    assert_ascending_by_image_with_prefixes(declared(lb.dual_lattice(l) if dual else l, how, rng))
 
 
 def test_every_found_negation_is_consistent():

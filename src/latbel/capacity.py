@@ -10,13 +10,13 @@ family fails without negative mass, and only antichains are enumerated.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
-import math
 from collections import namedtuple
 
 from .errors import InvalidNegation, SizeLimitExceeded
-from .lattice import DEFAULT_MAX_FAMILIES, DEFAULT_TOL, _indices, _meet_index, _require_tol
+from .lattice import DEFAULT_MAX_FAMILIES, DEFAULT_TOL, _indices, _meet_index, _names, _require_tol
 from .transforms import SetFunction, _inverse, _Vector, mobius_transform
 
 
@@ -40,32 +40,33 @@ def _boundary(f: SetFunction, tol: float):
 
 
 def check_capacity(f: SetFunction, tol: float = DEFAULT_TOL) -> CheckResult:
-    """f(bottom) = 0, f(top) = 1 and f isotone on every comparable pair.
-
-    Decided exactly in one walk up a linear extension, comparing each f(y)
-    with the largest value strictly beneath y; the pair scan only names the
-    first failing pair."""
+    """f(bottom) = 0, f(top) = 1 and f isotone on every comparable pair,
+    decided and the first failing pair named in one pass (:func:`_first_drop`)."""
     bad = _boundary(f, tol)
     if bad is not None:
         return bad
     l, fv = f.lattice, f.vector
-    upto = [0.0] * len(fv)  # the largest value on each down-set
-    for y in range(len(fv)):
-        below = max(map(upto.__getitem__, l._cov_down[y]), default=-math.inf)
-        if below > fv[y] + tol:
-            return _isotone_scan(l, fv, tol)
-        upto[y] = max(below, fv[y])
-    return CheckResult(True)
+    drop = _first_drop(l, fv, tol)
+    if drop is None:
+        return CheckResult(True)
+    x, y = _names(l, *drop)
+    return CheckResult(False, (x, y), f"f({x}) = {fv[drop[0]]!r} > f({y}) = {fv[drop[1]]!r}")
 
 
-def _isotone_scan(l, fv, tol) -> CheckResult:
-    """The first comparable pair, in index order, with f(lower) > f(upper) + tol."""
-    down = l._down
-    for lo, hi in itertools.combinations(range(len(l)), 2):  # elements run up: lo is the lower
-        if down[hi] >> lo & 1 and fv[lo] > fv[hi] + tol:
-            x, y = l.elements[lo], l.elements[hi]
-            return CheckResult(False, (x, y), f"f({x}) = {fv[lo]!r} > f({y}) = {fv[hi]!r}")
-    return CheckResult(True)
+def _first_drop(l, fv, tol: float, among: int = -1):
+    """The first comparable pair x < y in the bitset ``among`` with fv[x] >
+    fv[y] + tol, least x then least y, or None.  Those y are the k smallest
+    by fv + tol, k found by bisection, so each x costs one AND of its up-set
+    with a prefix bitset (n of them, about n * n / 16 bytes)."""
+    raised = [v + tol for v in fv]
+    order = sorted(range(len(fv)), key=raised.__getitem__)
+    prefix = list(itertools.accumulate((1 << y for y in order), int.__or__, initial=0))
+    raised.sort()
+    for x in range(len(fv)) if among < 0 else _indices(among):
+        below = l._up[x] & among & prefix[bisect.bisect_left(raised, fv[x])]
+        if below:
+            return x, (below & -below).bit_length() - 1
+    return None
 
 
 def check_belief(f: SetFunction, tol: float = DEFAULT_TOL) -> CheckResult:

@@ -141,7 +141,7 @@ def _joins_to_meets(l: Lattice, image) -> CheckResult:
         return CheckResult(False, (l.top,), f"n(top) = {names[image[top]]!r}, expected bottom")
     lower = [set(c) for c in l._cov_down]
     if not all({image[c] for c in ups} == lower[image[x]] for x, ups in enumerate(l._cov_up)):
-        for i, j in itertools.combinations_with_replacement(range(len(names)), 2):
+        for i, j in itertools.combinations(range(len(names)), 2):  # n(i v i) = n(i) ^ n(i)
             lhs, rhs = image[_join_index(l, i, j)], _meet_index(l, image[i], image[j])
             if lhs != rhs:
                 x, y, lhs, rhs = names[i], names[j], names[lhs], names[rhs]

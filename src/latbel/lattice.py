@@ -394,15 +394,23 @@ def _first_failing_pair(poset: Poset) -> NotALattice:
     meet (a comparable pair has both, so only incomparable pairs are read;
     for why a meet can only lack a lower bound, see :class:`NotALattice`)."""
     names, up, down = poset.elements, poset._up, poset._down
-    ups, every = set(up), (1 << len(names)) - 1
-    for i in range(len(names)):
-        for j in _indices((every ^ (up[i] | down[i])) >> i + 1 << i + 1):
-            ub = up[i] & up[j]
-            if ub not in ups:
-                return NotALattice(names[i], names[j],
-                                   "no-least-upper-bound" if ub else "no-upper-bound")
-            if not down[i] & down[j]:
-                return NotALattice(names[i], names[j], "no-lower-bound")
+    ups = set(up)
+    for i, j in _incomparable_pairs(poset):
+        ub = up[i] & up[j]
+        if ub not in ups:
+            return NotALattice(names[i], names[j],
+                               "no-least-upper-bound" if ub else "no-upper-bound")
+        if not down[i] & down[j]:
+            return NotALattice(names[i], names[j], "no-lower-bound")
+
+
+def _incomparable_pairs(p: Poset):
+    """The incomparable pairs (x, y), x < y, in element order."""
+    every = (1 << len(p)) - 1
+    for x, (down_x, up_x) in enumerate(zip(p._down, p._up)):
+        if later := (every ^ (down_x | up_x)) >> x + 1:  # most rows of a chain hold none
+            for y in _indices(later):
+                yield x, x + 1 + y
 
 
 def lattice_from_poset(p: Poset) -> Lattice:
@@ -571,12 +579,12 @@ def _distributive_witness(l: Lattice):
 
     A pair (x, y) has such a z exactly when it fails Birkhoff's test
     eta(x v y) = eta(x) | eta(y), eta(x) being the bitset of join-irreducibles
-    below x (a join-irreducible in the difference is one), and the first
-    failing pair over all ordered pairs has x < y, so the scan below finds it."""
+    below x (a join-irreducible in the difference is one).  A comparable pair
+    passes it, so only the incomparable pairs are read, in element order."""
     n = len(l)
     eta_mask = [d & l._jmask for d in l._down]
     join, meet = functools.partial(_join_index, l), functools.partial(_meet_index, l)
-    for x, y in itertools.combinations(range(n), 2):
+    for x, y in _incomparable_pairs(l):
         xy = join(x, y)
         if eta_mask[xy] != eta_mask[x] | eta_mask[y]:
             z = next(z for z in range(n) if meet(xy, z) != join(meet(x, z), meet(y, z)))
@@ -625,16 +633,6 @@ def _atomistic_witness(l: Lattice):
     return None
 
 
-def _linear_witness(l: Lattice):
-    """The first incomparable pair, in element order."""
-    every = (1 << len(l)) - 1
-    for x, (down_x, up_x) in enumerate(zip(l._down, l._up)):
-        later = (every ^ (down_x | up_x)) >> x + 1
-        if later:
-            return _names(l, x, x + (later & -later).bit_length())
-    return None
-
-
 def _ranked_witness(l: Lattice):
     h = l._h
     for a, ups in enumerate(l._cov_up):
@@ -647,7 +645,7 @@ def _ranked_witness(l: Lattice):
 _WITNESSES = {
     # a chain: every element but the bottom has exactly one lower cover
     "is_linear": lambda l: (None if l._jmask.bit_count() == len(l) - 1
-                            else _linear_witness(l)),
+                            else _names(l, *next(_incomparable_pairs(l)))),
     "is_ranked": _ranked_witness,
     "is_lower_semimodular": lambda l: _semimodular_witness(l, False),
     "is_upper_semimodular": lambda l: _semimodular_witness(l, True),

@@ -19,7 +19,7 @@ import itertools
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
-from .capacity import DEFAULT_TOL, CheckResult, _boundary, _require_tol
+from .capacity import DEFAULT_TOL, CheckResult, _boundary, _first_drop, _require_tol
 from .errors import (
     InvalidDistribution,
     InvalidNegation,
@@ -192,13 +192,13 @@ def reconstruct_chain(
     """Recover the unique focal chain and masses behind a possibility
     distribution.
 
-    pi must be isotone on the join-irreducibles (InvalidDistribution
-    otherwise).  Sorting the join-irreducibles j_1 < ... < j_n by strictly
-    increasing pi (ties are refused), the procedure walks k = n down to 1
-    and selects the one join-irreducible outside eta(n(j_k)) that lies
-    inside every eta(n(j_l)) for l < k.  Prefix joins of the selections
-    form the chain; the element added at step k carries mass
-    pi(j_k) - pi(j_(k-1)).
+    pi must be isotone on the join-irreducibles, else InvalidDistribution
+    names the first failing pair (``capacity._first_drop``).  Sorting the
+    join-irreducibles j_1 < ... < j_n by strictly increasing pi (ties are
+    refused), the procedure walks k = n down to 1 and selects the one
+    join-irreducible outside eta(n(j_k)) that lies inside every eta(n(j_l))
+    for l < k.  Prefix joins of the selections form the chain; the element
+    added at step k carries mass pi(j_k) - pi(j_(k-1)).
     """
     _require_distributive(l)
     if n.lattice is not l:
@@ -212,19 +212,18 @@ def reconstruct_chain(
     if not l._jmask:
         raise InvalidDistribution("the lattice has no join-irreducibles")
 
-    names, down, up = l.elements, l._down, l._up
+    names, down = l.elements, l._down
     ordered = sorted(_indices(l._jmask), key=lambda j: (values[j], j))
     for a, b in zip(ordered, ordered[1:]):
         if abs(values[a] - values[b]) <= tol:
             raise TiesInDistribution(names[a], names[b], values[a])
     if abs(values[ordered[-1]] - 1.0) > tol:
         raise TopValueNotOne(f"largest pi value is {values[ordered[-1]]!r}, expected 1")
-    for a in _indices(l._jmask):
-        for b in _indices(up[a] & l._jmask):
-            if values[a] > values[b]:
-                a, b, va, vb = names[a], names[b], values[a], values[b]
-                raise InvalidDistribution(f"pi is not isotone: {a} <= {b} but "
-                                          f"pi({a}) = {va!r} > pi({b}) = {vb!r}")
+    drop = _first_drop(l, [0.0 if v is None else v for v in values], 0.0, l._jmask)
+    if drop is not None:
+        (a, b), (va, vb) = _names(l, *drop), map(values.__getitem__, drop)
+        raise InvalidDistribution(f"pi is not isotone: {a} <= {b} but "
+                                  f"pi({a}) = {va!r} > pi({b}) = {vb!r}")
 
     etas = [down[n.image[j]] & l._jmask for j in ordered]  # eta(n(j)) as bitsets
     prefix = [l._jmask]  # prefix[t] is the intersection of etas over the t smallest j

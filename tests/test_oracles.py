@@ -15,9 +15,11 @@ substitution solves and log-space computations must agree with them to
 1e-12 and give the same focal elements and weight keys.  The capacity,
 necessity and possibility checks must give exactly the verdict, witness and
 detail of the all-pairs scans, kept here as they read before the checks
-learnt to decide without them.  Likewise the k-family checks (k-monotone,
-k-valuation, total) must match the exhaustive sweep over every family of
-distinct elements with its 2^j - 1 subfamily meets, which they replaced.
+learnt to decide without them, and the chain reconstruction's refusal of a
+pi that is not isotone the message of the nested loop it ran.  Likewise the
+k-family checks (k-monotone, k-valuation, total) must match the exhaustive
+sweep over every family of distinct elements with its 2^j - 1 subfamily
+meets, which they replaced.
 The locally distributive flags are checked against Monjardet's definition
 (every interval [x-, x] Boolean) and the minimal decompositions against the
 greedy irredundant search they replaced.  The negation search, maximal
@@ -40,7 +42,7 @@ from hypothesis import strategies as st
 
 import latbel as lb
 from latbel.capacity import CheckResult, _require_tol
-from latbel.errors import NotALattice, RedundantCovers, SizeLimitExceeded
+from latbel.errors import InvalidDistribution, NotALattice, RedundantCovers, SizeLimitExceeded
 
 from conftest import (
     bool_lattice,
@@ -1239,21 +1241,69 @@ def test_passing_checks_never_reach_the_pair_scan(monkeypatch):
     def scan(*args):
         raise LookupError("pair scan reached")
 
-    monkeypatch.setattr(lb.capacity, "_isotone_scan", scan)
     monkeypatch.setattr(lb.possibilistic, "_pair_scan", scan)
     l, rng = bool_lattice(8), random.Random(13)
     nec = chain_necessity(l, rng)
-    assert lb.check_capacity(lb.zeta_transform(random_mass(l, rng)))
-    assert lb.check_capacity(nec) and lb.check_necessity(nec)
+    assert lb.check_necessity(nec)
     assert lb.check_possibility(lb.conjugate(nec, lb.find_negations(l)[0], "vee"))
     bumped = dict(nec.items())
     x = next(x for x in l.elements if 0.0 < nec[x] < 1.0)
     bumped[x] += 1e-12  # a necessity within tol, but no longer exactly
     with pytest.raises(LookupError):
         lb.check_necessity(lb.SetFunction(l, bumped))
-    bumped[x] = 2.0
-    with pytest.raises(LookupError):
-        lb.check_capacity(lb.SetFunction(l, bumped))
+
+
+def isotony_refusal_oracle(l, pi):
+    """The message refusing a pi that is not isotone on the join-irreducibles:
+    the first pair a <= b, a in element order and then b, with pi(a) > pi(b),
+    by the nested loop the chain reconstruction ran before its one pass."""
+    names, up, jmask = l.elements, l._up, l._jmask
+    values = [pi.get(x) for x in names]
+    for a in lb.lattice._indices(jmask):
+        for b in lb.lattice._indices(up[a] & jmask):
+            if values[a] > values[b]:
+                a, b, va, vb = names[a], names[b], values[a], values[b]
+                return f"pi is not isotone: {a} <= {b} but pi({a}) = {va!r} > pi({b}) = {vb!r}"
+    return None
+
+
+def autodual_downset_lattice(rng):
+    """The downsets of a random poset P beside its dual: D(P) x D(P^op), so
+    autodual and distributive."""
+    p = random_poset(rng, rng.randint(2, 4), 0.35)
+    q = p.dual()
+    names = [f"{x}+" for x in p.elements] + [f"{x}-" for x in q.elements]
+    covers = [(f"{a}+", f"{b}+") for a, b in p.covers] + [(f"{a}-", f"{b}-") for a, b in q.covers]
+    return lb.downset_lattice(lb.build_poset(names, covers)).lattice
+
+
+def test_isotony_refusal_matches_the_nested_loop():
+    """reconstruct_chain refuses a pi made non-isotone by swapping the values
+    of two comparable join-irreducibles with the message of the loop over
+    every join-irreducible and those above it; values rise along the element
+    order, a linear extension, so nothing else is refused first."""
+    rng, tally = random.Random(17), collections.Counter()
+    cases = [chain_lattice(rng.randint(63, 511)) for _ in range(4)]
+    for _ in range(12):
+        l = autodual_downset_lattice(rng)
+        cases += [l, lb.dual_lattice(l)]
+    for l in cases:
+        (n,) = lb.find_negations(l, limit=1)
+        joinirr = l.joinirr
+        pairs = [(a, b) for a, b in itertools.combinations(joinirr, 2) if l.leq(a, b)]
+        for _ in range(10):
+            pi = dict(zip(joinirr, sorted(rng.uniform(0.01, 0.99) for _ in joinirr[1:]) + [1.0]))
+            assert isotony_refusal_oracle(l, pi) is None
+            if not pairs:
+                break
+            a, b = rng.choice(pairs)
+            pi[a], pi[b] = pi[b], pi[a]
+            want = isotony_refusal_oracle(l, pi)
+            with pytest.raises(InvalidDistribution) as raised:
+                lb.reconstruct_chain(l, n, pi)
+            assert str(raised.value) == want
+            tally[want.startswith(f"pi is not isotone: {a} <= {b} but")] += 1  # the swapped pair
+    assert tally[True] >= 20 and tally[False] >= 20, tally
 
 
 # -- k-family checks against the exhaustive sweep -----------------------------------------

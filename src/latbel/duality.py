@@ -26,7 +26,8 @@ from .errors import (
     NotABijection,
     NotDistributive,
 )
-from .lattice import Lattice, _indices, _join_index, _meet_index, _names, is_distributive
+from .lattice import (Lattice, _incomparable_pairs, _indices, _join_index, _meet_index, _names,
+                      _unions, is_distributive)
 from .transforms import _inverse, _Vector
 
 
@@ -135,19 +136,24 @@ def _injective(l: Lattice, image) -> CheckResult:
 def _joins_to_meets(l: Lattice, image) -> CheckResult:
     """Whether an injective index image sends top to bottom and every join
     to the meet of the images, decided by the covers as in
-    :func:`verify_vee_negation`."""
+    :func:`verify_vee_negation`; if not, the first failing pair: a comparable
+    i < j fails iff n(j) is not below n(i), found in one pass over the images'
+    down-sets' preimages, and only the incomparable pairs before it are read."""
     names, top = l.elements, len(l) - 1
     if image[top] != 0:  # the bottom
         return CheckResult(False, (l.top,), f"n(top) = {names[image[top]]!r}, expected bottom")
     lower = [set(c) for c in l._cov_down]
-    if not all({image[c] for c in ups} == lower[image[x]] for x, ups in enumerate(l._cov_up)):
-        for i, j in itertools.combinations(range(len(names)), 2):  # n(i v i) = n(i) ^ n(i)
-            lhs, rhs = image[_join_index(l, i, j)], _meet_index(l, image[i], image[j])
-            if lhs != rhs:
-                x, y, lhs, rhs = names[i], names[j], names[lhs], names[rhs]
-                return CheckResult(False, (x, y),
-                                   f"n({x} v {y}) = {lhs!r} but n({x}) ^ n({y}) = {rhs!r}")
-    return CheckResult(True)
+    if all({image[c] for c in ups} == lower[image[x]] for x, ups in enumerate(l._cov_up)):
+        return CheckResult(True)
+    below = _unions(range(len(l)), l._cov_down, [1 << i for i in _inverse(image)])  # n(j) <= c
+    first = next(((i, (d & -d).bit_length() - 1) for i, u in enumerate(l._up)
+                  if (d := u & ~below[image[i]])), (len(l), 0))
+    for i, j in itertools.chain(itertools.takewhile(first.__gt__, _incomparable_pairs(l)), [first]):
+        lhs, rhs = image[_join_index(l, i, j)], _meet_index(l, image[i], image[j])
+        if lhs != rhs:
+            x, y, lhs, rhs = names[i], names[j], names[lhs], names[rhs]
+            return CheckResult(False, (x, y),
+                               f"n({x} v {y}) = {lhs!r} but n({x}) ^ n({y}) = {rhs!r}")
 
 
 def negation_from_map(l: Lattice, mapping) -> Negation:

@@ -15,7 +15,6 @@ tuples only, and its name dicts (``pi``, ``nu``, ``items()``) are fresh copies.
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
@@ -29,7 +28,8 @@ from .errors import (
     TopValueNotOne,
     UnknownElement,
 )
-from .lattice import Lattice, _indices, _join_index, _meet_index, _names, is_distributive
+from .lattice import (Lattice, _incomparable_pairs, _indices, _join_index, _meet_index, _names,
+                      is_distributive)
 from .transforms import _Vector
 
 if TYPE_CHECKING:  # the annotation alone: reading it loads no layer at run time
@@ -141,14 +141,20 @@ def _min_max_check(f, tol, want_min):
 
 
 def _pair_scan(l, fv, tol, bound, pick):
-    """The first pair whose meet (join) value is off their min (max) by over tol."""
-    for i, j in itertools.combinations(range(len(l)), 2):
-        lhs, rhs = fv[bound(l, i, j)], pick(fv[i], fv[j])
-        if abs(lhs - rhs) > tol:
-            x, y = l.elements[i], l.elements[j]
-            op = pick.__name__
-            return CheckResult(False, (x, y), f"{lhs!r} != {op}(f({x}), f({y})) = {rhs!r}")
-    return CheckResult(True)
+    """The first pair whose meet (join) value is off their min (max) by over tol.
+    A comparable x < y fails iff fv[x] - fv[y] > tol: rows up to the first failing
+    incomparable pair are read directly up to 4 |L| up-set entries, else by _first_drop."""
+    n = len(l)
+    first = next(((i, j) for i, j in _incomparable_pairs(l)
+                  if abs(fv[bound(l, i, j)] - pick(fv[i], fv[j])) > tol), (n, n))
+    rows = l._up[:first[0] + 1]
+    drops = ((i, j) for i, u in enumerate(rows) for j in _indices(u) if fv[i] - fv[j] > tol)
+    drop = next(drops, first) if sum(map(int.bit_count, rows)) <= 4 * n else _first_drop(l, fv, tol)
+    i, j = min(first, drop or first)
+    if i == n:
+        return CheckResult(True)
+    lhs, rhs, x, y = fv[bound(l, i, j)], pick(fv[i], fv[j]), l.elements[i], l.elements[j]
+    return CheckResult(False, (x, y), f"{lhs!r} != {pick.__name__}(f({x}), f({y})) = {rhs!r}")
 
 
 def possibility_distribution(f, *, tol: float = DEFAULT_TOL) -> PossibilityDistribution:

@@ -16,10 +16,12 @@ substitution solves and log-space computations must agree with them to
 necessity and possibility checks must give exactly the verdict, witness and
 detail of the all-pairs scans, kept here as they read before the checks
 learnt to decide without them, and the chain reconstruction's refusal of a
-pi that is not isotone the message of the nested loop it ran.  Likewise the
-k-family checks (k-monotone, k-valuation, total) must match the exhaustive
-sweep over every family of distinct elements with its 2^j - 1 subfamily
-meets, which they replaced.
+pi that is not isotone the message of the nested loop it ran.  The
+necessity, possibility and negation witnesses must equal those of the
+pair loops that named them before the comparable pairs were read in one
+pass.  Likewise the k-family checks (k-monotone, k-valuation, total) must
+match the exhaustive sweep over every family of distinct elements with its
+2^j - 1 subfamily meets, which they replaced.
 The locally distributive flags are checked against Monjardet's definition
 (every interval [x-, x] Boolean) and the minimal decompositions against the
 greedy irredundant search they replaced.  The negation search, maximal
@@ -1304,6 +1306,95 @@ def test_isotony_refusal_matches_the_nested_loop():
             assert str(raised.value) == want
             tally[want.startswith(f"pi is not isotone: {a} <= {b} but")] += 1  # the swapped pair
     assert tally[True] >= 20 and tally[False] >= 20, tally
+
+
+def pair_scan_oracle(l, fv, tol, bound, pick):
+    """The first pair, in combinations order, whose meet (join) value is off
+    their min (max) by over tol: the loop that named necessity and
+    possibility failures before the comparable pairs took isotony's pass."""
+    for i, j in itertools.combinations(range(len(l)), 2):
+        lhs, rhs = fv[bound(l, i, j)], pick(fv[i], fv[j])
+        if abs(lhs - rhs) > tol:
+            x, y = l.elements[i], l.elements[j]
+            op = pick.__name__
+            return CheckResult(False, (x, y), f"{lhs!r} != {op}(f({x}), f({y})) = {rhs!r}")
+    return CheckResult(True)
+
+
+def joins_to_meets_oracle(l, image):
+    """The first pair, in combinations order, with n(x v y) != n(x) ^ n(y):
+    the loop that named a failing negation before the comparable pairs were
+    read off the preimages of the images' down-sets."""
+    names = l.elements
+    for i, j in itertools.combinations(range(len(names)), 2):
+        lhs = image[lb.lattice._join_index(l, i, j)]
+        rhs = lb.lattice._meet_index(l, image[i], image[j])
+        if lhs != rhs:
+            x, y, lhs, rhs = names[i], names[j], names[lhs], names[rhs]
+            return CheckResult(False, (x, y),
+                               f"n({x} v {y}) = {lhs!r} but n({x}) ^ n({y}) = {rhs!r}")
+    return CheckResult(True)
+
+
+def transposed_chains(rng, count):
+    """Chains of 32-128 elements, each with values rising from the bottom
+    and two of them swapped."""
+    for _ in range(count):
+        l = chain_lattice(rng.randint(31, 127))
+        values = sorted(rng.random() for _ in l.elements)
+        a, b = rng.sample(range(len(l)), 2)
+        values[a], values[b] = values[b], values[a]
+        yield lb.SetFunction(l, dict(zip(l.elements, values)))
+
+
+def moore_draws(rng, count):
+    """Random Moore lattices of at least two elements, each with its dual."""
+    while count:
+        l = moore_lattice(rng)
+        if len(l) > 1:
+            count -= 1
+            yield from (l, lb.dual_lattice(l))
+
+
+def test_min_max_witness_matches_the_pair_loop(monkeypatch):
+    """The first failing pair and its detail equal the loop's, for meets and
+    joins, whether the comparable rows were read pair by pair or by
+    isotony's pass (both are counted)."""
+    rng, tally = random.Random(19), collections.Counter()
+    first_drop = lb.possibilistic._first_drop
+    monkeypatch.setattr(lb.possibilistic, "_first_drop",
+                        lambda *args: tally.update(["first_drop"]) or first_drop(*args))
+    functions = [f for _, l in LATTICES for f in function_mix(l, rng)]
+    functions += [f for l in moore_draws(rng, 25) for f in function_mix(l, rng)]
+    functions += transposed_chains(rng, 12)
+    for f in functions:
+        l, fv = f.lattice, list(f.vector)
+        for bound, pick in ((lb.lattice._meet_index, min), (lb.lattice._join_index, max)):
+            for tol in (0.0, 1e-9, 0.1):
+                want = pair_scan_oracle(l, fv, tol, bound, pick)
+                assert lb.possibilistic._pair_scan(l, fv, tol, bound, pick) == want, (tol, f.values)
+                tally[want.ok] += 1
+    assert tally[True] >= 1000 and tally[False] >= 2000 and tally["first_drop"] >= 300, tally
+
+
+def test_negation_witness_matches_the_pair_loop():
+    """Negations, each also with two images swapped, and random bijections,
+    all sending top to bottom, get the loop's verdict, first failing pair and
+    detail on the corpus, Moore draws and their duals, autodual downset lattices and
+    their duals, and chains; comparable and incomparable pairs must both come
+    first often."""
+    rng, tally = random.Random(23), collections.Counter()
+    cases = [l for _, l in LATTICES] + list(moore_draws(rng, 40))
+    cases += [chain_lattice(rng.randint(31, 255)) for _ in range(4)]
+    for _ in range(10):
+        l = autodual_downset_lattice(rng)
+        cases += [l, lb.dual_lattice(l)]
+    for l in cases:
+        for image in (lb.duality._image_of(l, m) for m in maps_to_verify(l, rng)):
+            want = joins_to_meets_oracle(l, image)
+            assert lb.duality._joins_to_meets(l, image) == want
+            tally["holds" if want.ok else l.leq(*want.witness)] += 1
+    assert min(tally.values()) >= 50, tally
 
 
 # -- k-family checks against the exhaustive sweep -----------------------------------------

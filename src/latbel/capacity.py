@@ -53,18 +53,22 @@ def check_capacity(f: SetFunction, tol: float = DEFAULT_TOL) -> CheckResult:
     return CheckResult(False, (x, y), f"f({x}) = {fv[drop[0]]!r} > f({y}) = {fv[drop[1]]!r}")
 
 
-def _first_drop(l, fv, tol: float, among: int = -1):
-    """The first comparable pair x < y in the bitset ``among`` with fv[x] >
-    fv[y] + tol, least x then least y, or None.  Those y are the k smallest
-    by fv + tol, k found by bisection, so each x costs one AND of its up-set
-    with a prefix bitset (n of them, about n * n / 16 bytes)."""
-    raised = [v + tol for v in fv]
-    order = sorted(range(len(fv)), key=raised.__getitem__)
-    prefix = list(itertools.accumulate((1 << y for y in order), int.__or__, initial=0))
-    raised.sort()
-    for x in range(len(fv)) if among < 0 else _indices(among):
-        below = l._up[x] & among & prefix[bisect.bisect_left(raised, fv[x])]
-        if below:
+def _first_drop(l, fv, tol: float, xs=None, minus: bool = False):
+    """The first comparable pair x < y, x from the ascending ``xs`` (default all),
+    with fv[x] > fv[y] + tol (``minus``: fv[x] - fv[y] > tol, which rounds otherwise),
+    least x then least y, or None.  Either holds for the k smallest fv[y], k found by
+    bisection, so each x costs one AND of its up-set with the prefix bitset of the k
+    smallest (built up to the largest k of xs: at most n, about n * n / 16 bytes)."""
+    order = sorted(range(len(fv)), key=fv.__getitem__)
+    count = ((lambda a: bisect.bisect_left(order, True, key=lambda y: a - fv[y] <= tol)) if minus
+             else functools.partial(bisect.bisect_left, [fv[y] + tol for y in order]))
+    if xs is None:
+        xs, largest = range(len(fv)), len(fv)
+    else:  # count rises with the value
+        largest = count(max(map(fv.__getitem__, xs)))
+    prefix = list(itertools.accumulate((1 << y for y in order[:largest]), int.__or__, initial=0))
+    for x in xs:
+        if below := l._up[x] & prefix[count(fv[x])]:
             return x, (below & -below).bit_length() - 1
     return None
 

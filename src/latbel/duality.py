@@ -134,11 +134,10 @@ def _injective(l: Lattice, image) -> CheckResult:
 
 
 def _joins_to_meets(l: Lattice, image) -> CheckResult:
-    """Whether an injective index image sends top to bottom and every join
-    to the meet of the images, decided by the covers as in
-    :func:`verify_vee_negation`; if not, the first failing pair: a comparable
-    i < j fails iff n(j) is not below n(i), found in one pass over the images'
-    down-sets' preimages, and only the incomparable pairs before it are read."""
+    """Whether an injective index image sends top to bottom and every join to the
+    meet of the images, decided by the covers (:func:`verify_vee_negation`); else the
+    first failing pair: i < j fails iff n(j) is not below n(i), read off the preimages
+    of the images' down-sets, and the incomparable pairs before it one by one."""
     names, top = l.elements, len(l) - 1
     if image[top] != 0:  # the bottom
         return CheckResult(False, (l.top,), f"n(top) = {names[image[top]]!r}, expected bottom")

@@ -141,16 +141,12 @@ def _min_max_check(f, tol, want_min):
 
 
 def _pair_scan(l, fv, tol, bound, pick):
-    """The first pair whose meet (join) value is off their min (max) by over tol.
-    A comparable x < y fails iff fv[x] - fv[y] > tol: rows up to the first failing
-    incomparable pair are read directly up to 4 |L| up-set entries, else by _first_drop."""
+    """The first pair whose meet (join) value is off their min (max) by over tol; a
+    comparable x < y fails iff fv[x] - fv[y] > tol, found up to that row by _first_drop."""
     n = len(l)
     first = next(((i, j) for i, j in _incomparable_pairs(l)
                   if abs(fv[bound(l, i, j)] - pick(fv[i], fv[j])) > tol), (n, n))
-    rows = l._up[:first[0] + 1]
-    drops = ((i, j) for i, u in enumerate(rows) for j in _indices(u) if fv[i] - fv[j] > tol)
-    drop = next(drops, first) if sum(map(int.bit_count, rows)) <= 4 * n else _first_drop(l, fv, tol)
-    i, j = min(first, drop or first)
+    i, j = min(first, _first_drop(l, fv, tol, range(min(first[0] + 1, n)), True) or first)
     if i == n:
         return CheckResult(True)
     lhs, rhs, x, y = fv[bound(l, i, j)], pick(fv[i], fv[j]), l.elements[i], l.elements[j]
@@ -225,7 +221,8 @@ def reconstruct_chain(
             raise TiesInDistribution(names[a], names[b], values[a])
     if abs(values[ordered[-1]] - 1.0) > tol:
         raise TopValueNotOne(f"largest pi value is {values[ordered[-1]]!r}, expected 1")
-    drop = _first_drop(l, [0.0 if v is None else v for v in values], 0.0, l._jmask)
+    inf = float("inf")  # off J: above every value, so never a failing y
+    drop = _first_drop(l, [inf if v is None else v for v in values], 0.0, list(_indices(l._jmask)))
     if drop is not None:
         (a, b), (va, vb) = _names(l, *drop), map(values.__getitem__, drop)
         raise InvalidDistribution(f"pi is not isotone: {a} <= {b} but "

@@ -1336,15 +1336,21 @@ def joins_to_meets_oracle(l, image):
     return CheckResult(True)
 
 
-def transposed_chains(rng, count):
-    """Chains of 32-128 elements, each with values rising from the bottom
-    and two of them swapped."""
+def transposed_chains(rng, count, draw=random.Random.random):
+    """Chains of 32-128 elements, each with values (by default uniform in
+    [0, 1)) rising from the bottom and two of them swapped."""
     for _ in range(count):
         l = chain_lattice(rng.randint(31, 127))
-        values = sorted(rng.random() for _ in l.elements)
+        values = sorted(draw(rng) for _ in l.elements)
         a, b = rng.sample(range(len(l)), 2)
         values[a], values[b] = values[b], values[a]
         yield lb.SetFunction(l, dict(zip(l.elements, values)))
+
+
+def tenths(rng):
+    """A random multiple of 0.1 in [0, 1], where x - y > 0.1 and x > y + 0.1
+    can disagree (0.4 - 0.3 > 0.1 but 0.3 + 0.1 == 0.4)."""
+    return rng.randrange(11) / 10
 
 
 def moore_draws(rng, count):
@@ -1356,17 +1362,16 @@ def moore_draws(rng, count):
             yield from (l, lb.dual_lattice(l))
 
 
-def test_min_max_witness_matches_the_pair_loop(monkeypatch):
+def test_min_max_witness_matches_the_pair_loop():
     """The first failing pair and its detail equal the loop's, for meets and
-    joins, whether the comparable rows were read pair by pair or by
-    isotony's pass (both are counted)."""
+    joins, on random functions and on tenths, whose differences round."""
     rng, tally = random.Random(19), collections.Counter()
-    first_drop = lb.possibilistic._first_drop
-    monkeypatch.setattr(lb.possibilistic, "_first_drop",
-                        lambda *args: tally.update(["first_drop"]) or first_drop(*args))
     functions = [f for _, l in LATTICES for f in function_mix(l, rng)]
     functions += [f for l in moore_draws(rng, 25) for f in function_mix(l, rng)]
+    functions += [lb.SetFunction(l, {x: tenths(rng) for x in l.elements})
+                  for l in [l for _, l in LATTICES] + list(moore_draws(rng, 10))]
     functions += transposed_chains(rng, 12)
+    functions += transposed_chains(rng, 12, tenths)
     for f in functions:
         l, fv = f.lattice, list(f.vector)
         for bound, pick in ((lb.lattice._meet_index, min), (lb.lattice._join_index, max)):
@@ -1374,7 +1379,20 @@ def test_min_max_witness_matches_the_pair_loop(monkeypatch):
                 want = pair_scan_oracle(l, fv, tol, bound, pick)
                 assert lb.possibilistic._pair_scan(l, fv, tol, bound, pick) == want, (tol, f.values)
                 tally[want.ok] += 1
-    assert tally[True] >= 1000 and tally[False] >= 2000 and tally["first_drop"] >= 300, tally
+    assert tally[True] >= 1000 and tally[False] >= 2000, tally
+
+
+def test_min_max_drop_is_decided_by_the_difference():
+    """On a chain, N(x) = 0.4 above N(y) = 0.3 for x < y fails at tol 0.1,
+    since 0.4 - 0.3 > 0.1, though 0.3 + 0.1 == 0.4."""
+    l = chain_lattice(15)
+    values = [0.0, 0.1, 0.2, 0.3, 0.3, 0.4, 0.3] + [0.5] * 8 + [1.0]
+    f = lb.SetFunction(l, dict(zip(l.elements, values)))
+    assert lb.check_necessity(f, 0.1) == CheckResult(
+        False, ("c5", "c6"), "0.4 != min(f(c5), f(c6)) = 0.3")
+    assert lb.check_possibility(f, 0.1) == CheckResult(
+        False, ("c5", "c6"), "0.3 != max(f(c5), f(c6)) = 0.4")
+    assert lb.check_capacity(f, 0.1)  # isotony's own test is f(x) <= f(y) + tol
 
 
 def test_negation_witness_matches_the_pair_loop():

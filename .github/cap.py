@@ -6,7 +6,9 @@ The inputs are built once, into a temporary directory.  A command row runs
 latbel through .github/peak.py (100 MB, 20 s, exit 3 on a miss), its own
 process each, since RUSAGE_CHILDREN is a maximum over every child waited
 for; leading NAME=VALUE items of a row are its environment.  An in-process
-row times one library call against its bound.  Exits 1 when a row fails.
+row times one library call against its bound.  A command's output goes to a
+file, read back a line at a time, so that the checker stays small too: its
+own peak is the last row.  Exits 1 when a row fails.
 """
 
 import itertools
@@ -15,6 +17,7 @@ import os
 import pathlib
 import random
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -34,14 +37,30 @@ from latbel.lattice import is_distributive, is_lower_semimodular, is_upper_semim
 
 def lines(*want):
     """Each line printed, exactly."""
-    return lambda out, err: set(want) <= set(out.splitlines())
+    def check(out, err):
+        missing = set(want)
+        for line in out:
+            missing.discard(line.rstrip("\n"))
+        return not missing
+    return check
 
 
 def entries(n, key=None):
-    """n lines printed, or n entries under a key of the JSON document printed."""
+    """n lines printed, or n entries under a key of the JSON document printed,
+    read one entry at a time: latbel prints each from a line at indent 4 to
+    its closing bracket at indent 4.  A member of an object counts its own
+    members."""
     def check(out, err):
-        doc = json.loads(out)[key] if key else out.splitlines()
-        return (sum(map(len, doc.values())) if isinstance(doc, dict) else len(doc)) == n
+        if key is None:
+            return sum(1 for _ in out) == n
+        count, entry = 0, ""
+        for line in out:
+            if line.startswith("    "):
+                entry += line
+                if line[4] in "]}":
+                    text, entry = entry.rstrip().rstrip(","), ""
+                    count += len(json.loads(f"{{{text}}}").popitem()[1]) if text[4] == '"' else 1
+        return count == n
     return check
 
 
@@ -193,15 +212,23 @@ def main():
                 failed.append(name)
         for argv, code, check in commands(paths, tmp):
             env = dict(a.split("=", 1) for a in itertools.takewhile(lambda a: "=" in a, argv))
-            p = subprocess.run([sys.executable, ".github/peak.py", *argv[len(env):]], cwd=ROOT,
-                               capture_output=True, text=True, env={**os.environ, **env})
+            with tempfile.TemporaryFile("w+", dir=tmp) as out:  # read back a line at a time
+                p = subprocess.run([sys.executable, ".github/peak.py", *argv[len(env):]], cwd=ROOT,
+                                   stdout=out, stderr=subprocess.PIPE, text=True,
+                                   env={**os.environ, **env})
+                out.seek(0)
+                ok = p.returncode == code and check(out, p.stderr)
             name = " ".join(pathlib.Path(a).stem if a.startswith(tmp) else a for a in argv)
             got = re.search(r"exit -?\d+, ([\d.]+) s, peak RSS ([\d.]+) MB$", p.stderr)
             wall, peak = got.groups() if got else ("-", "-")
             table.append((name, p.returncode, wall, peak, "100 MB, 20 s"))
-            if p.returncode != code or not check(p.stdout, p.stderr):
+            if not ok:
                 failed.append(name)
                 print(p.stderr, file=sys.stderr, end="")
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    table.append(("this checker", "-", "-", f"{peak:.1f}", "100 MB"))
+    if peak >= 100:
+        failed.append("this checker")
     print("| row | exit | wall s | peak MB | budget |\n|---|---|---|---|---|")
     for row in table:
         print("| " + " | ".join(map(str, row)) + " |")

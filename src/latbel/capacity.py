@@ -16,7 +16,7 @@ import itertools
 from collections import namedtuple
 
 from .errors import InvalidNegation, SizeLimitExceeded
-from .lattice import DEFAULT_MAX_FAMILIES, DEFAULT_TOL, _indices, _meet_index, _names, _require_tol
+from .lattice import DEFAULT_MAX_FAMILIES, DEFAULT_TOL, _bound, _indices, _names, _require_tol
 from .transforms import SetFunction, _inverse, _Vector, mobius_transform
 
 
@@ -129,10 +129,9 @@ def _sweep(f: SetFunction, k: int, tol: float, max_families: int, op: str = "<")
 
 def _witness(f: SetFunction, family: tuple, top: int, op: str) -> CheckResult:
     l, fv, rhs = f.lattice, f.vector, 0.0  # in the oracle's order, digit for digit
-    meet = functools.partial(_meet_index, l)
     for r in range(1, len(family) + 1):
         for sub in itertools.combinations(family, r):
-            rhs += (1.0 if r % 2 else -1.0) * fv[functools.reduce(meet, sub)]
+            rhs += (1.0 if r % 2 else -1.0) * fv[_bound(l, sub, sub[0])]
     return CheckResult(False, tuple(l.elements[i] for i in family),
                        f"f(join) = {fv[top]!r} {op} {rhs!r}")
 

@@ -3,10 +3,11 @@
 A vee-negation is a bijection n with n(x v y) = n(x) ^ n(y) and n(top) =
 bottom; such a map exists exactly when the lattice is isomorphic to its own
 order dual.  Negations need not be involutive and are rarely unique, so the
-search below enumerates them in a canonical order: the partial map is
-extended up the lattice's elements, which are numbered along a linear
+search below enumerates them in a canonical order: one loop extends the
+partial map up the lattice's elements, which are numbered along a linear
 extension (see ``lattice``), trying candidate images in that order, which
-makes "the first negation" stable across runs.
+makes "the first negation" stable across runs.  Only join-irreducible
+elements branch; every other element's image is forced by its lower covers'.
 
 Like every validated structure in this package, a negation holds index
 tuples only: its ``image`` in lattice element order.  The name dicts it hands
@@ -15,9 +16,7 @@ out are fresh copies, so writing into one changes nothing.
 
 from __future__ import annotations
 
-import functools
 import itertools
-from operator import and_, or_
 
 from .capacity import CheckResult
 from .errors import (
@@ -26,8 +25,8 @@ from .errors import (
     NotABijection,
     NotDistributive,
 )
-from .lattice import (Lattice, _incomparable_pairs, _indices, _join_index, _meet_index, _names,
-                      _unions, is_distributive)
+from .lattice import (Lattice, _bound, _incomparable_pairs, _indices, _join_index, _meet_index,
+                      _names, _unions, is_distributive)
 from .transforms import _inverse, _Vector
 
 
@@ -169,70 +168,64 @@ def find_negations(l: Lattice, limit: int | None = 1) -> list[Negation]:
 
 
 def _negations(l: Lattice):
-    """Yield the vee-negations, by backtracking over the cover structure.
+    """Yield the vee-negations, by one backtracking loop over the elements.
 
-    A negation is exactly an anti-automorphism, so candidate images must
-    swap height with coheight and up-degree with down-degree; those pruning
-    invariants only shrink the search.  Elements are assigned in element
-    order, a linear extension, trying candidate images in that order too.
-    When element i is reached, every element below it has an image and no
-    element above it has one, so image c fits i iff the assigned images
-    above c are exactly the images of the elements below i, which is the
-    union of those kept for its lower covers, and no assigned image lies
-    below c.  Both the elements and their candidates go up, so the leaves
-    come in ascending (lexicographic) order of the image vector.
+    A negation is exactly an anti-automorphism, so a candidate image must
+    lie in the element's class: height swapped with coheight, upper cover
+    count with lower.  Elements are assigned in element order, a linear
+    extension, trying candidate images in that order too.  When element i
+    is reached, every element below it has an image and no element above
+    it has one, so image c fits i iff the assigned images above c are
+    exactly the images of the elements below i (``above_of[i]``, the union
+    of those kept for its lower covers) and no assigned image lies below c.
+    Both the elements and their candidates go up, so the leaves come in
+    ascending (lexicographic) order of the image vector.
 
-    Only join-irreducible elements (and the bottom) branch: their
-    candidates are the images not yet taken in their invariant class, read
-    off a bitset lowest first.  A join-reducible i is the join of any two of
-    its lower covers a and b (a < a v b <= i, and a is covered by i), so
-    every negation sends it to n(a) ^ n(b), the meet of its lower covers'
-    images, already assigned: that is the only candidate tried.  Any other
-    image that fits i extends to no negation, so dropping it prunes only
-    branches that end empty: the negations found and their order are those
-    of trying the whole class.
+    Every negation sends a join-irreducible i, covering a alone, to a lower
+    cover of n(a): those still free are its candidates, a bitset tried
+    lowest first.  Every other image is forced: the bottom's is the top,
+    and a join-reducible i is the join of any two of its lower covers a and
+    b (a < a v b <= i, and a is covered by i), so it goes to n(a) ^ n(b),
+    the highest bit of one AND of its lower covers' images' down-sets.  Any
+    other image that fits i extends to no negation, so dropping it prunes
+    only branches that end empty.  An element with candidates left goes on
+    ``branches`` with the images taken before it; a dead end backs up to
+    the latest one, which drops every image taken since, forced or not.
     """
-    n, down, up, lower = len(l), l._down, l._up, l._cov_down
-    keys = list(zip(l._h, l._coh, map(len, l._cov_up), map(len, lower)))
-    classes: dict[tuple, int] = {}  # each invariant key's elements, as a bitset
-    for c, key in enumerate(keys):
-        classes[key] = classes.get(key, 0) | 1 << c
-    image_bit = [0] * n  # 1 << the image of each assigned element, 0 otherwise
-    images = 0  # bitset of all assigned images
-    above_of = [0] * n  # the images of the elements below each element reached
-
-    def fits(i):
-        h, coh, ups, downs = keys[i]
-        key = (coh, h, downs, ups)
-        above_of[i] = above = functools.reduce(
-            or_, (above_of[c] | image_bit[c] for c in lower[i]), 0)
-        if downs > 1:  # forced: the meet of the lower covers' images
-            meet = functools.reduce(and_, (down[image_bit[c].bit_length() - 1] for c in lower[i]))
-            c = meet.bit_length() - 1
-            free = 1 << c if keys[c] == key else 0
-        else:
-            free = classes.get(key, 0) & ~images
-        while free:
+    n, down, up, lower, upper, h, coh = len(l), l._down, l._up, l._cov_down, l._cov_up, l._h, l._coh
+    image, above_of, cover_bits, branches = [0] * n, [0] * n, [0] * n, []
+    images = i = 0  # the bitset of the images taken; the element to assign next
+    while True:
+        if i == n:
+            yield Negation(l, _Vector(image), "vee")
+            c, free = -1, 0
+        elif len(covers := lower[i]) == 1:  # join-irreducible: a free lower cover of n(a)
+            a = covers[0]
+            above_of[i], c, free = above_of[a] | 1 << image[a], -1, cover_bits[image[a]]
+            if not free:  # n(a)'s lower covers as a bitset, built once per image
+                for b in lower[image[a]]:
+                    free |= 1 << b
+                cover_bits[image[a]] = free
+            free &= ~images
+        else:  # forced: the meet of the lower covers' images, the top for the bottom
+            above, meet = 0, down[-1]
+            for a in covers:
+                c = image[a]
+                above |= above_of[a] | 1 << c
+                meet &= down[c]
+            above_of[i], c, free = above, meet.bit_length() - 1, 0
+        while not (c >= 0 and h[c] == coh[i] and coh[c] == h[i] and len(upper[c]) == len(lower[i])
+                   and len(lower[c]) == len(upper[i])
+                   and up[c] & images == above_of[i] and not down[c] & images):
+            if not free:  # a dead end: back up to the latest element with candidates left
+                if not branches:
+                    return
+                i, free, images = branches.pop()
             c = (free & -free).bit_length() - 1
             free &= free - 1
-            if up[c] & images == above and not down[c] & images:
-                yield c
-
-    stack = [fits(0)]  # stack[i] yields the images that fit element i
-    while stack:
-        i = len(stack) - 1
-        images ^= image_bit[i]  # release element i's image before its next try
-        image_bit[i] = 0
-        c = next(stack[-1], None)
-        if c is None:
-            stack.pop()
-            continue
-        image_bit[i] = 1 << c
-        images |= image_bit[i]
-        if len(stack) < n:
-            stack.append(fits(len(stack)))
-            continue
-        yield Negation(l, _Vector(b.bit_length() - 1 for b in image_bit), "vee")
+        if free:
+            branches.append((i, free, images))
+        image[i], images, i = c, images | 1 << c, i + 1
 
 
 def invert(n: Negation) -> Negation:
@@ -267,8 +260,7 @@ def negation_from_irreducible_map(l: Lattice, jmap) -> Negation:
     if len(set(send.values())) != len(send):
         raise NotABijection("two join-irreducibles share one image")
 
-    top, meet = len(l) - 1, functools.partial(_meet_index, l)
-    image = _Vector(functools.reduce(lambda a, j: meet(a, send[j]), _indices(d & l._jmask), top)
+    image = _Vector(_bound(l, map(send.__getitem__, _indices(d & l._jmask)), len(l) - 1)
                     for d in l._down)
     res = _injective(l, image) and _joins_to_meets(l, image)
     if not res:

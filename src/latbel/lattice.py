@@ -420,19 +420,19 @@ def lattice_from_poset(p: Poset) -> Lattice:
 
 def join(l: Lattice, xs) -> str:
     """Join of a nonempty collection of elements."""
-    return _fold(l, xs, _join_index)
+    return _fold(l, xs, True)
 
 
 def meet(l: Lattice, xs) -> str:
     """Meet of a nonempty collection of elements."""
-    return _fold(l, xs, _meet_index)
+    return _fold(l, xs, False)
 
 
-def _fold(l, xs, op):
+def _fold(l, xs, upper: bool):
     items = {l.index_of(x) for x in xs}
     if not items:
         raise ValueError("join/meet of an empty collection")
-    return l.elements[functools.reduce(functools.partial(op, l), items)]
+    return l.elements[_bound(l, items, items.pop(), upper)]
 
 
 # -- irreducible decompositions ----------------------------------------------
@@ -481,9 +481,17 @@ def _minimal_decomposition(l: Lattice, x: str, upper: bool) -> frozenset[str]:
 def _cover_bound(l: Lattice, x: int, upper: bool) -> int:
     """x⁻, the meet of the lower covers of x, or (upper) x⁺, the join of its
     upper covers; x itself when it has none."""
-    covers = (l._cov_up if upper else l._cov_down)[x]
-    op = functools.partial(_join_index if upper else _meet_index, l)
-    return functools.reduce(op, covers, covers[0] if covers else x)
+    return _bound(l, (l._cov_up if upper else l._cov_down)[x], x, upper)
+
+
+def _bound(l: Lattice, xs, start: int, upper: bool = False) -> int:
+    """Index of the meet of start and the elements xs, or (upper) of their
+    join, read off one AND of their down-sets (bit-reversed up-sets)."""
+    sets = l._pup if upper else l._down
+    acc = sets[start]
+    for x in xs:
+        acc &= sets[x]
+    return len(sets) - acc.bit_length() if upper else acc.bit_length() - 1
 
 
 # -- structural predicates ----------------------------------------------------

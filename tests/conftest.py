@@ -1,8 +1,11 @@
 """Shared lattice corpus and random-value builders for the test suite."""
 
+import itertools
+import warnings
 from functools import lru_cache
 
 import latbel as lb
+from latbel.errors import RedundantCovers
 
 
 @lru_cache(maxsize=None)
@@ -194,3 +197,13 @@ def moore_lattice(rng, points=(2, 7), generators=(2, 8)):
     names = list(name.values())
     rng.shuffle(names)
     return lb.lattice_from_poset(lb.build_poset(names, covers))
+
+
+def random_poset(rng, n, density):
+    names = [f"p{i}" for i in range(n)]
+    covers = [(names[i], names[j]) for i, j in itertools.combinations(range(n), 2)
+              if rng.random() < density]
+    rng.shuffle(names)  # input order need not be a linear extension
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RedundantCovers)
+        return lb.build_poset(names, covers)

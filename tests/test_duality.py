@@ -27,6 +27,7 @@ from conftest import (
     moore_lattice,
     n5,
     nonautodual5,
+    random_poset,
     small_corpus,
 )
 
@@ -212,18 +213,85 @@ def test_negation_search_matches_the_sums_on_reversed_moore_families(l, dual, rn
     assert [n.image for n in lb.find_negations(k, limit=None)] == negations_by_sums(k)
 
 
-class CountedUpSets(list):
-    """A lattice's ``_up`` that counts its reads and fails past a budget:
-    the search reads one up-set per candidate image it tests."""
+@settings(max_examples=60, deadline=None)
+@given(rng=st.randoms(), size=st.integers(2, 6), density=st.sampled_from([0.2, 0.35, 0.5]),
+       dual=st.booleans())
+def test_negation_search_matches_the_sums_on_random_downset_lattices(rng, size, density, dual):
+    """Downset lattices of random posets, their duals and shuffled
+    declarations: all but a few elements are join-reducible, so nearly
+    every image the search takes is forced."""
+    l = lb.downset_lattice(random_poset(rng, size, density)).lattice
+    if dual:
+        l = lb.dual_lattice(l)
+    for k in (l, shuffled(l, rng)):
+        assert [n.image for n in lb.find_negations(k, limit=None)] == negations_by_sums(k)
 
-    def __init__(self, up, budget):
+
+def forced_after_a_choice():
+    """Three atoms a, b, c; ab = a v b and bc = b v c; d covers c alone and
+    ad = a v d.  Autodual, with one negation."""
+    covers = [("⊥", "a"), ("⊥", "b"), ("⊥", "c"), ("a", "ab"), ("b", "ab"), ("b", "bc"),
+              ("c", "bc"), ("c", "d"), ("a", "ad"), ("d", "ad"), ("ab", "⊤"), ("bc", "⊤"),
+              ("ad", "⊤")]
+    return lb.lattice_from_poset(lb.build_poset("⊥ a b ab c bc d ad ⊤".split(), covers))
+
+
+def test_a_dead_end_backs_up_past_the_forced_images():
+    """The search first sends a to ab and b to bc.  Then ab = a v b is forced
+    to ab ^ bc = b, and c takes ad, its one candidate left.  bc = b v c is
+    forced to bc ^ ad = c, which is outside bc's class (c has coheight 3,
+    bc height 2).  Backing up to b must release b and ad, the images taken
+    since b's choice; if it kept them, no image would fit b once a has
+    moved on to bc, and the one negation would be lost."""
+    l = forced_after_a_choice()
+    found = lb.find_negations(l, limit=None)
+    assert [n.map for n in found] == [{"⊥": "⊤", "a": "bc", "b": "ab", "ab": "b", "c": "ad",
+                                       "bc": "a", "d": "d", "ad": "c", "⊤": "⊥"}]
+    assert [n.image for n in found] == negations_by_sums(l)
+
+
+class CountedUpSets(list):
+    """A lattice's ``_up`` that counts its reads, in all and per element, and
+    fails past a budget: the search reads one up-set per candidate image it
+    tests."""
+
+    def __init__(self, up, budget=math.inf):
         super().__init__(up)
-        self.reads, self.budget = 0, budget
+        self.reads, self.budget, self.each = 0, budget, collections.Counter()
 
     def __getitem__(self, i):
         self.reads += 1
+        self.each[i] += 1
         assert self.reads <= self.budget, "over budget"
         return super().__getitem__(i)
+
+
+def forced_out_of_class():
+    """Three atoms p, q, r; x = p v q and y = p v r; s covers r alone.
+    Autodual, with one negation."""
+    covers = [("⊥", "p"), ("⊥", "q"), ("⊥", "r"), ("p", "x"), ("q", "x"), ("p", "y"),
+              ("r", "y"), ("r", "s"), ("x", "⊤"), ("s", "⊤"), ("y", "⊤")]
+    return lb.lattice_from_poset(lb.build_poset("⊥ p q x r s y ⊤".split(), covers))
+
+
+def test_an_image_outside_its_class_is_never_tested():
+    """Only the top has coheight 0, so the bottom is in the top's class
+    alone: the search tests the bottom as an image at the top only, where
+    it always fits, once per negation.  In ``forced_out_of_class`` the first
+    choices send p to x and q to s, and x = p v q is then forced to
+    x ^ s, the bottom, which fits the images taken so far.  And the top of
+    nonautodual5 is not in the bottom's class (two atoms, one coatom), so
+    the search settles it without testing any image."""
+    for name, l in [*corpus(), ("forced_out_of_class", forced_out_of_class()),
+                    ("nonautodual5", nonautodual5())]:
+        counted = CountedUpSets(l._up)
+        with mock.patch.object(l, "_up", counted):
+            found = lb.find_negations(l, limit=None)
+        assert counted.each[0] == len(found), name
+        assert counted.reads > 0 or name == "nonautodual5", name
+    (n,) = lb.find_negations(forced_out_of_class(), limit=None)
+    assert n.map == {"⊥": "⊤", "p": "y", "q": "s", "x": "r", "r": "x", "s": "q", "y": "p",
+                     "⊤": "⊥"}
 
 
 def one_test_per_candidate(l):
@@ -239,7 +307,8 @@ def test_the_first_negation_takes_one_test_per_element_and_the_rejects():
     """Extended along a linear extension, the search does not backtrack to
     its first negation on a chain declared from either end or on B7
     declared in a shuffled order; extended in input order, it made over
-    200 times this budget's tests on that B7."""
+    200 times this budget's tests on that B7.  Each image, forced or
+    chosen, is tested before it is taken: at least one test per element."""
     names = [f"c{i}" for i in range(300)]
     bottom_first = lb.lattice_from_poset(lb.build_poset(names, list(zip(names, names[1:]))))
     b7 = shuffled(bool_lattice(7), random.Random(7))
@@ -249,7 +318,7 @@ def test_the_first_negation_takes_one_test_per_element_and_the_rejects():
         counted = CountedUpSets(l._up, budget)
         with mock.patch.object(l, "_up", counted):
             (n,) = lb.find_negations(l, limit=1)
-        assert 0 < counted.reads <= budget
+        assert len(l) <= counted.reads <= budget
         assert lb.verify_vee_negation(l, n.map)
 
 

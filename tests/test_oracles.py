@@ -56,6 +56,7 @@ from conftest import (
     moore_lattice,
     random_function,
     random_mass,
+    random_poset,
 )
 
 
@@ -332,16 +333,6 @@ def partition_lattice(n):
     covers = [(name(p), name([b for k, b in enumerate(p) if k not in (i, j)] + [p[i] + p[j]]))
               for p in parts for i, j in itertools.combinations(range(len(p)), 2)]
     return lb.lattice_from_poset(lb.build_poset([name(p) for p in parts], covers))
-
-
-def random_poset(rng, n, density):
-    names = [f"p{i}" for i in range(n)]
-    covers = [(names[i], names[j]) for i, j in itertools.combinations(range(n), 2)
-              if rng.random() < density]
-    rng.shuffle(names)  # input order need not be a linear extension
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RedundantCovers)
-        return lb.build_poset(names, covers)
 
 
 def lattices():

@@ -46,21 +46,33 @@ def lines(*want):
 
 
 def entries(n, key=None):
-    """n lines printed, or n entries under a key of the JSON document printed,
-    read one entry at a time: latbel prints each from a line at indent 4 to
-    its closing bracket at indent 4.  A member of an object counts its own
-    members."""
+    """n lines printed, or n entries in the JSON document {"v": 1, key: ...}
+    printed, read one entry at a time so that it is never held whole: the
+    head and closing lines exactly, and between them the entries, each from
+    a line at indent 4 to its closing bracket at indent 4, parsed alone, with
+    a comma after every one but the last.  A member of an object counts its
+    own members."""
     def check(out, err):
         if key is None:
             return sum(1 for _ in out) == n
-        count, entry = 0, ""
+        head = [next(out, None) for _ in range(3)]
+        obj = head[2] == f'  "{key}": {{\n'
+        if head[:2] != ["{\n", '  "v": 1,\n'] or not obj and head[2] != f'  "{key}": [\n':
+            return False
+        count, entry, more, line = 0, "", True, None
         for line in out:
-            if line.startswith("    "):
-                entry += line
-                if line[4] in "]}":
-                    text, entry = entry.rstrip().rstrip(","), ""
-                    count += len(json.loads(f"{{{text}}}").popitem()[1]) if text[4] == '"' else 1
-        return count == n
+            if not line.startswith("    ") or not (entry or more):
+                break
+            entry += line
+            if line[4] in "]}":
+                more, text, entry = line.endswith(",\n"), entry.rstrip().removesuffix(","), ""
+                try:
+                    value = json.loads(f"{{{text}}}").popitem()[1] if obj else json.loads(text)
+                except ValueError:
+                    return False
+                count += len(value) if obj else 1
+        return (not (entry or more) and line == ("  }\n" if obj else "  ]\n")
+                and next(out, None) == "}\n" and next(out, None) is None and count == n)
     return check
 
 

@@ -30,7 +30,8 @@ import latbel.io as io
 from conftest import convex_geometry
 from latbel import (MassAllocation, SetFunction, boolean_lattice, build_poset, check_capacity,
                     check_necessity, check_possibility, find_negations, lattice_from_poset,
-                    reconstruct_chain, simple_support, verify_vee_negation, zeta_transform)
+                    mobius_function, reconstruct_chain, simple_support, verify_vee_negation,
+                    zeta_transform)
 from latbel.errors import InvalidDistribution
 from latbel.lattice import is_distributive, is_lower_semimodular, is_upper_semimodular
 
@@ -154,6 +155,8 @@ def build(d):
         ("check_possibility", 0.5, lambda: check_possibility(drop).witness == late),
         ("reconstruct_chain refusal", 0.25, refusal),
         ("verify_vee_negation", 0.5, lambda: verify_vee_negation(l, swapped).witness == late),
+        ("mobius_function on b12", 0.1, lambda p=boolean_lattice([str(i) for i in range(12)]):
+         mobius_function(p).mu(p.bottom, p.top) == 1),
         ("is_distributive on m3chain", 0.5,
          lambda p=lattice_from_poset(m3chain): not is_distributive(p)),
         *((f"{name} on m4000", 0.5, lambda p=lattice_from_poset(m4000), run=run: bool(run(p)))

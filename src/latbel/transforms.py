@@ -8,8 +8,16 @@ linear extension (upward for Moebius, downward for co-Moebius): each m(x) is
 its total minus the values already found strictly below (above) x, so they
 need neither the Moebius coefficients nor any matrix.  The coefficients
 mu(x, y) themselves, exact integers, are computed on demand by
-``mobius_function``, each row x by Rota's crosscut theorem over the upper
-covers of x (Rota 1964).  All other arithmetic is double precision, on
+``mobius_function``, each row x by Rota's crosscut theorem over the set A
+of upper covers of x (Rota 1964): mu(x, y) is the sum of (-1)^|S| over the
+subsets S of A with x v (join of S) = y.  The row is in closed form where
+[x, x+], x+ = x v (join of A), has 2^|A| elements and no a in A lies below
+x v (join of A - {a}).  This independence makes S -> x v (join of S)
+injective: if S and T have one join and a is in S but not in T, then a
+lies below the join of T, within A - {a}.  The 2^|A| joins thus fill
+[x, x+], and each y there is the join of exactly the covers below it, so
+mu(x, y) = (-1)^(number of covers below y) on [x, x+], and 0 off it, where
+no join of covers lies.  All other arithmetic is double precision, on
 each function's ``vector`` of values in lattice element order.
 
 Elements are numbered along a linear extension (see ``lattice``), so each
@@ -27,10 +35,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from operator import itemgetter
 
 from .errors import IncompleteFunction, InvalidFunction, UnknownElement
-from .lattice import _BYTE_OF_DIGIT, Lattice, _cached
+from .lattice import _BYTE_OF_DIGIT, Lattice, _cached, _indices
 
 # Whether ``sum`` adds floats left to right (CPython before 3.12), so that a
 # set's sum is its prefix's sum continued over the rest.
@@ -113,16 +122,69 @@ class MobiusMatrix:
         return self._rows[p.index_of(x)].get(p.index_of(y), 0)
 
 
+class _BooleanRow(Mapping):
+    """A row mu(x, .) on a Boolean interval, read-only: ``inside`` holds the
+    interval's elements, ``odd`` those where mu is -1, as bits in element
+    order.  It iterates in ascending order, so (x, 1) comes first."""
+
+    __slots__ = ("inside", "odd")
+
+    def __init__(self, inside: int, odd: int):
+        self.inside, self.odd = inside, odd
+
+    def get(self, y: int, default=None):
+        return (-1 if self.odd >> y & 1 else 1) if self.inside >> y & 1 else default
+
+    def __getitem__(self, y: int) -> int:
+        if self.inside >> y & 1:
+            return -1 if self.odd >> y & 1 else 1
+        raise KeyError(y)
+
+    def __iter__(self):
+        return iter(_indices(self.inside))
+
+    def __len__(self) -> int:
+        return self.inside.bit_count()
+
+
 def _crosscut_rows(lattice: Lattice):
-    """Yield, for each x in element order, the dict of y to mu(x, y) where nonzero.
+    """Yield, for each x in element order, a mapping of y to mu(x, y) where
+    nonzero, (x, 1) first.
 
     By Rota's crosscut theorem (Rota 1964, "On the foundations of
     combinatorial theory I"), mu(x, y) is the sum of (-1)^|S| over the sets S
-    of upper covers of x with x v (join of S) = y.  Row x starts as {x: 1} and
-    each upper cover a subtracts its push-forward under t -> t v a, read off
-    ``_pup[t] & _pup[a]`` (see :class:`Lattice`): the work follows the nonzeros."""
-    pup, ints = lattice._pup, list(range(len(lattice)))  # ints: one object per key
+    of upper covers of x with x v (join of S) = y; one cover a gives
+    {x: 1, a: -1}.  With k >= 3 covers, the join x+ of all of them, and of
+    all but each cover, is read off ``_pup`` (see :class:`Lattice`) by
+    suffix and prefix ANDs.  If no cover lies below the join of the others,
+    the joins of two different sets of covers differ (a cover in one set
+    only would lie below the other's join); if also [x, x+] has 2^k
+    elements, those 2^k joins fill it, so the row is a :class:`_BooleanRow`,
+    -1 above an odd number of covers.  Any other row starts as {x: 1} and each upper cover a
+    subtracts its push-forward under t -> t v a, read off
+    ``_pup[t] & _pup[a]``: the work follows the nonzeros."""
+    pup, up, down = lattice._pup, lattice._up, lattice._down
+    ints = list(range(len(pup)))  # ints: one object per key
     for x, covers in enumerate(lattice._cov_up):
+        if len(covers) == 1:
+            yield {x: 1, covers[0]: -1}
+            continue
+        if len(covers) > 2:  # the crosscut of two covers pushes three entries: cheaper than tests
+            after, join = [], -1  # last cover first: the _pup of the join of those after it
+            for a in reversed(covers):
+                after.append(join)
+                join &= pup[a]
+            inside = up[x] & down[-join.bit_length()]
+            if inside.bit_count() == 1 << len(covers):
+                before, odd = -1, 0
+                for a, rest in zip(covers, reversed(after)):
+                    if (before & rest).bit_length() == join.bit_length():
+                        break  # a lies below the join of the others
+                    before &= pup[a]
+                    odd ^= up[a]
+                else:
+                    yield _BooleanRow(inside, inside & odd)
+                    continue
         d = {x: 1}
         for a in covers:
             up_a = pup[a]

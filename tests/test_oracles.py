@@ -472,6 +472,28 @@ def test_negation_search_matches_the_oracle(name, l):
     assert [n.map for n in lb.find_negations(l, limit=limit)] == want
 
 
+def test_autoduality_matches_hasse_diagram_isomorphism():
+    """A lattice has a negation iff its Hasse digraph is isomorphic to its
+    reverse: on downset and Moore draws of up to 32 elements, and duals."""
+    nx = pytest.importorskip("networkx")
+    rng, tally = random.Random(23), collections.Counter()
+    while sum(tally.values()) < 200:
+        if rng.random() < 0.5:
+            l = lb.downset_lattice(random_poset(rng, rng.randint(4, 7), rng.choice([0.3, 0.5])))
+            l = l.lattice
+        else:
+            l = moore_lattice(rng, points=(4, 7), generators=(3, 10))
+        if len(l) > 32:
+            continue
+        l = lb.dual_lattice(l) if rng.random() < 0.5 else l
+        hasse = nx.DiGraph(l.covers)
+        hasse.add_nodes_from(l.elements)
+        autodual = nx.is_isomorphic(hasse, hasse.reverse(copy=False))
+        assert bool(lb.find_negations(l, 1)) == autodual, l.covers
+        tally[autodual] += 1
+    assert tally[True] >= 30 and tally[False] >= 30, tally
+
+
 def vee_negation_oracle(o, mapping):
     """The first pair, in combinations-with-replacement order, with
     n(x v y) != n(x) ^ n(y): the scan that decided verification before the
@@ -965,6 +987,23 @@ def test_mobius_matches_the_oracle_on_random_moore_families(l, dual):
     for x, (row, up) in enumerate(zip(rows, l._up)):  # row x: x first with 1, keys in the up-set of x
         assert next(iter(row.items())) == (x, 1)
         assert all(up >> y & 1 for y in row) and all(row.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(rng=st.randoms(use_true_random=False), dual=st.booleans())
+def test_mobius_matches_the_oracle_on_random_downset_lattices(rng, dual):
+    """Distributive draws, where most rows are Boolean, read through items,
+    len, get and mu, each row (x, 1) first."""
+    l = lb.downset_lattice(random_poset(rng, rng.randint(1, 5), rng.choice([0.2, 0.4]))).lattice
+    l = declared(lb.dual_lattice(l) if dual else l, "shuffled", rng)
+    names, mu, mat = l.elements, mobius_oracle(oracle_of(l)), lb.mobius_function(l)
+    for x, row in enumerate(mat._rows):
+        want = [mu.get((names[x], y), 0) for y in names]
+        assert next(iter(row.items())) == (x, 1)
+        assert dict(row.items()) == {y: v for y, v in enumerate(want) if v}
+        assert len(row) == len(want) - want.count(0)
+        assert [row.get(y, 0) for y in range(len(l))] == want
+        assert [mat.mu(names[x], y) for y in names] == want
 
 
 # -- the order analyses against the searches they replaced -------------------------

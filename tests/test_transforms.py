@@ -53,6 +53,28 @@ def test_mu_boolean_sign_formula():
                 assert mat.mu(b, a) == 0
 
 
+def test_mu_where_the_covers_of_x_collide():
+    """[x, t] has 2^3 elements, but a lies below b v c = t: the covers of x
+    are dependent, so row x is the crosscut's and not a Boolean row."""
+    covers = [("x", a) for a in "abc"] + [("a", "d"), ("b", "e"), ("c", "f")]
+    covers += [(y, "t") for y in "def"]
+    l = lb.lattice_from_poset(lb.build_poset(["x", *"abcdef", "t"], covers))
+    mat = lb.mobius_function(l)
+    assert mat.mu("x", "t") == 2 and mat.mu("x", "d") == 0
+    assert [mat.mu("x", y) for y in "abcef"] == [-1, -1, -1, 0, 0]
+
+
+def test_mu_where_the_covers_of_x_span_more_than_a_boolean_interval():
+    """B3 with p inserted between a and a v b: the covers a, b, c of x are
+    independent, but [x, t] has 9 elements, so mu(x, p) = 0 as in the pentagon."""
+    covers = [("x", a) for a in "abc"] + [("a", "p"), ("p", "ab"), ("b", "ab")]
+    covers += [("a", "ac"), ("c", "ac"), ("b", "bc"), ("c", "bc")]
+    covers += [(y, "t") for y in ("ab", "ac", "bc")]
+    l = lb.lattice_from_poset(lb.build_poset(["x", *"abcp", "ab", "ac", "bc", "t"], covers))
+    mat = lb.mobius_function(l)
+    assert [mat.mu("x", y) for y in ("p", "ab", "ac", "t")] == [0, 1, 1, -1]
+
+
 def test_mu_interval_recursion_and_integrality():
     for _, l in corpus():
         mat = lb.mobius_function(l)

@@ -30,8 +30,8 @@ import latbel.io as io
 from conftest import convex_geometry
 from latbel import (MassAllocation, SetFunction, boolean_lattice, build_poset, check_capacity,
                     check_necessity, check_possibility, find_negations, lattice_from_poset,
-                    mobius_function, reconstruct_chain, simple_support, verify_vee_negation,
-                    zeta_transform)
+                    mass_from_comobius, mobius_function, reconstruct_chain, simple_support,
+                    verify_vee_negation, zeta_transform)
 from latbel.errors import InvalidDistribution
 from latbel.lattice import is_distributive, is_lower_semimodular, is_upper_semimodular
 
@@ -103,6 +103,9 @@ def build(d):
     for name, focal in (("mass12a", 20), ("mass12b", 20), ("dense12a", 4095), ("dense12b", 4095)):
         save(name, io.function_to_dict(mass(focal)))
     save("simple12", io.function_to_dict(simple_support(l, l.elements[1000], 0.3)))
+    m = mass(20).vector  # with as much again at top, halved: top mass for decompose
+    save("bel12top", io.function_to_dict(zeta_transform(
+        MassAllocation(l, {x: (v + (x == l.top)) / 2 for x, v in zip(l.elements, m)}))))
     l = boolean_lattice([str(i) for i in range(9)])
     names = list(l.elements)
     random.Random(0).shuffle(names)
@@ -157,6 +160,8 @@ def build(d):
         ("verify_vee_negation", 0.5, lambda: verify_vee_negation(l, swapped).witness == late),
         ("mobius_function on b12", 0.1, lambda p=boolean_lattice([str(i) for i in range(12)]):
          mobius_function(p).mu(p.bottom, p.top) == 1),
+        ("zeta_transform and mass_from_comobius on b12", 0.15,
+         lambda p=boolean_lattice([str(i) for i in range(12)]): transforms_hold(p)),
         ("is_distributive on m3chain", 0.5,
          lambda p=lattice_from_poset(m3chain): not is_distributive(p)),
         *((f"{name} on m4000", 0.5, lambda p=lattice_from_poset(m4000), run=run: bool(run(p)))
@@ -164,6 +169,14 @@ def build(d):
                             ("is_upper_semimodular", is_upper_semimodular),
                             ("is_lower_semimodular", is_lower_semimodular))),
     ]
+
+
+def transforms_hold(l):
+    """Cold, on a fresh lattice: zeta of the constant 1 counts each down-set,
+    and the constant commonality 1 is all mass at top."""
+    ones = SetFunction(l, dict.fromkeys(l.elements, 1.0))
+    return (zeta_transform(ones).vector == tuple(float(d.bit_count()) for d in l._down)
+            and mass_from_comobius(ones).vector == (0.0,) * (len(l) - 1) + (1.0,))
 
 
 def commands(p, d):
@@ -174,6 +187,7 @@ def commands(p, d):
         (["check", p["convex60"]], 0, lines("is_lower_locally_distributive: true")),
         (["check", p["b12"]], 0, lines("is_distributive: true", "is_complemented: true")),
         (["bel", "check", "--lattice", p["b12"], p["bel12"]], 0, lines("is_belief: holds")),
+        (["bel", "decompose", "--lattice", p["b12"], p["bel12top"]], 0, lines("focus\tweight")),
         (["bel", "combine", "--lattice", p["b12"], p["mass12a"], p["mass12b"]], 0, focal),
         (["bel", "combine", "--lattice", p["b12"], p["dense12a"], p["dense12b"]], 0, focal),
         (["bel", "combine", "--lattice", p["b12"], p["dense12a"], p["simple12"]], 0, focal),

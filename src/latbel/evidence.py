@@ -22,7 +22,7 @@ from .errors import (
     TopMassZero,
     TotalConflict,
 )
-from .lattice import COMBINE_POLICIES, Lattice, _cached
+from .lattice import COMBINE_POLICIES, Lattice, _cached, is_distributive
 from .transforms import (
     SetFunction,
     _solve,
@@ -97,36 +97,21 @@ def combine(
     Since y1 ^ y2 >= x iff both yi >= x, the combined commonality is the
     product q1(x) q2(x) (Kennes 1992, "Computational aspects of the Moebius
     transformation of graphs").  So when the focal pairs outnumber that
-    product's cost, 30 per element plus half the total up-set size, the
-    masses are summed along the cached up-set steps, multiplied, and the
-    product is solved back to a mass along the reversed linear extension.
+    product's price, the masses are summed to commonalities, multiplied,
+    and the product is solved back to a mass (see ``transforms``).
     Otherwise the pairs are summed, each meet read from the down-sets, so
-    that no call caches anything that grows with its inputs.
-
-    Costs are counted in pairs, one update of the combined mass each.  Each
-    of the product's three up-set passes costs about 10 pairs per element,
-    and each value its steps gather a third of a pair by index or about a
-    tenth as a slice; half the total up-set size stands in for those
-    values.  The constants were fit when a pair cost about 50 ns, its meet
-    read from a cached row of the meet table; read from the down-sets, it
-    costs 1.4-1.7 times as much, so dense masses on ref18, B4, Pi4, M16
-    and chain32 sum their pairs where the product is now the faster.
-    Microseconds per call by pairs / by the product for dense masses from
-    ``bench/gen.py`` (CPython 3.11 on a shared 2-core Xeon, ``timeit``, min
-    of 5 in each of three runs, both columns in the same runs), by route:
-
-        chain32    137 /   40  pairs      ref18   38 /  20  pairs
-        chain64    587 /   75  product    B3       8 /  15  pairs
-        chain128  2388 /  150  product    B4      24 /  16  pairs
-        chain300 13131 /  338  product    Pi4     20 /  14  pairs
-        B6         573 /   94  product    M16     29 /  16  pairs
-        B8        9767 /  503  product    Pi5    301 /  51  product
-        rand64     612 /  155  product    rand200 5503 / 575 product
+    that no call caches anything that grows with its inputs.  The price,
+    in pairs of about 75 ns each, is a least-squares fit to warm timings
+    of dense masses: on a distributive lattice, whose product is three
+    passes over the covers and a few sweeps over the elements, 1.2 per
+    cover plus 1.8 per element; on any other, whose product sums along
+    step lists, 9 per element plus a sixty-fourth of the total up-set size.
+    Pairs that do not outnumber the lower of the two prices are summed
+    without deciding which applies, so they never pay for the test of
+    distributivity.
 
     The two routes agree to rounding, but where the pair sum is exactly 0.0
-    the product may leave a residue of rounding size: on B10, two masses on
-    every set holding one atom have a conflict at bottom of about 1e-15,
-    where the pairs give 0.0.
+    the product may leave a residue of rounding size.
 
     raw keeps the conflict mass at bottom (the commonality product identity
     then holds everywhere); zero-bottom discards it without renormalizing;
@@ -140,8 +125,9 @@ def combine(
         raise LatticeMismatch("mass allocations live on different lattices")
     l, n = m1.lattice, len(m1.lattice)
     pairs = (n - m1.vector.count(0.0)) * (n - m2.vector.count(0.0))
-    up_total = _cached(l, "up_total", lambda: sum(u.bit_count() for u in l._up))
-    if pairs > 30 * n + up_total / 2:
+    by_passes, by_steps = _cached(l, "product_prices", lambda: _product_prices(l))
+    if pairs > min(by_passes, by_steps) and pairs > (
+            by_passes if is_distributive(l) else by_steps):
         out = _by_commonality(l, m1.vector, m2.vector)
     else:
         out = _by_pairs(l, m1.vector, m2.vector)
@@ -153,6 +139,14 @@ def combine(
             raise TotalConflict(f"conflict mass {conflict!r} leaves nothing to renormalize")
         out = [v / (1.0 - conflict) for v in out]
     return MassAllocation(l, _Vector(out), check=False)
+
+
+def _product_prices(l: Lattice) -> tuple[float, float]:
+    """The commonality product's cost in pairs (see :func:`combine`) if the
+    lattice is distributive, and if it is not."""
+    n = len(l)
+    return (1.2 * sum(map(len, l._cov_down)) + 1.8 * n,
+            9 * n + sum(u.bit_count() for u in l._up) / 64)
 
 
 def _by_pairs(l: Lattice, v1, v2) -> list[float]:

@@ -23,9 +23,9 @@ poset's own; ``dual`` and ``restrict`` on a lattice give posets.
 
 Poset and Lattice are immutable once built, except that ``Lattice._cache``
 is filled lazily with derived results such as the structural profile, the
-Moebius coefficients and the summation steps of the transforms (one per
-element and side, gathering only the elements its prefix cover's set
-lacks), each fixed by the lattice alone, so the cache does not grow with
+Moebius coefficients and what the transforms sum along (the covers ordered
+by label on a distributive lattice, else one step per element and side),
+each fixed by the lattice alone, so the cache does not grow with
 the inputs of later calls.  Instances can be shared between threads: a
 concurrent first call may compute such a result twice, and the second
 store only replaces it with an equal value.  Construction is
@@ -301,9 +301,10 @@ class Lattice(Poset):
     along a linear extension, x ^ y is the highest set bit of
     ``_down[x] & _down[y]``, and x v y is n less the bit length of
     ``_pup[x] & _pup[y]``.  No join or meet table is ever filled.  The
-    transforms keep no member lists either: each set sum, in bit order,
-    continues the sum of a cover holding its first bits, so a chain declared
-    in any order sums each set in one addition (see ``transforms._steps``).
+    transforms keep no member lists either: on a distributive lattice they
+    add once per cover (see ``transforms._passes``); on any other, each set
+    sum, in bit order, continues the sum of a cover holding its first bits
+    (see ``transforms._steps``).
     """
 
     __slots__ = ("poset", "bottom", "top", "joinirr", "meetirr",
@@ -659,8 +660,9 @@ _WITNESSES = {
     "is_upper_semimodular": lambda l: _semimodular_witness(l, True),
     "is_modular": lambda l: (_witness(l, "is_lower_semimodular")
                              or _witness(l, "is_upper_semimodular")),
-    # distributive iff locally distributive both ways (Dilworth 1940; Monjardet 1985)
-    "is_distributive": lambda l: (
+    # distributive iff locally distributive both ways (Dilworth 1940; Monjardet 1985),
+    # as every chain is: the transforms ask on chains of up to 4096 elements
+    "is_distributive": lambda l: _witness(l, "is_linear") and (
         (_witness(l, "is_lower_locally_distributive")
          or _witness(l, "is_upper_locally_distributive")) and _distributive_witness(l)),
     "is_lower_locally_distributive": lambda l: (

@@ -115,8 +115,8 @@ def test_combine_commutative_associative_and_total_preserving():
 
 def test_combine_caches_nothing_that_grows_with_its_inputs():
     """The pair sum reads each meet from the position down-sets: combining
-    sparse masses in either order leaves only the total up-set size, which
-    the route rule reads, in the lattice's cache."""
+    sparse masses in either order leaves only the product's two prices,
+    which the route rule reads, in the lattice's cache."""
     l = lb.boolean_lattice(list("abcdefgh"))  # not the shared corpus copy: a fresh cache
     rng = random.Random(83)
     m1, m2, m3 = (random_mass(l, rng) for _ in range(3))
@@ -125,10 +125,10 @@ def test_combine_caches_nothing_that_grows_with_its_inputs():
     for y1, y2 in itertools.product(m1.focal_elements(), m2.focal_elements()):
         want[l.meet(y1, y2)] += m1[y1] * m2[y2]
     assert combined.values == pytest.approx(want, abs=TOL)
-    assert set(l._cache) == {"up_total"}
+    assert set(l._cache) == {"product_prices"}
     lb.combine(m1, m3)
     lb.combine(m3, m1)
-    assert set(l._cache) == {"up_total"}
+    assert set(l._cache) == {"product_prices"}
 
 
 def pair_sum(m1, m2, policy):
@@ -148,9 +148,13 @@ def pair_sum(m1, m2, policy):
 
 def by_commonality(l, m1, m2):
     """Whether combine takes the commonality product for these masses: the
-    focal pairs outnumber 30 per element plus half the total up-set size."""
+    focal pairs outnumber 1.2 per cover plus 1.8 per element on a
+    distributive lattice, else 9 per element plus a sixty-fourth of the
+    total up-set size."""
     pairs = len(m1.focal_elements(0.0)) * len(m2.focal_elements(0.0))
-    return pairs > 30 * len(l) + sum(len(l.above(x)) for x in l.elements) / 2
+    if lb.lattice.is_distributive(l):
+        return pairs > 1.2 * len(l.covers) + 1.8 * len(l)
+    return pairs > 9 * len(l) + sum(len(l.above(x)) for x in l.elements) / 64
 
 
 def focal_sets(l, rng, dense):
@@ -162,8 +166,9 @@ def focal_sets(l, rng, dense):
 
 def assert_route(l, dense):
     """A fresh lattice's cache shows the route combine took: only the
-    product builds the up-set steps."""
-    assert ("up" in l._cache) == dense
+    product asks for the transforms' passes (None where the lattice is not
+    distributive)."""
+    assert ("passes" in l._cache) == dense
 
 
 def big_moore_lattice(rng):
@@ -236,8 +241,8 @@ def test_a_dense_boolean_combination_takes_the_product():
 
 
 def test_a_dense_chain_combination_takes_the_product():
-    """On a 300-element chain the 299 x 299 focal pairs outnumber 30 per
-    element plus half its 45,150 up-set members."""
+    """On a 300-element chain the 299 x 299 focal pairs outnumber 1.2 per
+    cover plus 1.8 per element."""
     rng = random.Random(97)
     names = [f"c{i}" for i in range(300)]
     l = lb.lattice_from_poset(lb.build_poset(names, list(zip(names, names[1:]))))
@@ -270,21 +275,31 @@ def partitions(k):
     return lb.lattice_from_poset(lb.build_poset(list(map(name, parts)), covers))
 
 
+def diamond(n):
+    """M_n: n atoms between a bottom and a top."""
+    atoms = [f"a{i}" for i in range(n)]
+    return lb.lattice_from_poset(lb.build_poset(
+        ["0", *atoms, "1"], [("0", a) for a in atoms] + [(a, "1") for a in atoms]))
+
+
 def test_the_route_table():
-    """Dense masses take the product on chain128 and Pi5 and the pairs on
-    the small lattices of the CLI's inputs; masses of 3 focal elements take
-    the pairs everywhere.  Each combine runs on a fresh lattice, whose cache
-    shows the route."""
-    pi5 = partitions(5)
+    """Dense masses take the product wherever their pairs outnumber its
+    price: on the small lattices of the CLI's inputs too, but not on the
+    3-chain or M8; masses of at most 3 focal elements take the pairs
+    everywhere.  Each combine runs on a fresh lattice, whose cache shows
+    the route."""
+    pi4, pi5 = partitions(4), partitions(5)
     assert len(pi5) == 52 and len(pi5.atoms) == 10
-    table = [(chain_diamond().lattice, False), (bool_lattice(3), False), (bool_lattice(4), False),
-             (chain_lattice(127), True), (pi5, True)]
+    table = [(chain_diamond().lattice, True), (bool_lattice(3), True), (bool_lattice(4), True),
+             (chain_lattice(127), True), (chain_lattice(31), True), (pi4, True), (pi5, True),
+             (diamond(16), True), (chain_lattice(2), False), (diamond(8), False)]
     rng = random.Random(103)
     for given, dense_route in table:
         for dense, route in ((True, dense_route), (False, False)):
             l = lb.lattice_from_poset(lb.build_poset(list(given.elements), given.covers))
             rest = [x for x in l.elements if x != l.bottom]
-            m1, m2 = (random_mass(l, rng, focal=rest if dense else rng.sample(rest, 3))
+            few = min(3, len(rest))
+            m1, m2 = (random_mass(l, rng, focal=rest if dense else rng.sample(rest, few))
                       for _ in range(2))
             assert by_commonality(l, m1, m2) == route
             lb.combine(m1, m2)

@@ -4,7 +4,9 @@ subset sums and hand-solved small systems."""
 import contextlib
 import itertools
 import math
+import operator
 import random
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -12,10 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latbel as lb
-from latbel.lattice import _indices
+from latbel.lattice import _indices, is_distributive
 from latbel.transforms import _Vector
 
-from conftest import bool_lattice, chain_lattice, corpus, declared, moore_lattice, random_function
+from conftest import (bool_lattice, chain_lattice, convex_geometry, corpus, declared, moore_lattice,
+                      random_function, random_poset)
 
 TOL = 1e-9
 
@@ -277,11 +280,29 @@ def random_linear_extension(l, rng):
     return order
 
 
+def nondistributive_moore_lattice(rng):
+    """A Moore lattice that is not distributive, on which the transforms
+    still sum along step lists: the first such draw of a generator seeded
+    from rng (a draw of Hypothesis's may repeat one lattice forever)."""
+    rng = random.Random(rng.getrandbits(64))
+    while is_distributive(l := moore_lattice(rng)):
+        pass
+    return l
+
+
+def nondistributive_corpus():
+    """The lattices of the corpus that are not distributive, with three
+    convex geometries."""
+    return [l for _, l in corpus() if not is_distributive(l)] + [
+        convex_geometry(m) for m in (3, 4, 5)]
+
+
 def test_solves_are_equal_along_any_linear_extension():
     """Each solved value depends only on the values of its strict members,
-    so the stored order gives the floats of any other linear extension."""
+    so the stored order gives the floats of any other linear extension (on
+    lattices that are not distributive, where the solve substitutes)."""
     rng = random.Random(17)
-    lattices = [l for _, l in corpus()] + [moore_lattice(rng) for _ in range(40)]
+    lattices = nondistributive_corpus() + [nondistributive_moore_lattice(rng) for _ in range(40)]
     for l in lattices:
         assert all(l.poset.index_of(a) < l.poset.index_of(b) for a, b in l.covers)
         f = random_function(l, rng)
@@ -296,8 +317,9 @@ def test_solves_are_equal_along_any_linear_extension():
 
 # -- the summation kernel -------------------------------------------------------------
 #
-# The transforms sum each set as the continuation of its prefix cover's sum.
-# The oracle below is the kernel before that: every set summed whole, in
+# On a lattice that is not distributive, the transforms sum each set as the
+# continuation of its prefix cover's sum.  The oracle below is the kernel
+# before that: every set summed whole, in
 # ascending (descending) index order for down-sets (up-sets), and the
 # inversion substituted element by element.
 
@@ -361,7 +383,7 @@ def assert_kernel_matches_the_oracle(l, seed):
 
 def test_the_kernel_is_bit_identical_to_whole_set_sums_on_the_corpus():
     rng = random.Random(23)
-    for name, l in corpus():
+    for l in nondistributive_corpus():
         for base in (l, lb.dual_lattice(l)):
             for how in ("given", "reversed", "shuffled"):
                 k = declared(base, how, rng)
@@ -373,7 +395,7 @@ def test_the_kernel_is_bit_identical_to_whole_set_sums_on_the_corpus():
 
 
 @settings(max_examples=60, deadline=None)
-@given(l=st.randoms().map(moore_lattice), dual=st.booleans(),
+@given(l=st.randoms().map(nondistributive_moore_lattice), dual=st.booleans(),
        how=st.sampled_from(["given", "reversed", "shuffled"]), rng=st.randoms())
 def test_the_kernel_is_bit_identical_to_whole_set_sums_on_random_moore_families(l, dual, how, rng):
     if dual:
@@ -406,14 +428,14 @@ def assert_down_side_matches_ascending_indices(l, seed):
 
 def test_the_down_side_sums_in_index_order_along_an_extension_on_the_corpus():
     rng = random.Random(29)
-    for name, l in corpus():  # each declared bottom-first
+    for l in nondistributive_corpus():  # each declared bottom-first
         assert_down_side_matches_ascending_indices(l, rng.random())
         for base in (l, lb.dual_lattice(l)):
             assert_down_side_matches_ascending_indices(along_an_extension(base, rng), rng.random())
 
 
 @settings(max_examples=60, deadline=None)
-@given(l=st.randoms().map(moore_lattice), dual=st.booleans(), rng=st.randoms())
+@given(l=st.randoms().map(nondistributive_moore_lattice), dual=st.booleans(), rng=st.randoms())
 def test_the_down_side_sums_in_index_order_along_an_extension_on_random_moore_families(
         l, dual, rng):
     if dual:
@@ -432,20 +454,118 @@ def whole(l, side):
     return sum(map(len, set_members(l, side)))
 
 
+def with_m3_on_top(names, covers):
+    """The lattice with three atoms p, q, r above its top and a new top t:
+    not distributive, so its transforms sum along step lists."""
+    m3 = [(names[-1], x) for x in "pqr"] + [(x, "t") for x in "pqr"]
+    return lb.lattice_from_poset(lb.build_poset([*names, *"pqrt"], covers + m3))
+
+
 def test_each_sum_gathers_only_what_its_prefix_cover_lacks():
+    """B8 and the 300-chain, each with M3 on top.  Below the M3, each set
+    gathers what it did without it; p, q and r gather themselves, t and the
+    old top gather 3 (its other covers and itself)."""
     reuse = lb.transforms._LEFT_TO_RIGHT
     k = 8  # B8 by bitmask, as bench/gen.py declares it: each set extends its lowest cover's
     names = [f"b{m:08b}" for m in range(1 << k)]
     covers = [(names[m], names[m | 1 << i])
               for m in range(1 << k) for i in range(k) if not m >> i & 1]
-    b8 = lb.lattice_from_poset(lb.build_poset(names, covers))
+    b8 = with_m3_on_top(names, covers)
     for side in ("down", "up"):
-        assert whole(b8, side) == 6561
-        assert gathered(b8, side) == (3281 if reuse else 6561)
+        assert whole(b8, side) == 6561 + 1031  # B8's, 4 more above each, 7 in the M3
+        assert gathered(b8, side) == (3281 + 6 if reuse else 7592)
     names = [f"c{i}" for i in range(300)]
-    chain = lb.lattice_from_poset(lb.build_poset(names, list(zip(names, names[1:]))))
+    chain = with_m3_on_top(names, list(zip(names, names[1:])))
     for how in ("given", "reversed", "shuffled"):
         k = declared(chain, how, random.Random(0))
         for side in ("down", "up"):
-            assert whole(k, side) == 45150
-            assert gathered(k, side) == (300 if reuse else 45150)
+            assert whole(k, side) == 45150 + 1207
+            assert gathered(k, side) == (306 if reuse else 46357)
+
+
+# -- label passes on distributive lattices ---------------------------------------------
+#
+# On a distributive lattice the transforms add along the covers, one pass per
+# join-irreducible label, and build no step list.  The oracles are exact
+# Fraction sums and the whole-set sums above.
+
+def downset_draw(rng, dual, how):
+    """The lattice of downsets of a random poset of up to 6 elements, or its
+    dual, declared as given, reversed or shuffled."""
+    l = lb.downset_lattice(random_poset(rng, rng.randint(1, 6), rng.choice([0.2, 0.4, 0.6])))
+    return declared(lb.dual_lattice(l.lattice) if dual else l.lattice, how, rng)
+
+
+def exact_sums(l, side, values):
+    exact = list(map(Fraction, values))
+    return [sum(map(exact.__getitem__, ms), Fraction(0)) for ms in index_members(l, side)]
+
+
+def exact_solve(l, side, given):
+    members, out = index_members(l, side), [Fraction(0)] * len(l)
+    for x in range(len(l)) if side == "down" else reversed(range(len(l))):
+        out[x] = Fraction(given[x]) - sum(out[y] for y in members[x] if y != x)
+    return out
+
+
+def dyadic(rng, n):
+    return [rng.randint(-64, 64) / 64 for _ in range(n)]
+
+
+def dyadic_mass(l, rng, lo):
+    """Masses of 512ths from lo to 4 units below top, none at bottom, the
+    rest (at least half) at top."""
+    units = [0] + [rng.randint(lo, 4) for _ in range(len(l) - 2)] + [0]
+    units[-1] = 512 - sum(units)
+    return lb.SetFunction(l, _Vector(u / 512 for u in units))
+
+
+def float_bits(vec):
+    """The floats as hex strings, -0.0 as 0.0."""
+    return [(v + 0.0).hex() for v in vec]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rng=st.randoms(use_true_random=False), dual=st.booleans(),
+       how=st.sampled_from(["given", "reversed", "shuffled"]))
+def test_label_passes_match_exact_sums_on_random_downset_lattices(rng, dual, how):
+    """Each value of the four transforms passes through at most |J|
+    additions, so it lies within (1 + 2^-53)^|J| - 1, about |J| 2^-53,
+    times the sum of the absolute input values over its down-set (up-set)
+    of the exact value, and no value is -0.0.  On dyadic inputs every sum is
+    exact, so the transforms, the commonality product of Dempster's rule
+    and check_belief give the whole-set sums' floats (where those subtract
+    0.0 from -0.0, the passes give 0.0); decompose and recombine, which
+    pass through logarithms, agree with the whole-set kernel to rounding.
+    No step list is built."""
+    l = downset_draw(rng, dual, how)
+    gamma = (1 + Fraction(1, 2**53)) ** l._jmask.bit_count() - 1
+    values = [awkward_value(rng) * rng.choice([1.0, 1e8]) for _ in l.elements]
+    f = lb.SetFunction(l, _Vector(values))
+    for side, sums, solve in (("down", lb.zeta_transform, lb.mobius_transform),
+                              ("up", lb.comobius_transform, lb.mass_from_comobius)):
+        spread = [sum(abs(Fraction(values[y])) for y in ms) for ms in index_members(l, side)]
+        for got, want in ((sums(f).vector, exact_sums(l, side, values)),
+                          (solve(f).vector, exact_solve(l, side, values))):
+            assert all(abs(Fraction(g) - w) <= gamma * s for g, w, s in zip(got, want, spread))
+            assert not any(math.copysign(1.0, g) < 0 for g in got if g == 0.0)
+
+    f, g = (lb.SetFunction(l, _Vector(dyadic(rng, len(l)))) for _ in range(2))
+    for side, sums, solve in (("down", lb.zeta_transform, lb.mobius_transform),
+                              ("up", lb.comobius_transform, lb.mass_from_comobius)):
+        assert float_bits(sums(f).vector) == float_bits(oracle_sums(l, side, f.vector))
+        assert float_bits(solve(f).vector) == float_bits(oracle_solve(l, side, f.vector))
+    product = list(map(operator.mul, *(oracle_sums(l, "up", h.vector) for h in (f, g))))
+    assert (float_bits(lb.evidence._by_commonality(l, f.vector, g.vector))
+            == float_bits(oracle_solve(l, "up", product)))
+    bel, signed = (lb.zeta_transform(dyadic_mass(l, rng, lo)) for lo in (0, -4))
+    weights = lb.SupportWeights(l, _Vector(rng.choice([1.0, 0.25, 0.75, 1.5]) for _ in l.elements))
+    got = [lb.check_belief(bel), lb.check_belief(signed), lb.decompose(bel).vector,
+           lb.recombine(weights).vector]
+    with oracle_kernel():
+        want = [lb.check_belief(bel), lb.check_belief(signed), lb.decompose(bel).vector,
+                lb.recombine(weights).vector]
+    assert got[:2] == want[:2] and got[0].ok
+    for vec, exact in zip(got[2:], want[2:]):
+        assert vec == pytest.approx(exact, rel=1e-12, abs=1e-12 * max(map(abs, exact)))
+    assert "down" not in l._cache and "up" not in l._cache and l._cache["passes"]
